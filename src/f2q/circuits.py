@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,7 +55,6 @@ class Gate:
     params: Tuple[float, ...] = ()
     matrix: Optional[np.ndarray] = None
     two_qubit_cost: Optional[int] = None
-    slots: Tuple[int, ...] = ()
 
     def __post_init__(self):
         self.targets = tuple(int(q) for q in self.targets)
@@ -80,8 +79,6 @@ class Gate:
                 raise ValueError("only matrix gates carry an explicit matrix")
         if len(set(self.targets)) != len(self.targets):
             raise ValueError("duplicate targets")
-        if len(set(self.slots)) != len(self.slots):
-            raise ValueError("duplicate parameter slots on one gate")
 
     @property
     def arity(self) -> int:
@@ -155,19 +152,6 @@ class Circuit:
             return NotImplemented
         return self.n_qubits == other.n_qubits and self.gates == other.gates
 
-    @property
-    def param_slots(self) -> Dict[int, List[int]]:
-        """slot index -> positions of gates bound to it."""
-        out: Dict[int, List[int]] = {}
-        for i, g in enumerate(self.gates):
-            for s in g.slots:
-                out.setdefault(s, []).append(i)
-        return out
-
-    @property
-    def n_parameterized(self) -> int:
-        return sum(1 for g in self.gates if g.slots)
-
 
 def apply_circuit(state: StateVector, c: Circuit) -> StateVector:
     if c.n_qubits != state.register_size:
@@ -205,7 +189,7 @@ def restrict_circuit(c: Circuit, support: Sequence[int]) -> Circuit:
         except KeyError:
             raise ValueError("gate acts outside the given support")
         out.add(Gate(g.kind, tgts, params=g.params, matrix=g.matrix,
-                     two_qubit_cost=g.two_qubit_cost, slots=g.slots))
+                     two_qubit_cost=g.two_qubit_cost))
     return out
 
 
@@ -439,32 +423,38 @@ def interaction_evolution(spec: LatticeSpec, e: Edge, lam: float) -> Circuit:
     return c
 
 
-def _edge_groups(spec: LatticeSpec) -> Dict[str, List[Edge]]:
-    """Edges split into parallel-applicable slices, row-major within each."""
+def block_plan(spec: LatticeSpec) -> List[Tuple[str, Edge]]:
+    """Evolution blocks of one Trotter step or HV layer, in applied order.
+
+    Interaction on the x-even, x-odd, y-even and y-odd edge slices, then
+    hop_x on x-even and x-odd, then hop_y on y-even and y-odd; each slice is
+    row-major. On even lattices the blocks of one slice act on disjoint
+    qubits, so the step's depth does not grow with the lattice.
+    """
     xs = [e for e in edges(spec) if e.direction == "x"]
     ys = [e for e in edges(spec) if e.direction == "y"]
-    return {
-        "x_even": [e for e in xs if e.origin.rx % 2 == 0],
-        "x_odd": [e for e in xs if e.origin.rx % 2 == 1],
-        "y_even": [e for e in ys if e.origin.ry % 2 == 0],
-        "y_odd": [e for e in ys if e.origin.ry % 2 == 1],
-    }
+    x_slices = [e for e in xs if e.origin.rx % 2 == 0] + [e for e in xs if e.origin.rx % 2 == 1]
+    y_slices = [e for e in ys if e.origin.ry % 2 == 0] + [e for e in ys if e.origin.ry % 2 == 1]
+    return ([("interaction", e) for e in x_slices + y_slices]
+            + [("hop_x", e) for e in x_slices]
+            + [("hop_y", e) for e in y_slices])
+
+
+def evolution_block(spec: LatticeSpec, kind: str, e: Edge, angle: float) -> Circuit:
+    """One block_plan entry at the given angle; hop_x carries the rho sign."""
+    if kind == "interaction":
+        return interaction_evolution(spec, e, angle)
+    if kind == "hop_x":
+        return hop_x_evolution(spec, e, spec.rho * angle)
+    if kind == "hop_y":
+        return hop_y_evolution(spec, e, angle)
+    raise ValueError(f"unknown block kind {kind!r}")
 
 
 def trotter_blocks(spec: LatticeSpec, t: float, V: float, dt: float) -> List[Tuple[str, Edge, Circuit]]:
     """First-order Trotter step as labeled per-edge blocks, in applied order."""
-    g = _edge_groups(spec)
-    out: List[Tuple[str, Edge, Circuit]] = []
-    for key in ("x_even", "x_odd", "y_even", "y_odd"):
-        for e in g[key]:
-            out.append(("interaction", e, interaction_evolution(spec, e, V * dt)))
-    for key in ("x_even", "x_odd"):
-        for e in g[key]:
-            out.append(("hop_x", e, hop_x_evolution(spec, e, spec.rho * t * dt / 2)))
-    for key in ("y_even", "y_odd"):
-        for e in g[key]:
-            out.append(("hop_y", e, hop_y_evolution(spec, e, t * dt / 2)))
-    return out
+    angle = {"interaction": V * dt, "hop_x": t * dt / 2, "hop_y": t * dt / 2}
+    return [(kind, e, evolution_block(spec, kind, e, angle[kind])) for kind, e in block_plan(spec)]
 
 
 def trotter_step(spec: LatticeSpec, t: float, V: float, dt: float) -> Circuit:
@@ -521,23 +511,23 @@ VX_TWO_QUBIT_COST = 5  # CZ + A(3) + CZ
 VY_TWO_QUBIT_COST = 7  # CY,CX + A(3) + CX,CY
 
 
-def vx_gate(spec: LatticeSpec, e: Edge, theta: float, phi: float, slots: Tuple[int, ...] = ()) -> Gate:
+def vx_gate(spec: LatticeSpec, e: Edge, theta: float, phi: float) -> Gate:
     if e.direction != "x":
         raise ValueError("x-edge required")
     r, s = edge_sites(spec, e)
     tgts = (phys_index(spec, r), phys_index(spec, s), aux_index(spec, s))
     return Gate("matrix", tgts, params=(theta, phi), matrix=vx_unitary(theta, phi),
-                two_qubit_cost=VX_TWO_QUBIT_COST, slots=slots)
+                two_qubit_cost=VX_TWO_QUBIT_COST)
 
 
-def vy_gate(spec: LatticeSpec, e: Edge, theta: float, phi: float, slots: Tuple[int, ...] = ()) -> Gate:
+def vy_gate(spec: LatticeSpec, e: Edge, theta: float, phi: float) -> Gate:
     if e.direction != "y":
         raise ValueError("y-edge required")
     r, s = edge_sites(spec, e)
     tgts = (phys_index(spec, r), phys_index(spec, s),
             aux_index(spec, r), aux_index(spec, s))
     return Gate("matrix", tgts, params=(theta, phi), matrix=vy_unitary(theta, phi),
-                two_qubit_cost=VY_TWO_QUBIT_COST, slots=slots)
+                two_qubit_cost=VY_TWO_QUBIT_COST)
 
 
 def vx_native(spec: LatticeSpec, e: Edge, theta: float, phi: float) -> Circuit:
@@ -595,43 +585,23 @@ def ansatz_agate(spec: LatticeSpec, layers: int, params: Sequence[float]) -> Cir
     c = Circuit(spec.n_qubits)
     for kind, e, (i, j) in layout:
         builder = vy_gate if kind == "vy" else vx_gate
-        c.add(builder(spec, e, params[i], params[j], slots=(i, j)))
+        c.add(builder(spec, e, params[i], params[j]))
     return c
 
 
-def hv_layout(spec: LatticeSpec, layers: int, granularity: str) -> List[Tuple[str, Edge, int]]:
-    """Trotter-structured slices with free angles; slot index per block."""
-    g = _edge_groups(spec)
-    n_edges = len(edges(spec))
-    out = []
-    for layer in range(layers):
-        if granularity == "per_group":
-            s_int, s_x, s_y = 3 * layer, 3 * layer + 1, 3 * layer + 2
-            slot = lambda kind, k: {"interaction": s_int, "hop_x": s_x, "hop_y": s_y}[kind]
-        elif granularity == "per_edge":
-            base = 2 * n_edges * layer
-            counter = [base]
+def hv_layout(spec: LatticeSpec, layers: int, granularity: str) -> List[Tuple[str, Edge, Tuple[int]]]:
+    """block_plan once per layer with free angles; the slot of each block.
 
-            def slot(kind, k, counter=counter):
-                v = counter[0]
-                counter[0] += 1
-                return v
-        else:
-            raise ValueError("granularity must be per_group or per_edge")
-        k = 0
-        for key in ("x_even", "x_odd", "y_even", "y_odd"):
-            for e in g[key]:
-                out.append(("interaction", e, slot("interaction", k)))
-                k += 1
-        for key in ("x_even", "x_odd"):
-            for e in g[key]:
-                out.append(("hop_x", e, slot("hop_x", k)))
-                k += 1
-        for key in ("y_even", "y_odd"):
-            for e in g[key]:
-                out.append(("hop_y", e, slot("hop_y", k)))
-                k += 1
-    return out
+    per_group gives each layer one slot per kind (interaction, hop_x, hop_y);
+    per_edge gives every block its own slot, numbered in applied order.
+    """
+    plan = block_plan(spec)
+    if granularity == "per_group":
+        group = {"interaction": 0, "hop_x": 1, "hop_y": 2}
+        return [(kind, e, (3 * layer + group[kind],)) for layer in range(layers) for kind, e in plan]
+    if granularity == "per_edge":
+        return [(kind, e, (slot,)) for slot, (kind, e) in enumerate(plan * layers)]
+    raise ValueError("granularity must be per_group or per_edge")
 
 
 def hv_param_count(spec: LatticeSpec, layers: int, granularity: str) -> int:
@@ -647,20 +617,8 @@ def ansatz_hv(spec: LatticeSpec, layers: int, params: Sequence[float], granulari
     if len(params) != expect:
         raise ValueError(f"expected {expect} parameters, got {len(params)}")
     c = Circuit(spec.n_qubits)
-    for kind, e, slot in hv_layout(spec, layers, granularity):
-        a = params[slot]
-        if kind == "interaction":
-            block = interaction_evolution(spec, e, a)
-        elif kind == "hop_x":
-            block = hop_x_evolution(spec, e, spec.rho * a)
-        else:
-            block = hop_y_evolution(spec, e, a)
-        for gate in block.gates:
-            # only the angle-carrying gates depend on the slot value
-            variational = gate.kind in ("rz", "cphase")
-            c.add(Gate(gate.kind, gate.targets, params=gate.params,
-                       matrix=gate.matrix, two_qubit_cost=gate.two_qubit_cost,
-                       slots=(slot,) if variational else ()))
+    for kind, e, (slot,) in hv_layout(spec, layers, granularity):
+        c.extend(evolution_block(spec, kind, e, params[slot]))
     return c
 
 
@@ -670,7 +628,6 @@ def ansatz_hv(spec: LatticeSpec, layers: int, params: Sequence[float], granulari
 class DepthReport:
     two_qubit_depth: int
     counts_by_arity: Dict[int, int]
-    n_parameterized: int
     total_gates: int
 
 
@@ -692,7 +649,6 @@ def schedule(c: Circuit, use_declared_costs: bool = False) -> DepthReport:
     return DepthReport(
         two_qubit_depth=depth,
         counts_by_arity=counts,
-        n_parameterized=c.n_parameterized,
         total_gates=len(c.gates),
     )
 

@@ -17,6 +17,7 @@ if _threads:
 import argparse
 import configparser
 import json
+import math
 import sys
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import circuits as circ
 from . import oracle, vqe
-from .lattice import Edge, LatticeSpec, Site, edges, phys_index, sites
+from .lattice import Edge, InputError, LatticeSpec, Site, occupation_bits, phys_index, sites
 from .pauli import PauliString, Z, constraint_set, tv_hamiltonian
 from .statevec import cached_basis, expval_string, ground_in_sector, restrict_sum
 
@@ -76,20 +77,28 @@ class Settings:
 
     def get(self, flag: str, section: str, key: str, cast, default=None, required=False):
         value = getattr(self.args, flag, None)
-        if value is not None:
-            return value
         raw = self.cfg.get(section, {}).get(key)
-        if raw is not None:
+        if value is None and raw is not None:
             try:
-                return cast(raw)
+                value = cast(raw)
             except ValueError as exc:
                 raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
-        if required:
-            raise ConfigError(f"missing required setting {flag.replace('_', '-')}")
-        return default
+        if value is None:
+            if required:
+                raise ConfigError(f"missing required setting {flag.replace('_', '-')}")
+            return default
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{flag.replace('_', '-')} must be a finite number, got {value!r}")
+        return value
 
     def output_path(self) -> Optional[str]:
-        return self.get("output", "output", "path", str)
+        """The output file, checked to lie in an existing directory."""
+        path = self.get("output", "output", "path", str)
+        if path:
+            folder = os.path.dirname(path) or "."
+            if not os.path.isdir(folder):
+                raise ConfigError(f"output directory {folder!r} does not exist")
+        return path
 
 
 def parse_potentials(text: str) -> Dict[Site, float]:
@@ -102,9 +111,12 @@ def parse_potentials(text: str) -> Dict[Site, float]:
         try:
             coords, value = item.split("=")
             rx, ry = (int(p) for p in coords.split(","))
-            pots[Site(rx, ry)] = float(value)
+            mu = float(value)
         except ValueError as exc:
             raise ConfigError(f"bad potentials entry {item!r}") from exc
+        if not math.isfinite(mu):
+            raise ConfigError(f"non-finite potential in {item!r}")
+        pots[Site(rx, ry)] = mu
     return pots
 
 
@@ -158,6 +170,7 @@ def constraint_labels(spec: LatticeSpec) -> List[str]:
 
 def cmd_check_constraints(args: argparse.Namespace) -> int:
     s = Settings(args)
+    out = s.output_path()
     spec = build_lattice(s)
     circuit = circ.vacuum_circuit(spec)
     for e in parse_pairs(args.pairs or ""):
@@ -176,21 +189,11 @@ def cmd_check_constraints(args: argparse.Namespace) -> int:
         lines.append(f"{label} target {target:+d} value {fmt(value.real)} "
                      f"{'PASS' if ok else 'FAIL'}")
     text = "\n".join(lines) + "\n"
-    _write_text(s.output_path(), text)
+    _write_text(out, text)
     return 0 if all_pass else 1
 
 
 # ------------------------------------------------------------------ quench
-
-def _occupation_table(basis, cols: np.ndarray, n_sites: int) -> np.ndarray:
-    phys_mask = (1 << n_sites) - 1
-    occ = basis.labels[basis.col_ptr[:-1]] & phys_mask
-    table = np.zeros((cols.size, n_sites))
-    for i, c in enumerate(cols):
-        for q in range(n_sites):
-            table[i, q] = (int(occ[c]) >> q) & 1
-    return table
-
 
 def quench_trajectories(spec: LatticeSpec, t: float, V: float, n_f: int,
                         pre_potentials: Dict[Site, float], dt: float, tmax: float):
@@ -219,7 +222,7 @@ def quench_trajectories(spec: LatticeSpec, t: float, V: float, n_f: int,
     # exact encoded evolution by spectral decomposition in the sector
     h_post = restrict_sum(basis, tv_hamiltonian(spec, t, V), cols)
     evals, evecs = np.linalg.eigh(h_post)
-    occ_table = _occupation_table(basis, cols, spec.n_sites)
+    occ_table = occupation_bits(basis.occ_masks[cols], spec.n_sites)
     coeff = evecs.conj().T @ sec0
     occ_encoded = np.empty((times.size, spec.n_sites))
     for k, tau in enumerate(times):
@@ -251,6 +254,7 @@ def quench_trajectories(spec: LatticeSpec, t: float, V: float, n_f: int,
 
 def cmd_quench(args: argparse.Namespace) -> int:
     s = Settings(args)
+    out = s.output_path()
     spec = build_lattice(s)
     t = s.get("t", "model", "t", float, default=1.0)
     V = s.get("v", "model", "v", float, required=True)
@@ -274,7 +278,7 @@ def cmd_quench(args: argparse.Namespace) -> int:
         for q, r in enumerate(sites(spec)):
             rows.append(f"{fmt(tau)},{r.rx},{r.ry},{fmt(occ_tr[k, q])},"
                         f"{fmt(occ_enc[k, q])},{fmt(occ_fm[k, q])}")
-    _write_text(s.output_path(), "\n".join(rows) + "\n")
+    _write_text(out, "\n".join(rows) + "\n")
 
     ref_dev = float(np.max(np.abs(occ_enc - occ_fm)))
     if ref_dev > 1e-8:
@@ -287,6 +291,7 @@ def cmd_quench(args: argparse.Namespace) -> int:
 
 def cmd_vqe(args: argparse.Namespace) -> int:
     s = Settings(args)
+    out = s.output_path()
     spec = build_lattice(s)
     try:
         config = vqe.VqeConfig(
@@ -344,7 +349,7 @@ def cmd_vqe(args: argparse.Namespace) -> int:
         "dual_route_deviation": trace.dual_route_deviation,
         "wall_time_seconds": wall,
     }
-    _write_text(s.output_path(), json.dumps(doc, indent=2) + "\n")
+    _write_text(out, json.dumps(doc, indent=2) + "\n")
     return 0
 
 
@@ -352,6 +357,7 @@ def cmd_vqe(args: argparse.Namespace) -> int:
 
 def cmd_depth_report(args: argparse.Namespace) -> int:
     s = Settings(args)
+    out = s.output_path()
     try:
         sizes = [int(p) for p in args.sizes.split(",") if p.strip()]
     except ValueError as exc:
@@ -381,7 +387,7 @@ def cmd_depth_report(args: argparse.Namespace) -> int:
     c = float(np.dot(counts, l2) / np.dot(l2, l2))
     resid = float(np.max(np.abs(np.array(counts) - c * l2) / (c * l2))) * 100.0
     rows.append(f"# fit_c={fmt(c)} max_residual_pct={fmt(resid)}")
-    _write_text(s.output_path(), "\n".join(rows) + "\n")
+    _write_text(out, "\n".join(rows) + "\n")
     return 0
 
 
@@ -389,6 +395,7 @@ def cmd_depth_report(args: argparse.Namespace) -> int:
 
 def cmd_export_circuit(args: argparse.Namespace) -> int:
     s = Settings(args)
+    out = s.output_path()
     spec = build_lattice(s)
     kind = args.kind
     if kind == "vacuum":
@@ -403,6 +410,8 @@ def cmd_export_circuit(args: argparse.Namespace) -> int:
         layers = s.get("layers", "vqe", "layers", int, default=2)
         granularity = s.get("granularity", "vqe", "granularity", str, default="per_edge")
         seed = s.get("seed", "vqe", "seed", int)
+        if layers < 1:
+            raise ConfigError("layers must be positive")
         if ansatz == "agate":
             n_params = circ.agate_param_count(spec, layers)
         elif ansatz == "hv":
@@ -419,7 +428,7 @@ def cmd_export_circuit(args: argparse.Namespace) -> int:
             circuit = circ.ansatz_hv(spec, layers, params, granularity)
     else:
         raise ConfigError(f"unknown circuit kind {kind!r}")
-    _write_text(s.output_path(), circ.export_text(circuit))
+    _write_text(out, circ.export_text(circuit))
     return 0
 
 
@@ -447,15 +456,20 @@ def cmd_spectrum_match(args: argparse.Namespace) -> int:
             continue
         encoded[n_f] = np.linalg.eigvalsh(restrict_sum(basis, H, cols))
     try:
-        sector = oracle.match_bc_sector(spec, t, V, encoded)
-    except ValueError:
+        matches = oracle.matching_bc_sectors(spec, t, V, encoded)
+    except ValueError:  # a requested n_f outside [0, N] has no fermionic sector
+        matches = []
+    if not matches:
         print("no fermionic boundary sector matches within 1e-08")
         return 1
     dev = 0.0
-    for n_f, vals in encoded.items():
-        ref = oracle.ed_spectrum(spec, t, V, None, sector, n_f).eigenvalues
-        dev = max(dev, float(np.max(np.abs(ref - vals))))
-    print(f"matched sector sx={sector.sx:+d} sy={sector.sy:+d} "
+    for sector in matches:
+        for n_f, vals in encoded.items():
+            ref = oracle.ed_spectrum(spec, t, V, None, sector, n_f).eigenvalues
+            dev = max(dev, float(np.max(np.abs(ref - vals))))
+    names = ", ".join(f"sx={m.sx:+d} sy={m.sy:+d}" for m in matches)
+    head = "matched sector" if len(matches) == 1 else f"matched {len(matches)} sectors:"
+    print(f"{head} {names} "
           f"max_deviation={dev:.3e} sectors={','.join(str(n) for n in sectors)}")
     return 0 if dev < 1e-8 else 1
 
@@ -550,6 +564,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except InputError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
         return 2
     except ScientificFailure as exc:
         print(f"failure: {exc}", file=sys.stderr)

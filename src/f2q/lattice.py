@@ -10,8 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, List, NamedTuple, Tuple
 
-PHYSICAL = "physical"
-AUXILIARY = "auxiliary"
+import numpy as np
+
+
+class InputError(ValueError):
+    """A request outside what the library can compute (size, particle number)."""
 
 
 class Site(NamedTuple):
@@ -22,11 +25,6 @@ class Site(NamedTuple):
 class Edge(NamedTuple):
     origin: Site
     direction: str  # "x" or "y"
-
-
-class QubitRef(NamedTuple):
-    site: Site
-    system: str  # PHYSICAL or AUXILIARY
 
 
 def _default_rho(Lx: int, Ly: int) -> int:
@@ -77,15 +75,6 @@ def site_index(spec: LatticeSpec, s: Site) -> int:
     return s.rx + spec.Lx * s.ry
 
 
-def qubit_index(spec: LatticeSpec, q: QubitRef) -> int:
-    base = site_index(spec, q.site)
-    if q.system == PHYSICAL:
-        return base
-    if q.system == AUXILIARY:
-        return spec.n_sites + base
-    raise ValueError(f"unknown system {q.system!r}")
-
-
 def phys_index(spec: LatticeSpec, s: Site) -> int:
     return site_index(spec, s)
 
@@ -133,3 +122,9 @@ def vacuum_plaquette_set(spec: LatticeSpec) -> List[Site]:
         for ry in range(spec.Ly - 1)
         for rx in range(spec.Lx - 1)
     ]
+
+
+def occupation_bits(masks, n_sites: int) -> np.ndarray:
+    """Occupation table: row i holds bit q of masks[i] at column q, as floats."""
+    masks = np.asarray(masks, dtype=np.int64)
+    return ((masks[:, None] >> np.arange(n_sites)) & 1).astype(float)

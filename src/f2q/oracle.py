@@ -8,14 +8,14 @@ signs on wrapping edges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse
 
-from .lattice import LatticeSpec, Site, edge_sites, edge_wraps, edges, site_index, sites
+from .lattice import LatticeSpec, Site, edge_sites, edge_wraps, edges, occupation_bits, site_index
 
 MAX_SITES = 12
 DENSE_GUARD = 4096
@@ -27,19 +27,6 @@ class BCSector(NamedTuple):
 
 
 ALL_SECTORS = [BCSector(sx, sy) for sx in (+1, -1) for sy in (+1, -1)]
-
-
-@dataclass(frozen=True)
-class FockState:
-    mask: int
-    n_sites: int
-
-    @property
-    def count(self) -> int:
-        return self.mask.bit_count()
-
-    def occupations(self) -> List[int]:
-        return [(self.mask >> i) & 1 for i in range(self.n_sites)]
 
 
 @dataclass
@@ -186,9 +173,7 @@ def ed_propagate(
     H = ed_hamiltonian(spec, t, V, None, sector, n_f).toarray()
     evals, evecs = np.linalg.eigh(H)
     coeff = evecs.conj().T @ initial.astype(np.complex128)
-    occ_table = np.array(
-        [[(int(m) >> i) & 1 for i in range(N)] for m in basis], dtype=float
-    )
+    occ_table = occupation_bits(basis, N)
     times_arr = np.asarray(list(times), dtype=float)
     occs = np.zeros((times_arr.size, N))
     for k, tau in enumerate(times_arr):
@@ -200,14 +185,14 @@ def ed_propagate(
     return EDResult(eigenvalues=evals, times=times_arr, occupations=occs)
 
 
-def match_bc_sector(
+def matching_bc_sectors(
     spec: LatticeSpec,
     t: float,
     V: float,
     encoded: Dict[int, np.ndarray],
     tol: float = 1e-8,
-) -> BCSector:
-    """Single BC sector whose per-n_f ED spectra match the encoded ones.
+) -> List[BCSector]:
+    """Every BC sector whose per-n_f ED spectra match the encoded ones.
 
     encoded maps n_f to the ascending eigenvalues of the bosonized Hamiltonian
     restricted to that occupation sector of the constrained subspace.
@@ -222,6 +207,18 @@ def match_bc_sector(
                 break
         if ok:
             matches.append(sector)
+    return matches
+
+
+def match_bc_sector(
+    spec: LatticeSpec,
+    t: float,
+    V: float,
+    encoded: Dict[int, np.ndarray],
+    tol: float = 1e-8,
+) -> BCSector:
+    """First of matching_bc_sectors, in ALL_SECTORS order; raises if none."""
+    matches = matching_bc_sectors(spec, t, V, encoded, tol)
     if not matches:
         raise ValueError("no fermionic BC sector matches the encoded spectra")
     return matches[0]

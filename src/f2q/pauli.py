@@ -137,14 +137,6 @@ def identity(n: int) -> PauliString:
     return PauliString(n)
 
 
-def multiply(a: PauliString, b: PauliString) -> PauliString:
-    return a.mul(b)
-
-
-def commutes(a: PauliString, b: PauliString) -> bool:
-    return a.commutes(b)
-
-
 class PauliSum:
     """Merged list of (coefficient, phase-free PauliString)."""
 

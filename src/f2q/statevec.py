@@ -12,19 +12,12 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.linalg
 
-from .lattice import LatticeSpec
+from .lattice import InputError, LatticeSpec
 from .pauli import ConstraintSet, PauliString, PauliSum, identity as pauli_identity
 
 MAX_QUBITS = 24          # hard resource guard for dense states
 MAX_SUBSPACE_QUBITS = 18  # guard for subspace construction
-
-_NORM_TOL = 1e-10
-
-
-class KrylovConvergenceError(RuntimeError):
-    pass
 
 
 @dataclass
@@ -120,7 +113,7 @@ class SubspaceBasis:
 
     Columns have pairwise disjoint label supports (orbit structure), and every
     column has a definite physical occupation (the constraint flips touch only
-    auxiliary qubits), recorded in phys_occ.
+    auxiliary qubits): its site bitmask is occ_masks, its particle count phys_occ.
     """
 
     register_size: int
@@ -128,6 +121,7 @@ class SubspaceBasis:
     labels: np.ndarray    # int64, concatenated per column
     amps: np.ndarray      # complex128, aligned with labels
     col_ptr: np.ndarray   # int64, dim+1 offsets
+    occ_masks: np.ndarray  # int64 per column, bit i = occupation of site i
     phys_occ: np.ndarray  # int64 per column
     occ_counts: Dict[int, int]
     # flat lookup arrays (sorted by label)
@@ -158,7 +152,7 @@ class SubspaceBasis:
 def constrained_basis(spec: LatticeSpec, cs: ConstraintSet) -> SubspaceBasis:
     n = cs.n
     if n > MAX_SUBSPACE_QUBITS:
-        raise ValueError(f"subspace construction limited to {MAX_SUBSPACE_QUBITS} qubits")
+        raise InputError(f"subspace construction limited to {MAX_SUBSPACE_QUBITS} qubits")
     flip_gens = [(s, t) for s, t in cs if s.masks()[0] != 0]
     diag_gens = [(s, t) for s, t in cs if s.masks()[0] == 0]
     for s, _ in diag_gens:
@@ -216,7 +210,7 @@ def constrained_basis(spec: LatticeSpec, cs: ConstraintSet) -> SubspaceBasis:
         amps = sums[keep] / (scale * np.sqrt(nrm2))
         labels_out.append(orbit[keep])
         amps_out.append(amps)
-        occ_out.append(int(np.bitwise_count(bu & phys_mask)))
+        occ_out.append(int(bu & phys_mask))
 
     if not labels_out:
         raise ValueError("empty constrained subspace: inconsistent targets")
@@ -224,7 +218,8 @@ def constrained_basis(spec: LatticeSpec, cs: ConstraintSet) -> SubspaceBasis:
     col_ptr = np.concatenate([[0], np.cumsum(lengths)])
     labels = np.concatenate(labels_out)
     amps = np.concatenate(amps_out)
-    phys_occ = np.array(occ_out, dtype=np.int64)
+    occ_masks = np.array(occ_out, dtype=np.int64)
+    phys_occ = np.bitwise_count(occ_masks).astype(np.int64)
     occ_counts = {int(k): int(v) for k, v in zip(*np.unique(phys_occ, return_counts=True))}
     order = np.argsort(labels, kind="stable")
     cols = np.repeat(np.arange(len(labels_out)), lengths)
@@ -234,6 +229,7 @@ def constrained_basis(spec: LatticeSpec, cs: ConstraintSet) -> SubspaceBasis:
         labels=labels,
         amps=amps,
         col_ptr=col_ptr,
+        occ_masks=occ_masks,
         phys_occ=phys_occ,
         occ_counts=occ_counts,
         sorted_labels=labels[order],
@@ -274,147 +270,22 @@ def restrict_sum(basis: SubspaceBasis, H: PauliSum, cols: Optional[np.ndarray] =
     return mat
 
 
-def _lanczos_lowest(mat: np.ndarray, tol: float = 1e-10, max_iter: int = 500) -> Tuple[float, np.ndarray]:
-    """Lowest eigenpair by Lanczos with full reorthogonalization."""
-    dim = mat.shape[0]
-    rng = np.random.default_rng(7)
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
-    V = [v]
-    alphas: List[float] = []
-    betas: List[float] = []
-    prev_e = None
-    for it in range(min(max_iter, dim)):
-        w = mat @ V[-1]
-        a = float(np.vdot(V[-1], w).real)
-        alphas.append(a)
-        w = w - a * V[-1] - (betas[-1] * V[-2] if betas else 0)
-        for u in V:  # full reorthogonalization
-            w = w - np.vdot(u, w) * u
-        b = float(np.linalg.norm(w))
-        T = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
-        evals, evecs = np.linalg.eigh(T)
-        e0 = float(evals[0])
-        resid = abs(b * evecs[-1, 0])
-        if b < 1e-14 or resid < tol or (prev_e is not None and abs(e0 - prev_e) < tol * max(1.0, abs(e0)) and resid < 1e-6):
-            vec = np.tensordot(evecs[:, 0], np.array(V), axes=(0, 0))
-            vec /= np.linalg.norm(vec)
-            return e0, vec
-        prev_e = e0
-        betas.append(b)
-        V.append(w / b)
-    raise KrylovConvergenceError("Lanczos eigenpair did not converge")
-
-
 def ground_in_sector(
     H: PauliSum,
     spec: LatticeSpec,
     cs: ConstraintSet,
     n_f: int,
-    dense_cutoff: int = 2048,
 ) -> Tuple[float, StateVector]:
     basis = cached_basis(spec, cs)
     cols = np.flatnonzero(basis.phys_occ == n_f)
     if cols.size == 0:
-        raise ValueError(f"no constrained basis vectors with particle number {n_f}")
+        raise InputError(f"no constrained basis vectors with particle number {n_f}")
     Hs = restrict_sum(basis, H, cols)
-    if cols.size <= dense_cutoff:
-        evals, evecs = np.linalg.eigh(Hs)
-        energy, vec = float(evals[0]), evecs[:, 0]
-    else:
-        energy, vec = _lanczos_lowest(Hs)
+    evals, evecs = np.linalg.eigh(Hs)
+    energy, vec = float(evals[0]), evecs[:, 0]
     resid = float(np.linalg.norm(Hs @ vec - energy * vec))
     if resid > 1e-8:
         raise AssertionError(f"sector eigenpair residual {resid}")
     full = np.zeros(basis.dim, dtype=np.complex128)
     full[cols] = vec
     return energy, basis.expand(full)
-
-
-# ---------------------------------------------------------------- propagation
-
-def apply_sum(H: PauliSum, psi: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(psi)
-    idx = np.arange(psi.size, dtype=np.uint64)
-    for c, s in H:
-        flip, _, _ = s.masks()
-        src = idx ^ np.uint64(flip)
-        out += c * (_string_coeffs(s, src) * psi[src])
-    return out
-
-
-def exact_propagate(
-    state: StateVector,
-    H: PauliSum,
-    tau: float,
-    tol: float = 1e-10,
-    max_krylov: int = 48,
-) -> StateVector:
-    """e^{-i H tau} |psi> by adaptive Lanczos-Krylov exponentiation."""
-    if state.register_size > MAX_SUBSPACE_QUBITS:
-        raise ValueError("propagation limited to 18 qubits")
-    if not H.is_hermitian:
-        raise ValueError("propagation requires a Hermitian sum")
-    psi = state.amplitudes.copy()
-    if tau == 0.0:
-        return StateVector(psi, state.register_size)
-    remaining = float(tau)
-    step = float(tau)
-    direction = 1.0 if tau > 0 else -1.0
-    min_step = abs(tau) * 2.0**-20
-    while abs(remaining) > 1e-15 * abs(tau):
-        dt = direction * min(abs(step), abs(remaining))
-        new_psi = _krylov_step(psi, H, dt, tol, max_krylov)
-        if new_psi is None:
-            step = step / 2.0
-            if abs(step) < min_step:
-                raise KrylovConvergenceError(
-                    f"Krylov propagation failed to reach tolerance {tol} even at step {step}"
-                )
-            continue
-        psi = new_psi
-        remaining -= dt
-    drift = abs(np.linalg.norm(psi) - 1.0)
-    if drift > _NORM_TOL:
-        raise AssertionError(f"unitarity drift {drift}")
-    return StateVector(psi, state.register_size)
-
-
-def dump_amplitudes(state: StateVector, path: str) -> None:
-    """Debug dump: uint32 register size, then little-endian re/im doubles."""
-    with open(path, "wb") as fh:
-        fh.write(np.array([state.register_size], dtype="<u4").tobytes())
-        fh.write(state.amplitudes.astype("<c16").tobytes())
-
-
-def load_amplitudes(path: str) -> StateVector:
-    with open(path, "rb") as fh:
-        n = int(np.frombuffer(fh.read(4), dtype="<u4")[0])
-        amps = np.frombuffer(fh.read(), dtype="<c16").astype(np.complex128)
-    if amps.size != 1 << n:
-        raise ValueError("truncated amplitude dump")
-    return StateVector(amps.copy(), n)
-
-
-def _krylov_step(psi, H, dt, tol, max_krylov):
-    V = [psi]
-    alphas: List[float] = []
-    betas: List[float] = []
-    for j in range(max_krylov):
-        w = apply_sum(H, V[-1])
-        a = float(np.vdot(V[-1], w).real)
-        alphas.append(a)
-        w = w - a * V[-1] - (betas[-1] * V[-2] if betas else 0)
-        for u in V:  # full reorthogonalization
-            w = w - np.vdot(u, w) * u
-        b = float(np.linalg.norm(w))
-        if len(alphas) >= 2 or b < 1e-14:
-            evals, evecs = scipy.linalg.eigh_tridiagonal(alphas, betas) if betas else (np.array(alphas), np.eye(1))
-            u = evecs @ (np.exp(-1j * dt * evals) * evecs[0, :])
-            err = 0.0 if b < 1e-14 else abs(b * dt * u[-1])
-            if b < 1e-14 or err < tol:
-                out = np.tensordot(u, np.array(V), axes=(0, 0))
-                return out
-        betas.append(b)
-        V.append(w / b)
-    return None

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import circuits as circ
 from . import oracle
-from .lattice import Edge, LatticeSpec, aux_index, edge_sites, edges, phys_index, site_index
+from .lattice import Edge, InputError, LatticeSpec, aux_index, edge_sites, edges, phys_index, site_index
 from .pauli import PauliString, X, Y, Z, constraint_set, number_sum, tv_hamiltonian
 from .statevec import (
     StateVector,
@@ -129,12 +129,9 @@ class SectorModel:
         self.basis = cached_basis(spec, self.cs)
         self.cols = np.flatnonzero(self.basis.phys_occ == config.n_f)
         if self.cols.size == 0:
-            raise ValueError(f"no constrained states with particle number {config.n_f}")
+            raise InputError(f"no constrained states with particle number {config.n_f}")
         self.dim = self.cols.size
-        phys_mask = (1 << spec.n_sites) - 1
-        occ = self.basis.labels[self.basis.col_ptr[:-1]] & phys_mask
-        self._occ_of_col = occ  # per global column
-        self._sector_of_occ = {int(occ[c]): i for i, c in enumerate(self.cols)}
+        self._sector_of_occ = {int(self.basis.occ_masks[c]): i for i, c in enumerate(self.cols)}
         self.h_sector = restrict_sum(self.basis, tv_hamiltonian(spec, config.t, config.V), self.cols)
         self._edge_tables: Dict[Edge, Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
         self._gate_plan = self._build_plan()
@@ -163,16 +160,17 @@ class SectorModel:
             bit_r = 1 << site_index(spec, r)
             bit_s = 1 << site_index(spec, s)
             T = pairing_string(spec, e)
+            occ = self.basis.occ_masks
             js, ks, cs_ = [], [], []
             both = []
             for i, c in enumerate(self.cols):
-                o = int(self._occ_of_col[c])
+                o = int(occ[c])
                 if o & bit_r and o & bit_s:
                     both.append(i)
                 elif (not o & bit_r) and (o & bit_s):
                     k_col, coeff = self._column_pauli(T, int(c))
                     js.append(i)
-                    ks.append(self._sector_of_occ[int(self._occ_of_col[k_col])])
+                    ks.append(self._sector_of_occ[int(occ[k_col])])
                     cs_.append(coeff)
             self._edge_tables[e] = (
                 np.array(js, dtype=np.int64),
@@ -185,8 +183,8 @@ class SectorModel:
     def _build_plan(self) -> List[Tuple[str, Edge, Tuple[int, ...]]]:
         cfg = self.config
         if cfg.ansatz == "agate":
-            return [(kind, e, slots) for kind, e, slots in circ.agate_layout(cfg.spec, cfg.layers)]
-        return [(kind, e, (slot,)) for kind, e, slot in circ.hv_layout(cfg.spec, cfg.layers, cfg.granularity)]
+            return circ.agate_layout(cfg.spec, cfg.layers)
+        return circ.hv_layout(cfg.spec, cfg.layers, cfg.granularity)
 
     # ---------------------------------------------------------- state prep
 
@@ -204,7 +202,7 @@ class SectorModel:
             for e in cfg.pair_edges:
                 col, c = self._column_pauli(pairing_string(cfg.spec, e), col)
                 amp *= c
-            occ = int(self._occ_of_col[col])
+            occ = int(self.basis.occ_masks[col])
             if bin(occ).count("1") != cfg.n_f:
                 raise ValueError("pair-creation edges overlap; wrong particle number")
             vec = np.zeros(self.dim, dtype=np.complex128)

@@ -1,0 +1,28 @@
+"""The benchmark's tracer wraps library names; each must still exist.
+
+Tier-1 does not collect perfbench/tests, so this is where a removed or
+renamed library function that the traced benchmark mode wraps shows up.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_tracer_targets_resolve():
+    tracer = load_tracer()
+    for home, attr, _, _ in tracer.TARGETS:
+        mod = importlib.import_module(f"f2q.{home}")
+        assert callable(getattr(mod, attr, None)), f"f2q.{home}.{attr}"
+    cls = importlib.import_module("f2q.vqe").SectorModel
+    for attr, _, _ in tracer.METHODS:
+        assert attr in cls.__dict__, f"SectorModel.{attr}"

@@ -499,12 +499,13 @@ def test_agate_layout_order_and_slots():
     assert [k for k, _, _ in layout[:per_layer]] == ["vy"] * 4 + ["vx"] * 4
     slots = [s for _, _, pair in layout for s in pair]
     assert slots == list(range(2 * 2 * per_layer))
+    # the layout is the record of which parameters drive which gate
     params = RNG.uniform(-0.3, 0.3, size=C.agate_param_count(spec, 2))
     c = C.ansatz_agate(spec, 2, params)
-    table = c.param_slots
-    assert len(table) == len(params)
-    assert all(len(v) == 1 for v in table.values())
-    assert c.n_parameterized == len(c)
+    assert len(c) == len(layout)
+    for g, (kind, e, (i, j)) in zip(c, layout):
+        build = C.vy_gate if kind == "vy" else C.vx_gate
+        assert g == build(spec, e, params[i], params[j])
 
 
 def test_agate_preserves_constraints_and_number():
@@ -536,16 +537,11 @@ def test_hv_zero_parameters_is_identity():
 
 
 def test_hv_single_layer_per_group_matches_trotter_structure():
-    spec = lat(2, 4)
     t, V, dt = 1.0, 3.0, 0.05
-    trot = C.trotter_step(spec, t, V, dt)
-    hv = C.ansatz_hv(spec, 1, [V * dt, t * dt / 2, t * dt / 2], "per_group")
-    assert len(hv) == len(trot)
-    assert [g.kind for g in hv] == [g.kind for g in trot]
-    assert [g.targets for g in hv] == [g.targets for g in trot]
-    assert np.allclose(
-        [p for g in hv for p in g.params], [p for g in trot for p in g.params], atol=1e-15
-    )
+    for spec in (lat(2, 2), lat(2, 4), lat(3, 3)):
+        trot = C.trotter_step(spec, t, V, dt)
+        hv = C.ansatz_hv(spec, 1, [V * dt, t * dt / 2, t * dt / 2], "per_group")
+        assert hv == trot
 
 
 def test_hv_preserves_constraints():
@@ -559,12 +555,23 @@ def test_hv_preserves_constraints():
 
 def test_hv_slot_table_per_group():
     spec = lat(2, 2)
-    c = C.ansatz_hv(spec, 2, [0.1, 0.2, 0.3, 0.4, 0.5, 0.6], "per_group")
-    table = c.param_slots
-    assert set(table) == set(range(6))
+    plan = C.block_plan(spec)
     n_edges = len(edges(spec))
-    assert len(table[0]) == n_edges  # one cphase per edge
-    assert len(table[1]) == 2 * (n_edges // 2)  # two RZ per x hop
+    assert len(plan) == 2 * n_edges  # one interaction and one hop per edge
+    assert [(k, e) for k, e, _ in C.trotter_blocks(spec, 1.0, 2.0, 0.1)] == plan
+    layout = C.hv_layout(spec, 2, "per_group")
+    assert [(k, e) for k, e, _ in layout] == plan * 2
+    slot_of = {}
+    for kind, _, (s,) in layout:
+        slot_of.setdefault(s, []).append(kind)
+    assert set(slot_of) == set(range(6))
+    assert {s for _, _, (s,) in layout[:len(plan)]} == {0, 1, 2}
+    assert all(len(set(kinds)) == 1 for kinds in slot_of.values())
+    assert len(slot_of[0]) == n_edges  # one interaction block per edge
+    assert len(slot_of[1]) == n_edges // 2  # one hop_x block per x-edge
+    per_edge = C.hv_layout(spec, 2, "per_edge")
+    assert [(k, e) for k, e, _ in per_edge] == plan * 2
+    assert [s for _, _, (s,) in per_edge] == list(range(C.hv_param_count(spec, 2, "per_edge")))
 
 
 # ---------------------------------------------------------------- scheduling

@@ -5,9 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from f2q import cli, oracle
 from f2q.circuits import parse_text, trotter_step, vacuum_circuit
-from f2q.cli import main, parse_potentials
-from f2q.lattice import LatticeSpec, Site
+from f2q.cli import ConfigError, main, parse_potentials
+from f2q.lattice import InputError, LatticeSpec, Site
 
 
 def run_cli(capsys, *argv):
@@ -226,3 +227,58 @@ def test_parse_potentials():
     assert pots == {Site(0, 0): -1.0, Site(0, 1): -1.0}
     with pytest.raises(Exception):
         parse_potentials("0=-1")
+
+
+def test_non_finite_numbers_are_rejected(tmp_path, capsys):
+    out = tmp_path / "step.txt"
+    code, stdout, err = run_cli(capsys, "export-circuit", "--lx", "2", "--ly", "2",
+                                "--kind", "trotter", "--dt", "nan", "--output", str(out))
+    assert code == 2 and "finite" in err
+    assert not out.exists() and stdout == ""
+    code, _, err = run_cli(capsys, "quench", "--lx", "2", "--ly", "2", "--v", "inf",
+                           "--dt", "0.1", "--tmax", "0.2")
+    assert code == 2 and "finite" in err
+    ini = tmp_path / "run.ini"
+    ini.write_text("[lattice]\nlx = 2\nly = 2\n[trotter]\ndt = -inf\n")
+    code, stdout, _ = run_cli(capsys, "export-circuit", "--config", str(ini), "--kind", "trotter")
+    assert code == 2 and stdout == ""
+    with pytest.raises(ConfigError):
+        parse_potentials("0,0=nan")
+
+
+@pytest.mark.parametrize("argv", [
+    ("vqe", "--lx", "2", "--ly", "2", "--v", "3", "--n-f", "6"),
+    ("quench", "--lx", "2", "--ly", "4", "--v", "3", "--dt", "0.1", "--tmax", "0.2",
+     "--n-f", "3"),
+    ("spectrum-match", "--lx", "4", "--ly", "4", "--v", "2", "--n-f", "2"),
+    ("export-circuit", "--lx", "2", "--ly", "2", "--kind", "ansatz", "--layers", "-1"),
+])
+def test_out_of_range_input_is_usage_error(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith(("input error:", "config error:"))
+    assert issubclass(InputError, ValueError)
+
+
+def test_missing_output_directory_fails_before_computing(tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("computed before checking the output path")
+
+    monkeypatch.setattr(cli, "quench_trajectories", never)
+    target = tmp_path / "missing" / "q.csv"
+    code, _, err = run_cli(capsys, "quench", "--lx", "2", "--ly", "2", "--v", "3",
+                           "--dt", "0.1", "--tmax", "0.2", "--output", str(target))
+    assert code == 2 and "does not exist" in err
+
+
+def test_spectrum_match_names_every_matching_sector(capsys):
+    # the n_f = 0 spectrum is [0] in every boundary sector
+    code, out, _ = run_cli(capsys, "spectrum-match", "--lx", "2", "--ly", "4",
+                           "--v", "2", "--n-f", "0")
+    assert code == 0
+    assert out.startswith("matched 4 sectors: ")
+    for sector in oracle.ALL_SECTORS:
+        assert f"sx={sector.sx:+d} sy={sector.sy:+d}" in out
+    spec = LatticeSpec(2, 4)
+    assert oracle.matching_bc_sectors(spec, 1.0, 2.0, {0: [0.0]}) == oracle.ALL_SECTORS
+    assert oracle.match_bc_sector(spec, 1.0, 2.0, {0: [0.0]}) == oracle.ALL_SECTORS[0]

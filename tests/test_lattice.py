@@ -1,19 +1,17 @@
+import numpy as np
 import pytest
 
 from f2q.lattice import (
-    AUXILIARY,
-    PHYSICAL,
     Edge,
     LatticeSpec,
-    QubitRef,
     Site,
     aux_index,
     edge_sites,
     edge_wraps,
     edges,
+    occupation_bits,
     phys_index,
     plaquette_sites,
-    qubit_index,
     site_index,
     sites,
     vacuum_plaquette_set,
@@ -43,22 +41,27 @@ def test_site_index_convention():
 
 
 def test_qubit_index_convention():
-    assert qubit_index(LatticeSpec(2, 2), QubitRef(Site(1, 1), PHYSICAL)) == 3
-    assert qubit_index(LatticeSpec(2, 2), QubitRef(Site(0, 0), AUXILIARY)) == 4
-    assert qubit_index(LatticeSpec(4, 4), QubitRef(Site(3, 3), AUXILIARY)) == 31
-    with pytest.raises(ValueError):
-        qubit_index(LatticeSpec(2, 2), QubitRef(Site(0, 0), "nope"))
+    assert phys_index(LatticeSpec(2, 2), Site(1, 1)) == 3
+    assert aux_index(LatticeSpec(2, 2), Site(0, 0)) == 4
+    assert aux_index(LatticeSpec(4, 4), Site(3, 3)) == 31
+    # wrapped coordinates name the same qubit
+    assert aux_index(LatticeSpec(2, 2), Site(2, 3)) == aux_index(LatticeSpec(2, 2), Site(0, 1))
 
 
 def test_qubit_index_bijection():
     for spec in (LatticeSpec(2, 2), LatticeSpec(2, 4), LatticeSpec(3, 3)):
-        seen = set()
-        for s in sites(spec):
-            for system in (PHYSICAL, AUXILIARY):
-                seen.add(qubit_index(spec, QubitRef(s, system)))
-        assert seen == set(range(spec.n_qubits))
+        phys = [phys_index(spec, s) for s in sites(spec)]
+        aux = [aux_index(spec, s) for s in sites(spec)]
+        assert sorted(phys + aux) == list(range(spec.n_qubits))
         assert phys_index(spec, Site(0, 0)) == 0
         assert aux_index(spec, Site(0, 0)) == spec.n_sites
+
+
+def test_occupation_bits_example():
+    table = occupation_bits([0b0000, 0b0101, 0b1110], 4)
+    assert table.dtype == float
+    assert np.array_equal(table, [[0, 0, 0, 0], [1, 0, 1, 0], [0, 1, 1, 1]])
+    assert occupation_bits(np.array([], dtype=np.int64), 3).shape == (0, 3)
 
 
 def test_edges_counts_and_order():

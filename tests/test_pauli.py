@@ -19,12 +19,10 @@ from f2q.pauli import (
     Z,
     PauliString,
     PauliSum,
-    commutes,
     constraint_set,
     gauss_string,
     hopping_terms,
     identity,
-    multiply,
     number_sum,
     plaquette_string,
     tv_hamiltonian,
@@ -47,7 +45,7 @@ def test_gauss_string_squares_to_identity():
         for r in sites(spec):
             g = gauss_string(spec, r)
             assert g.is_hermitian
-            assert multiply(g, g) == identity(spec.n_qubits)
+            assert g.mul(g) == identity(spec.n_qubits)
 
 
 def test_gauss_strings_mutually_commute_3x3():
@@ -55,7 +53,7 @@ def test_gauss_strings_mutually_commute_3x3():
     gs = [gauss_string(spec, r) for r in sites(spec)]
     for a in gs:
         for b in gs:
-            assert commutes(a, b)
+            assert a.commutes(b)
 
 
 def test_gauss_equals_plaquette_times_zz():
@@ -65,14 +63,14 @@ def test_gauss_equals_plaquette_times_zz():
                 spec.n_qubits,
                 {phys_index(spec, r): Z, phys_index(spec, spec.shift(r, 0, 1)): Z},
             )
-            assert gauss_string(spec, r) == multiply(plaquette_string(spec, r), zz)
+            assert gauss_string(spec, r) == plaquette_string(spec, r).mul(zz)
 
 
 def test_plaquette_product_is_sign_of_identity_2x2():
     spec = LatticeSpec(2, 2)
     prod = identity(spec.n_qubits)
     for r in sites(spec):
-        prod = multiply(prod, plaquette_string(spec, r))
+        prod = prod.mul(plaquette_string(spec, r))
     assert all(l == I for l in prod.letters)
     assert prod.phase in (1, -1)
 
@@ -81,7 +79,7 @@ def test_plaquette_commutes_with_gauss_3x3():
     spec = LatticeSpec(3, 3)
     for r in sites(spec):
         for s in sites(spec):
-            assert commutes(plaquette_string(spec, r), gauss_string(spec, s))
+            assert plaquette_string(spec, r).commutes(gauss_string(spec, s))
 
 
 def test_constraint_targets():
@@ -116,7 +114,7 @@ def test_constraint_strings_mutually_commute():
         stab = list(constraint_set(spec))
         for a, _ in stab:
             for b, _ in stab:
-                assert commutes(a, b)
+                assert a.commutes(b)
 
 
 def test_hop_x_coefficients_and_letters():
@@ -178,7 +176,7 @@ def test_hopping_commutes_with_all_constraints_2x4():
     for e in edges(spec):
         for _, h in hopping_terms(spec, e):
             for s in stab:
-                assert commutes(h, s)
+                assert h.commutes(s)
 
 
 def test_interaction_expansion_identity_coefficient():
@@ -231,7 +229,7 @@ def test_hamiltonian_commutes_with_gauss_2x4_termwise():
     H = tv_hamiltonian(spec, t=1.0, V=3.0, potentials={Site(0, 0): -1.0})
     for r in sites(spec):
         g = gauss_string(spec, r)
-        assert all(commutes(s, g) for _, s in H)
+        assert all(s.commutes(g) for _, s in H)
 
 
 def test_hamiltonian_commutes_with_gauss_dense_2x2():
@@ -264,15 +262,15 @@ def test_multiply_examples():
     x = PauliString(1, {0: X})
     y = PauliString(1, {0: Y})
     z = PauliString(1, {0: Z})
-    assert multiply(x, y) == PauliString(1, {0: Z}, phase_k=1)  # XY = iZ
-    assert multiply(y, x) == PauliString(1, {0: Z}, phase_k=3)
+    assert x.mul(y) == PauliString(1, {0: Z}, phase_k=1)  # XY = iZ
+    assert y.mul(x) == PauliString(1, {0: Z}, phase_k=3)
     s = PauliString(2, {0: X, 1: Y}, phase_k=1)
-    assert multiply(s, s) == PauliString(2, (), phase_k=2)  # i^2 = -1
-    assert commutes(PauliString(2, {0: X, 1: X}), PauliString(2, {0: Z, 1: Z}))
-    assert not commutes(PauliString(2, {0: X}), PauliString(2, {0: Z}))
+    assert s.mul(s) == PauliString(2, (), phase_k=2)  # i^2 = -1
+    assert PauliString(2, {0: X, 1: X}).commutes(PauliString(2, {0: Z, 1: Z}))
+    assert not PauliString(2, {0: X}).commutes(PauliString(2, {0: Z}))
     with pytest.raises(ValueError):
-        multiply(x, PauliString(2, {0: X}))
-    assert multiply(x, z).phase == -1j  # XZ = -iY
+        x.mul(PauliString(2, {0: X}))
+    assert x.mul(z).phase == -1j  # XZ = -iY
 
 
 def test_pauli_sum_merges_and_prunes():
@@ -305,7 +303,7 @@ def small_strings(draw, n=3):
 @settings(max_examples=60, deadline=None)
 @given(small_strings(), small_strings())
 def test_multiply_matches_dense(a, b):
-    lhs = pauli_matrix(multiply(a, b))
+    lhs = pauli_matrix(a.mul(b))
     rhs = pauli_matrix(a) @ pauli_matrix(b)
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
@@ -314,4 +312,4 @@ def test_multiply_matches_dense(a, b):
 @given(small_strings(), small_strings())
 def test_commutes_matches_dense(a, b):
     A, B = pauli_matrix(a), pauli_matrix(b)
-    assert commutes(a, b) == (np.max(np.abs(A @ B - B @ A)) < 1e-12)
+    assert a.commutes(b) == (np.max(np.abs(A @ B - B @ A)) < 1e-12)

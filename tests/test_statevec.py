@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,17 +16,13 @@ from f2q.pauli import (
     tv_hamiltonian,
 )
 from f2q.statevec import (
-    KrylovConvergenceError,
     StateVector,
     apply_matrix_gate,
     apply_pauli,
     cached_basis,
     constrained_basis,
-    dump_amplitudes,
-    exact_propagate,
     expval,
     ground_in_sector,
-    load_amplitudes,
     restrict_sum,
     zero_state,
 )
@@ -178,15 +173,6 @@ def test_circuit_then_adjoint_returns_input():
     for U, tgts in reversed(gates):
         apply_matrix_gate(s, U.conj().T, tgts)
     assert np.max(np.abs(s.amplitudes - start)) < 1e-10
-
-
-def test_dump_load_roundtrip(tmp_path):
-    s = random_state(5, 9)
-    path = str(tmp_path / "amps.bin")
-    dump_amplitudes(s, path)
-    back = load_amplitudes(path)
-    assert back.register_size == 5
-    assert np.array_equal(back.amplitudes, s.amplitudes)
 
 
 # ------------------------------------------------------------- subspace
@@ -359,63 +345,8 @@ def test_ground_matches_dense_subspace_eigh():
     assert e == pytest.approx(expect, abs=1e-10)
 
 
-def test_ground_lanczos_path_matches_dense():
-    spec = LatticeSpec(2, 2)
-    cs = constraint_set(spec)
-    H = tv_hamiltonian(spec, t=1.0, V=2.0)
-    e_dense, _ = ground_in_sector(H, spec, cs, 2)
-    e_lanczos, _ = ground_in_sector(H, spec, cs, 2, dense_cutoff=1)
-    assert e_lanczos == pytest.approx(e_dense, abs=1e-9)
-
-
 def test_ground_empty_sector_raises():
     spec = LatticeSpec(2, 2)
     cs = constraint_set(spec)
     with pytest.raises(ValueError):
         ground_in_sector(tv_hamiltonian(spec, 1.0, 0.0), spec, cs, 9)
-
-
-# ------------------------------------------------------------- propagation
-
-def test_propagate_tau_zero_is_identity():
-    spec = LatticeSpec(2, 2)
-    H = tv_hamiltonian(spec, t=1.0, V=2.0)
-    s = random_state(8, 1)
-    out = exact_propagate(s, H, 0.0)
-    assert np.array_equal(out.amplitudes, s.amplitudes)
-
-
-def test_propagate_eigenstate_pure_phase():
-    spec = LatticeSpec(2, 2)
-    cs = constraint_set(spec)
-    H = tv_hamiltonian(spec, t=1.0, V=2.0)
-    _, v = ground_in_sector(H, spec, cs, 2)
-    out = exact_propagate(v, H, 0.7)
-    assert abs(np.vdot(v.amplitudes, out.amplitudes)) == pytest.approx(1.0, abs=1e-10)
-
-
-def test_propagate_matches_dense_expm_2x2():
-    spec = LatticeSpec(2, 2)
-    H = tv_hamiltonian(spec, t=1.0, V=2.0, potentials={Site(0, 0): -1.0})
-    s = random_state(8, 21)
-    tau = 0.37
-    expect = scipy.linalg.expm(-1j * tau * pauli_sum_matrix(H)) @ s.amplitudes
-    out = exact_propagate(s, H, tau)
-    assert np.max(np.abs(out.amplitudes - expect)) < 1e-9
-    assert abs(out.norm() - 1.0) < 1e-10
-
-
-def test_propagate_negative_tau_inverts():
-    spec = LatticeSpec(2, 2)
-    H = tv_hamiltonian(spec, t=1.0, V=2.0)
-    s = random_state(8, 30)
-    out = exact_propagate(exact_propagate(s, H, 0.9), H, -0.9)
-    assert np.max(np.abs(out.amplitudes - s.amplitudes)) < 1e-9
-
-
-def test_propagate_nonconvergence_raises():
-    spec = LatticeSpec(2, 2)
-    H = tv_hamiltonian(spec, t=1.0, V=2.0)
-    s = random_state(8, 2)
-    with pytest.raises(KrylovConvergenceError):
-        exact_propagate(s, H, 1.0, max_krylov=1)
