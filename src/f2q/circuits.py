@@ -28,7 +28,7 @@ from .lattice import (
     vacuum_plaquette_set,
 )
 from .pauli import ConstraintSet, PauliString
-from .statevec import StateVector, apply_matrix_gate
+from .statevec import MAX_GATE_QUBITS, StateVector, apply_matrix_gate
 
 _H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2)
 _X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -151,6 +151,38 @@ class Circuit:
         if not isinstance(other, Circuit):
             return NotImplemented
         return self.n_qubits == other.n_qubits and self.gates == other.gates
+
+
+def _embed(U: np.ndarray, targets: Sequence[int], union: Sequence[int]) -> np.ndarray:
+    """U on `targets` as a matrix on `union` (a superset; union[0] the MSB)."""
+    m = len(union)
+    rest = [q for q in union if q not in targets]
+    order = list(targets) + rest
+    perm = [order.index(q) for q in union]
+    full = np.kron(U, np.eye(1 << len(rest))).reshape([2] * (2 * m))
+    return full.transpose(perm + [m + p for p in perm]).reshape(1 << m, 1 << m)
+
+
+def fuse(c: Circuit) -> Circuit:
+    """The same unitary as fewer matrix gates, each on at most MAX_GATE_QUBITS qubits.
+
+    Gates merge greedily, in order, while the union of their targets fits.
+    The result is for simulation only: export, scheduling and stabilizer
+    tracking read the unfused circuit.
+    """
+    out = Circuit(c.n_qubits)
+    union: List[int] = []
+    block = np.eye(1, dtype=np.complex128)
+    for g in c.gates:
+        new = [q for q in g.targets if q not in union]
+        if union and len(union) + len(new) > MAX_GATE_QUBITS:
+            out.add(Gate("matrix", union, matrix=block))
+            union, block, new = [], np.eye(1, dtype=np.complex128), list(g.targets)
+        union = union + new
+        block = _embed(gate_unitary(g), g.targets, union) @ np.kron(block, np.eye(1 << len(new)))
+    if union:
+        out.add(Gate("matrix", union, matrix=block))
+    return out
 
 
 def apply_circuit(state: StateVector, c: Circuit) -> StateVector:

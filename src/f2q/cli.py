@@ -27,8 +27,8 @@ import numpy as np
 from . import circuits as circ
 from . import oracle, vqe
 from .lattice import Edge, InputError, LatticeSpec, Site, occupation_bits, phys_index, sites
-from .pauli import PauliString, Z, constraint_set, tv_hamiltonian
-from .statevec import cached_basis, expval_string, ground_in_sector, restrict_sum
+from .pauli import constraint_set, tv_hamiltonian
+from .statevec import cached_basis, ground_in_sector, qubit_marginals, restrict_sum
 
 
 class ConfigError(Exception):
@@ -195,6 +195,9 @@ def cmd_check_constraints(args: argparse.Namespace) -> int:
 
 # ------------------------------------------------------------------ quench
 
+MAX_QUENCH_STEPS = 10 ** 5  # Trotter steps per trajectory
+
+
 def quench_trajectories(spec: LatticeSpec, t: float, V: float, n_f: int,
                         pre_potentials: Dict[Site, float], dt: float, tmax: float):
     """Trotter circuit vs exact encoded vs exact fermionic occupations.
@@ -202,13 +205,15 @@ def quench_trajectories(spec: LatticeSpec, t: float, V: float, n_f: int,
     Returns (times, occ_trotter, occ_encoded, occ_fermionic), each occupation
     array shaped (n_times, n_sites).
     """
-    cs = constraint_set(spec)
-    basis = cached_basis(spec, cs)
-    cols = np.flatnonzero(basis.phys_occ == n_f)
+    if not tmax / dt <= MAX_QUENCH_STEPS:
+        raise ConfigError(f"tmax/dt exceeds the limit of {MAX_QUENCH_STEPS} Trotter steps")
     n_steps = int(round(tmax / dt))
     if abs(n_steps * dt - tmax) > 1e-9 or n_steps < 1:
         raise ConfigError("tmax must be a positive multiple of dt")
     times = dt * np.arange(n_steps + 1)
+    cs = constraint_set(spec)
+    basis = cached_basis(spec, cs)
+    cols = np.flatnonzero(basis.phys_occ == n_f)
 
     h_pre = tv_hamiltonian(spec, t, 0.0, pre_potentials)
     pre_sec = restrict_sum(basis, h_pre, cols)
@@ -236,19 +241,14 @@ def quench_trajectories(spec: LatticeSpec, t: float, V: float, n_f: int,
     occ_fermionic = ferm.occupations
 
     # Trotterized circuit evolution on the full register
-    step = circ.trotter_step(spec, t, V, dt)
-    z_strings = [PauliString(spec.n_qubits, {phys_index(spec, r): Z}) for r in sites(spec)]
+    step = circ.fuse(circ.trotter_step(spec, t, V, dt))
+    phys = [phys_index(spec, r) for r in sites(spec)]
     state = psi0
     occ_trotter = np.empty((times.size, spec.n_sites))
-
-    def measure(k):
-        for q, zs in enumerate(z_strings):
-            occ_trotter[k, q] = 0.5 * (1.0 - expval_string(state, zs).real)
-
-    measure(0)
+    occ_trotter[0] = qubit_marginals(state, phys)
     for k in range(1, times.size):
         circ.apply_circuit(state, step)
-        measure(k)
+        occ_trotter[k] = qubit_marginals(state, phys)
     return times, occ_trotter, occ_encoded, occ_fermionic
 
 
@@ -436,6 +436,7 @@ def cmd_export_circuit(args: argparse.Namespace) -> int:
 
 def cmd_spectrum_match(args: argparse.Namespace) -> int:
     s = Settings(args)
+    out = s.output_path()
     spec = build_lattice(s)
     t = s.get("t", "model", "t", float, default=1.0)
     V = s.get("v", "model", "v", float, required=True)
@@ -460,7 +461,7 @@ def cmd_spectrum_match(args: argparse.Namespace) -> int:
     except ValueError:  # a requested n_f outside [0, N] has no fermionic sector
         matches = []
     if not matches:
-        print("no fermionic boundary sector matches within 1e-08")
+        _write_text(out, "no fermionic boundary sector matches within 1e-08\n")
         return 1
     dev = 0.0
     for sector in matches:
@@ -469,8 +470,8 @@ def cmd_spectrum_match(args: argparse.Namespace) -> int:
             dev = max(dev, float(np.max(np.abs(ref - vals))))
     names = ", ".join(f"sx={m.sx:+d} sy={m.sy:+d}" for m in matches)
     head = "matched sector" if len(matches) == 1 else f"matched {len(matches)} sectors:"
-    print(f"{head} {names} "
-          f"max_deviation={dev:.3e} sectors={','.join(str(n) for n in sectors)}")
+    _write_text(out, f"{head} {names} "
+                f"max_deviation={dev:.3e} sectors={','.join(str(n) for n in sectors)}\n")
     return 0 if dev < 1e-8 else 1
 
 

@@ -18,6 +18,7 @@ from .pauli import ConstraintSet, PauliString, PauliSum, identity as pauli_ident
 
 MAX_QUBITS = 24          # hard resource guard for dense states
 MAX_SUBSPACE_QUBITS = 18  # guard for subspace construction
+MAX_GATE_QUBITS = 4  # widest gate apply_matrix_gate takes
 
 
 @dataclass
@@ -50,17 +51,28 @@ def _check_unitary(U: np.ndarray, tol: float = 1e-10) -> None:
 
 def apply_matrix_gate(state: StateVector, U: np.ndarray, targets: Sequence[int]) -> StateVector:
     k = len(targets)
-    if not 1 <= k <= 4:
-        raise ValueError("gates act on 1..4 qubits")
+    if not 1 <= k <= MAX_GATE_QUBITS:
+        raise ValueError(f"gates act on 1..{MAX_GATE_QUBITS} qubits")
     if len(set(targets)) != k:
         raise ValueError("duplicate target qubits")
     n = state.register_size
     if any(not 0 <= q < n for q in targets):
         raise ValueError("target out of range")
-    _check_unitary(np.asarray(U, dtype=np.complex128))
+    U = np.asarray(U, dtype=np.complex128)
+    _check_unitary(U)
     psi = state.amplitudes.reshape([2] * n)
     axes = [n - 1 - q for q in targets]  # tensor axis of qubit q
-    Ut = np.asarray(U, dtype=np.complex128).reshape([2] * (2 * k))
+    phases = np.diagonal(U)
+    if not np.any(U - np.diag(phases)):
+        # diagonal gate: a phase product broadcast on the target axes
+        order = np.argsort(axes)
+        shape = [1] * n
+        for a in axes:
+            shape[a] = 2
+        P = phases.reshape([2] * k).transpose(order).reshape(shape)
+        state.amplitudes = (psi * P).reshape(-1)
+        return state
+    Ut = U.reshape([2] * (2 * k))
     out = np.tensordot(Ut, psi, axes=(list(range(k, 2 * k)), axes))
     out = np.moveaxis(out, list(range(k)), axes)
     state.amplitudes = np.ascontiguousarray(out).reshape(-1)
@@ -103,6 +115,16 @@ def expval(state: StateVector, O: PauliSum) -> float:
 
 def expval_string(state: StateVector, p: PauliString) -> complex:
     return _expval_string(state.amplitudes, p)
+
+
+def qubit_marginals(state: StateVector, qubits: Sequence[int]) -> np.ndarray:
+    """P(qubit = 1) for each listed qubit, all from one |psi|^2 pass."""
+    n = state.register_size
+    if any(not 0 <= q < n for q in qubits):
+        raise ValueError("qubit out of range")
+    prob = np.abs(state.amplitudes) ** 2
+    # qubit q is the middle axis of shape (2^(n-1-q), 2, 2^q)
+    return np.array([prob.reshape(-1, 2, 1 << q)[:, 1, :].sum() for q in qubits])
 
 
 # ---------------------------------------------------------------- subspace

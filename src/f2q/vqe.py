@@ -301,11 +301,10 @@ def _exact_reference(config: VqeConfig, model: SectorModel) -> Tuple[float, orac
 def initial_state_full(config: VqeConfig) -> StateVector:
     spec = config.spec
     if config.ansatz == "agate":
-        state = zero_state(spec.n_qubits)
-        circ.apply_circuit(state, circ.vacuum_circuit(spec))
+        prep = circ.vacuum_circuit(spec)
         for e in config.pair_edges:
-            circ.apply_circuit(state, circ.pair_creation(spec, e))
-        return state
+            prep.extend(circ.pair_creation(spec, e))
+        return circ.apply_circuit(zero_state(spec.n_qubits), circ.fuse(prep))
     _, state = ground_in_sector(
         tv_hamiltonian(spec, config.t, 0.0), spec, constraint_set(spec), config.n_f
     )
@@ -326,7 +325,7 @@ def energy(config: VqeConfig, params: Sequence[float], route: str = "sector") ->
         return SectorModel(config).energy(params)
     if route == "full":
         state = initial_state_full(config)
-        circ.apply_circuit(state, ansatz_circuit(config, params))
+        circ.apply_circuit(state, circ.fuse(ansatz_circuit(config, params)))
         return expval(state, tv_hamiltonian(config.spec, config.t, config.V))
     raise ValueError("route must be sector or full")
 
@@ -343,7 +342,7 @@ def gradient(config: VqeConfig, params: Sequence[float], h: float = 1e-4,
 def _spot_check(config: VqeConfig, model: SectorModel, params: np.ndarray) -> Tuple[float, float]:
     """Full-route constraint/number deviation and route energy disagreement."""
     state = initial_state_full(config)
-    circ.apply_circuit(state, ansatz_circuit(config, params))
+    circ.apply_circuit(state, circ.fuse(ansatz_circuit(config, params)))
     dev = 0.0
     for s, target in model.cs:
         dev = max(dev, abs(expval_string(state, s) - target))
@@ -407,7 +406,8 @@ def run(config: VqeConfig, opt: Optional[OptimizerConfig] = None) -> RunTrace:
     if best_e < exact_energy - 1e-9:
         raise AssertionError("variational bound violated")
 
-    raw = abs(best_e - exact_energy) / abs(exact_energy)
+    # relative to |exact_energy|; absolute where the exact energy is 0 (n_f = 0)
+    raw = abs(best_e - exact_energy) / (abs(exact_energy) or 1.0)
     return RunTrace(
         energies=np.array(energies),
         best_params=best_p,

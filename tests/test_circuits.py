@@ -325,6 +325,48 @@ def test_conjugate_string_matches_dense(data):
     assert np.max(np.abs(want - phase * pauli_matrix(conj))) < 1e-12
 
 
+# ---------------------------------------------------------------- fusion
+
+def random_amplitudes(n, seed):
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    return amps / np.linalg.norm(amps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_fuse_preserves_action_property(data):
+    n = data.draw(st.integers(3, 6))
+    angle = st.floats(-4, 4, allow_nan=False, allow_infinity=False)
+    c = C.Circuit(n)
+    for _ in range(data.draw(st.integers(0, 14))):
+        kind = data.draw(st.sampled_from(sorted(C.GATE_ARITY)))
+        order = data.draw(st.permutations(range(n)))  # unsorted target orders
+        params = tuple(data.draw(angle) for _ in range(C.GATE_PARAMS.get(kind, 0)))
+        c.add(C.Gate(kind, tuple(order[:C.GATE_ARITY[kind]]), params=params))
+    fused = C.fuse(c)
+    assert all(g.kind == "matrix" and g.arity <= 4 for g in fused)
+    assert len(fused) <= len(c)
+    amps = random_amplitudes(n, data.draw(st.integers(0, 2**31 - 1)))
+    want = C.apply_circuit(StateVector(amps.copy(), n), c).amplitudes
+    got = C.apply_circuit(StateVector(amps.copy(), n), fused).amplitudes
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_fuse_trotter_step_blocks_and_action():
+    # 3x3: 9 diagonal interaction pairs, 9 hop_x blocks, 9 hop_y blocks
+    step = C.trotter_step(lat(3, 3), 1.0, 3.0, 0.1)
+    assert len(step) == 306 and len(C.fuse(step)) == 27
+    for dims in [(2, 2), (2, 4), (3, 3)]:
+        spec = lat(*dims)
+        step = C.trotter_step(spec, 1.0, 3.0, 0.1)
+        fused = C.fuse(step)
+        amps = random_amplitudes(spec.n_qubits, seed=dims[1])
+        want = C.apply_circuit(StateVector(amps.copy(), spec.n_qubits), step).amplitudes
+        got = C.apply_circuit(StateVector(amps.copy(), spec.n_qubits), fused).amplitudes
+        assert np.max(np.abs(got - want)) < 1e-12
+
+
 # ---------------------------------------------------------------- pair creation
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 4), (3, 3)])

@@ -282,3 +282,32 @@ def test_spectrum_match_names_every_matching_sector(capsys):
     spec = LatticeSpec(2, 4)
     assert oracle.matching_bc_sectors(spec, 1.0, 2.0, {0: [0.0]}) == oracle.ALL_SECTORS
     assert oracle.match_bc_sector(spec, 1.0, 2.0, {0: [0.0]}) == oracle.ALL_SECTORS[0]
+
+
+def test_quench_step_count_is_bounded(capsys):
+    # 10^12 steps would need terabytes for the time grid alone
+    code, out, err = run_cli(capsys, "quench", "--lx", "2", "--ly", "2", "--v", "3",
+                             "--dt", "1e-12", "--tmax", "1")
+    assert code == 2 and out == ""
+    assert f"limit of {cli.MAX_QUENCH_STEPS} Trotter steps" in err
+
+
+def test_vqe_empty_sector_reports_absolute_error(capsys):
+    code, out, _ = run_cli(capsys, "vqe", "--lx", "2", "--ly", "2", "--v", "2",
+                           "--n-f", "0", "--max-steps", "10")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["exact_energy"] == 0.0
+    assert doc["relative_error_raw"] == abs(doc["final_energy"])
+    assert doc["relative_error"] == 0.0
+
+
+def test_spectrum_match_writes_output_file(tmp_path, capsys):
+    argv = ("spectrum-match", "--lx", "2", "--ly", "2", "--v", "2")
+    code, stdout, _ = run_cli(capsys, *argv)
+    assert code == 0
+    target = tmp_path / "match.txt"
+    code, out, _ = run_cli(capsys, *argv, "--output", str(target))
+    assert code == 0 and out == ""
+    assert target.read_text() == stdout
+    assert stdout.startswith("matched sector sx=") and stdout.endswith("sectors=0,2,4\n")

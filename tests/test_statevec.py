@@ -22,7 +22,9 @@ from f2q.statevec import (
     cached_basis,
     constrained_basis,
     expval,
+    expval_string,
     ground_in_sector,
+    qubit_marginals,
     restrict_sum,
     zero_state,
 )
@@ -102,6 +104,31 @@ def test_matrix_gate_matches_dense_embedding():
         expect = embed_gate(U, targets, 3) @ s.amplitudes
         apply_matrix_gate(s, U, targets)
         assert np.max(np.abs(s.amplitudes - expect)) < 1e-12
+
+
+def test_diagonal_gate_matches_dense_embedding():
+    rng = np.random.default_rng(8)
+    for targets in ([2, 0], [0, 2], [1], [3, 0, 2], [1, 3, 0, 2]):
+        U = np.diag(np.exp(1j * rng.uniform(-np.pi, np.pi, 1 << len(targets))))
+        s = random_state(4, seed=len(targets))
+        expect = embed_gate(U, targets, 4) @ s.amplitudes
+        held, before = s.amplitudes, s.amplitudes.copy()
+        apply_matrix_gate(s, U, targets)
+        assert np.max(np.abs(s.amplitudes - expect)) < 1e-12
+        assert np.array_equal(held, before)  # the old array is replaced, not overwritten
+    with pytest.raises(ValueError):
+        apply_matrix_gate(random_state(2), np.diag([1.0, 2.0]), [0])
+
+
+def test_qubit_marginals_match_z_expectations():
+    n = 5
+    s = random_state(n, seed=9)
+    qubits = [3, 0, 4, 1]
+    want = [0.5 * (1.0 - expval_string(s, PauliString(n, {q: Z})).real) for q in qubits]
+    assert np.max(np.abs(qubit_marginals(s, qubits) - want)) < 1e-14
+    assert np.allclose(qubit_marginals(zero_state(3), [0, 1, 2]), 0.0)
+    with pytest.raises(ValueError):
+        qubit_marginals(s, [5])
 
 
 def test_cnot_written_as_matrix():
