@@ -271,29 +271,51 @@ def _snap_to_pauli(M: np.ndarray, k: int) -> Tuple[List[int], complex]:
     raise ValueError("non-Clifford conjugation phase")
 
 
-def conjugate_string(c: Circuit, s: PauliString) -> Tuple[PauliString, complex]:
-    """U^dagger S U for a Clifford circuit, tracked exactly as a Pauli."""
+def _conjugate(c: Circuit, s: PauliString, memo: Dict) -> Tuple[PauliString, complex]:
+    """conjugate_string, reusing the local images already stored in `memo`.
+
+    A gate's image of a local Pauli word depends only on the gate's kind,
+    parameters and matrix, so the memo is keyed on those and the word.
+    Failures are raised each time and never stored.
+    """
     letters = bytearray(s.letters)
     phase = complex(s.phase)
     for g in reversed(c.gates):
         sup = g.targets
-        if all(letters[q] == 0 for q in sup):
+        local = tuple(letters[q] for q in sup)
+        if not any(local):
             continue
-        U = gate_unitary(g)
-        P = _local_pauli([letters[q] for q in sup])
-        M = U.conj().T @ P @ U
-        new_letters, ph = _snap_to_pauli(M, len(sup))
+        key = (g.kind, g.params, None if g.matrix is None else g.matrix.tobytes(), local)
+        image = memo.get(key)
+        if image is None:
+            U = gate_unitary(g)
+            image = memo[key] = _snap_to_pauli(U.conj().T @ _local_pauli(local) @ U, len(sup))
+        new_letters, ph = image
         for q, l in zip(sup, new_letters):
             letters[q] = l
         phase *= ph
     return PauliString(s.n, bytes(letters)), phase
 
 
+def conjugate_string(c: Circuit, s: PauliString) -> Tuple[PauliString, complex]:
+    """U^dagger S U, tracked exactly as a Pauli.
+
+    Every gate, Clifford or not, must map the word it meets to a single Pauli
+    with a phase in {±1, ±i}; otherwise ValueError.
+    """
+    return _conjugate(c, s, {})
+
+
 def stabilizer_expectations(c: Circuit, cs: ConstraintSet) -> List[complex]:
-    """<0...0| U^dagger S U |0...0> for each stabilizer, exactly (Clifford only)."""
+    """<0...0| U^dagger S U |0...0> for each stabilizer, exactly.
+
+    Tracked as conjugate_string does, with each (gate, local word) image
+    computed once per call and shared by all strings.
+    """
+    memo: Dict = {}
     out = []
     for s, _ in cs:
-        conj, phase = conjugate_string(c, s)
+        conj, phase = _conjugate(c, s, memo)
         flip, _, _ = conj.masks()
         if flip:
             out.append(0j)

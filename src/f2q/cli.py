@@ -20,22 +20,19 @@ import json
 import math
 import sys
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import circuits as circ
 from . import oracle, vqe
-from .lattice import Edge, InputError, LatticeSpec, Site, occupation_bits, phys_index, sites
+from .lattice import (Edge, InputError, LatticeSpec, ScientificFailure, Site, occupation_bits,
+                      phys_index, sites)
 from .pauli import constraint_set, tv_hamiltonian
 from .statevec import cached_basis, ground_in_sector, qubit_marginals, restrict_sum
 
 
 class ConfigError(Exception):
-    pass
-
-
-class ScientificFailure(Exception):
     pass
 
 
@@ -116,6 +113,8 @@ def parse_potentials(text: str) -> Dict[Site, float]:
             raise ConfigError(f"bad potentials entry {item!r}") from exc
         if not math.isfinite(mu):
             raise ConfigError(f"non-finite potential in {item!r}")
+        if Site(rx, ry) in pots:
+            raise ConfigError(f"site {rx},{ry} is given twice in the potentials")
         pots[Site(rx, ry)] = mu
     return pots
 
@@ -135,6 +134,13 @@ def parse_pairs(text: str) -> List[Edge]:
         except ValueError as exc:
             raise ConfigError(f"bad pair edge {item!r}") from exc
     return out
+
+
+def check_on_lattice(spec: LatticeSpec, where: Iterable[Site]) -> None:
+    """Reject coordinates outside 0 <= rx < Lx, 0 <= ry < Ly instead of wrapping them."""
+    for r in where:
+        if not (0 <= r.rx < spec.Lx and 0 <= r.ry < spec.Ly):
+            raise ConfigError(f"site {r.rx},{r.ry} lies outside the {spec.Lx}x{spec.Ly} lattice")
 
 
 def build_lattice(s: Settings) -> LatticeSpec:
@@ -172,8 +178,10 @@ def cmd_check_constraints(args: argparse.Namespace) -> int:
     s = Settings(args)
     out = s.output_path()
     spec = build_lattice(s)
+    pairs = parse_pairs(args.pairs or "")
+    check_on_lattice(spec, [e.origin for e in pairs])
     circuit = circ.vacuum_circuit(spec)
-    for e in parse_pairs(args.pairs or ""):
+    for e in pairs:
         try:
             block = circ.pair_creation(spec, e)
         except ValueError as exc:
@@ -267,6 +275,7 @@ def cmd_quench(args: argparse.Namespace) -> int:
     pots_text = s.get("potentials", "model", "potentials", str)
     if pots_text is not None:
         pre_pots = parse_potentials(pots_text)
+        check_on_lattice(spec, pre_pots)
     else:
         pre_pots = {Site(0, 0): -k_pin, Site(0, 1): -k_pin}
 
@@ -440,6 +449,9 @@ def cmd_spectrum_match(args: argparse.Namespace) -> int:
     spec = build_lattice(s)
     t = s.get("t", "model", "t", float, default=1.0)
     V = s.get("v", "model", "v", float, required=True)
+    for n_f in args.n_f or ():
+        if not 0 <= n_f <= spec.n_sites:
+            raise ConfigError(f"n-f {n_f} lies outside [0, {spec.n_sites}]")
     basis = cached_basis(spec, constraint_set(spec))
     if args.n_f:
         sectors = sorted(set(args.n_f))
@@ -456,10 +468,7 @@ def cmd_spectrum_match(args: argparse.Namespace) -> int:
             encoded[n_f] = np.array([])
             continue
         encoded[n_f] = np.linalg.eigvalsh(restrict_sum(basis, H, cols))
-    try:
-        matches = oracle.matching_bc_sectors(spec, t, V, encoded)
-    except ValueError:  # a requested n_f outside [0, N] has no fermionic sector
-        matches = []
+    matches = oracle.matching_bc_sectors(spec, t, V, encoded)
     if not matches:
         _write_text(out, "no fermionic boundary sector matches within 1e-08\n")
         return 1

@@ -17,6 +17,10 @@ class InputError(ValueError):
     """A request outside what the library can compute (size, particle number)."""
 
 
+class ScientificFailure(Exception):
+    """A checked physical property misses its tolerance; the message gives both."""
+
+
 class Site(NamedTuple):
     rx: int
     ry: int

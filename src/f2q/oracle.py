@@ -15,7 +15,8 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 import scipy.sparse
 
-from .lattice import LatticeSpec, Site, edge_sites, edge_wraps, edges, occupation_bits, site_index
+from .lattice import (LatticeSpec, ScientificFailure, Site, edge_sites, edge_wraps, edges,
+                      occupation_bits, site_index)
 
 MAX_SITES = 12
 DENSE_GUARD = 4096
@@ -121,7 +122,7 @@ def ed_ground(
     energy, vec = float(evals[0]), evecs[:, 0]
     resid = float(np.linalg.norm(H @ vec - energy * vec))
     if resid > 1e-10:
-        raise AssertionError(f"ED eigenpair residual {resid}")
+        raise ScientificFailure(f"ED eigenpair residual {resid:.3e} > 1e-10")
     return energy, vec
 
 
@@ -180,7 +181,7 @@ def ed_propagate(
         psi = evecs @ (np.exp(-1j * evals * tau) * coeff)
         drift = abs(np.linalg.norm(psi) - 1.0)
         if drift > 1e-10:
-            raise AssertionError(f"propagation norm drift {drift}")
+            raise ScientificFailure(f"propagation norm drift {drift:.3e} > 1e-10")
         occs[k] = (np.abs(psi) ** 2) @ occ_table
     return EDResult(eigenvalues=evals, times=times_arr, occupations=occs)
 

@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .lattice import InputError, LatticeSpec
+from .lattice import InputError, LatticeSpec, ScientificFailure
 from .pauli import ConstraintSet, PauliString, PauliSum, identity as pauli_identity
 
 MAX_QUBITS = 24          # hard resource guard for dense states
@@ -109,7 +109,8 @@ def expval(state: StateVector, O: PauliSum) -> float:
         raise ValueError("expectation of a non-Hermitian sum")
     val = sum(c * _expval_string(state.amplitudes, s) for c, s in O)
     if abs(val.imag) > 1e-10:
-        raise AssertionError(f"imaginary residue {val.imag} in Hermitian expectation")
+        raise ScientificFailure(f"imaginary residue {abs(val.imag):.3e} > 1e-10 "
+                                "in Hermitian expectation")
     return float(val.real)
 
 
@@ -307,7 +308,7 @@ def ground_in_sector(
     energy, vec = float(evals[0]), evecs[:, 0]
     resid = float(np.linalg.norm(Hs @ vec - energy * vec))
     if resid > 1e-8:
-        raise AssertionError(f"sector eigenpair residual {resid}")
+        raise ScientificFailure(f"sector eigenpair residual {resid:.3e} > 1e-8")
     full = np.zeros(basis.dim, dtype=np.complex128)
     full[cols] = vec
     return energy, basis.expand(full)

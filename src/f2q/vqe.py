@@ -16,7 +16,8 @@ import numpy as np
 
 from . import circuits as circ
 from . import oracle
-from .lattice import Edge, InputError, LatticeSpec, aux_index, edge_sites, edges, phys_index, site_index
+from .lattice import (Edge, InputError, LatticeSpec, ScientificFailure, aux_index, edge_sites,
+                      edges, phys_index, site_index)
 from .pauli import PauliString, X, Y, Z, constraint_set, number_sum, tv_hamiltonian
 from .statevec import (
     StateVector,
@@ -150,7 +151,8 @@ class SectorModel:
         other = int(self.basis.sorted_cols[pos])
         coeff = coeff * self.basis.amps[j0] / self.basis.sorted_amps[pos]
         if abs(abs(coeff) - 1.0) > 1e-12:
-            raise AssertionError("pairing coefficient is not a pure phase")
+            raise ScientificFailure("pairing coefficient modulus differs from 1 by "
+                                    f"{abs(abs(coeff) - 1.0):.3e} > 1e-12")
         return other, coeff
 
     def _edge_table(self, e: Edge):
@@ -213,7 +215,8 @@ class SectorModel:
         coeffs = self.basis.project(state)[self.cols]
         norm = np.linalg.norm(coeffs)
         if abs(norm - 1.0) > 1e-9:
-            raise AssertionError("free-fermion state leaks outside the sector")
+            raise ScientificFailure("free-fermion state norm in the sector differs from 1 by "
+                                    f"{abs(norm - 1.0):.3e} > 1e-9")
         return coeffs / norm
 
     # ---------------------------------------------------------- ansatz action
@@ -294,7 +297,8 @@ def _exact_reference(config: VqeConfig, model: SectorModel) -> Tuple[float, orac
     sector = oracle.match_bc_sector(config.spec, config.t, config.V, {config.n_f: enc})
     e_fermi, _ = oracle.ed_ground(config.spec, config.t, config.V, None, sector, config.n_f)
     if abs(e_fermi - enc[0]) > 1e-8:
-        raise AssertionError("encoded and fermionic references disagree")
+        raise ScientificFailure("encoded and fermionic ground energies differ by "
+                                f"{abs(e_fermi - enc[0]):.3e} > 1e-8")
     return float(e_fermi), sector
 
 
@@ -402,9 +406,10 @@ def run(config: VqeConfig, opt: Optional[OptimizerConfig] = None) -> RunTrace:
     check_dev = max(check_dev, d2)
     route_dev = max(route_dev, r2)
     if check_dev > 1e-10:
-        raise AssertionError(f"ansatz state violates constraints by {check_dev}")
+        raise ScientificFailure(f"ansatz state violates constraints by {check_dev:.3e} > 1e-10")
     if best_e < exact_energy - 1e-9:
-        raise AssertionError("variational bound violated")
+        raise ScientificFailure("variational bound violated: best energy lies "
+                                f"{exact_energy - best_e:.3e} > 1e-9 below the exact one")
 
     # relative to |exact_energy|; absolute where the exact energy is 0 (n_f = 0)
     raw = abs(best_e - exact_energy) / (abs(exact_energy) or 1.0)

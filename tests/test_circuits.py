@@ -325,6 +325,64 @@ def test_conjugate_string_matches_dense(data):
     assert np.max(np.abs(want - phase * pauli_matrix(conj))) < 1e-12
 
 
+def _clifford_matrices():
+    h, s = C.FIXED_1Q["h"], C.FIXED_1Q["s"]
+    cnot = C.gate_unitary(C.Gate("cnot", (0, 1)))
+    swap = np.eye(4)[[0, 2, 1, 3]]
+    return [h, s, s @ h], [cnot, C.gate_unitary(C.Gate("cz", (0, 1))), swap @ cnot]
+
+
+def _check_shared_memo(c, strings):
+    """Track every string through one memo; compare each with dense U^dagger S U."""
+    U = dense_circuit(c)
+    memo = {}
+    wants = []
+    for s in strings:
+        conj, phase = C._conjugate(c, s, memo)
+        want = U.conj().T @ pauli_matrix(s) @ U
+        assert np.max(np.abs(want - phase * pauli_matrix(conj))) < 1e-12
+        wants.append(want[0, 0])
+    got = C.stabilizer_expectations(c, [(s, 1) for s in strings])
+    assert np.max(np.abs(np.array(got) - np.array(wants))) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_shared_memo_matches_dense_for_every_string(data):
+    # The memo must tell apart gates that differ only in angle or matrix:
+    # rz/rx at distinct multiples of pi/2 on one qubit, and matrix Cliffords
+    # with the same targets but different matrices, all applied twice.
+    n = 3
+    one, two = _clifford_matrices()
+    qubit = st.integers(0, n - 1)
+    pair = st.permutations(range(n)).map(lambda o: tuple(o[:2]))
+    quarters = st.lists(st.integers(-3, 4), min_size=2, max_size=2, unique=True)
+    gates = []
+    for kind in ("rz", "rx"):
+        q = data.draw(qubit)
+        gates += [C.Gate(kind, (q,), params=(k * math.pi / 2,)) for k in data.draw(quarters)]
+    for mats, targets in ((one, st.tuples(qubit)), (two, pair)):
+        tg = data.draw(targets)
+        picks = st.lists(st.sampled_from(range(3)), min_size=2, max_size=2, unique=True)
+        gates += [C.Gate("matrix", tg, matrix=mats[i]) for i in data.draw(picks)]
+    for _ in range(data.draw(st.integers(0, 4))):
+        kind = data.draw(st.sampled_from(["h", "s", "cnot", "cy", "cz"]))
+        gates.append(C.Gate(kind, data.draw(pair)[:C.GATE_ARITY[kind]]))
+    c = C.Circuit(n, list(data.draw(st.permutations(gates))) * 2)
+    letters = st.lists(st.integers(0, 3), min_size=n, max_size=n).map(bytes)
+    strings = [P.PauliString(n, w) for w in data.draw(st.lists(letters, min_size=2, max_size=6))]
+    _check_shared_memo(c, strings)
+
+
+def test_shared_memo_keys_on_angle_and_matrix():
+    one, _ = _clifford_matrices()
+    c = C.Circuit(2)
+    c.add(C.Gate("rz", (0,), params=(math.pi / 2,))).add(C.Gate("rz", (0,), params=(math.pi,)))
+    c.add(C.Gate("matrix", (1,), matrix=one[0])).add(C.Gate("matrix", (1,), matrix=one[1]))
+    strings = [P.PauliString(2, {0: P.X, 1: P.X}), P.PauliString(2, {0: P.Y, 1: P.Z})]
+    _check_shared_memo(c, strings)
+
+
 # ---------------------------------------------------------------- fusion
 
 def random_amplitudes(n, seed):

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from f2q import cli, oracle
+from f2q import cli, oracle, vqe
 from f2q.circuits import parse_text, trotter_step, vacuum_circuit
 from f2q.cli import ConfigError, main, parse_potentials
 from f2q.lattice import InputError, LatticeSpec, Site
@@ -252,6 +252,9 @@ def test_non_finite_numbers_are_rejected(tmp_path, capsys):
      "--n-f", "3"),
     ("spectrum-match", "--lx", "4", "--ly", "4", "--v", "2", "--n-f", "2"),
     ("export-circuit", "--lx", "2", "--ly", "2", "--kind", "ansatz", "--layers", "-1"),
+    # n_f outside [0, N] is a bad request, not an unmatched spectrum
+    ("spectrum-match", "--lx", "2", "--ly", "2", "--v", "2", "--n-f", "2", "--n-f", "7"),
+    ("spectrum-match", "--lx", "2", "--ly", "2", "--v", "2", "--n-f", "-1"),
 ])
 def test_out_of_range_input_is_usage_error(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
@@ -311,3 +314,44 @@ def test_spectrum_match_writes_output_file(tmp_path, capsys):
     assert code == 0 and out == ""
     assert target.read_text() == stdout
     assert stdout.startswith("matched sector sx=") and stdout.endswith("sectors=0,2,4\n")
+
+
+@pytest.mark.parametrize("pots", ["9,9=1", "0,2=1", "-1,0=1", "0,0=1;0,0=-1"])
+def test_potentials_off_lattice_or_repeated_are_usage_errors(tmp_path, capsys, pots):
+    # 9,9 would wrap to site 1,1 on 2x2; a repeated site would add up
+    target = tmp_path / "q.csv"
+    code, out, err = run_cli(capsys, "quench", "--lx", "2", "--ly", "2", "--v", "3",
+                             "--dt", "0.1", "--tmax", "0.2", f"--potentials={pots}",
+                             "--output", str(target))
+    assert code == 2 and err.startswith("config error:")
+    assert out == "" and not target.exists()
+
+
+@pytest.mark.parametrize("pairs", ["7,7,x", "0,0,x;2,0,y", "0,-1,y"])
+def test_pairs_off_lattice_are_usage_errors(tmp_path, capsys, pairs):
+    target = tmp_path / "c.txt"
+    code, out, err = run_cli(capsys, "check-constraints", "--lx", "2", "--ly", "2",
+                             "--pairs", pairs, "--output", str(target))
+    assert code == 2 and "outside the 2x2 lattice" in err
+    assert out == "" and not target.exists()
+
+
+def test_library_check_failure_exits_one_with_deviation(capsys, monkeypatch):
+    monkeypatch.setattr(vqe, "_spot_check", lambda config, model, params: (1e-3, 0.0))
+    code, out, err = run_cli(capsys, "vqe", "--lx", "2", "--ly", "2", "--v", "2",
+                             "--max-steps", "5")
+    assert code == 1 and out == ""
+    assert err == "failure: ansatz state violates constraints by 1.000e-03 > 1e-10\n"
+
+
+def test_check_constraints_12x12_tracks_exactly(capsys):
+    # 288 qubits: far beyond a state vector, exact only through Pauli tracking
+    L = 12
+    pairs = ";".join(f"{k},{(5 * k) % L},{'xy'[k % 2]}" for k in range(L))
+    code, out, _ = run_cli(capsys, "check-constraints", "--lx", str(L), "--ly", str(L),
+                           "--pairs", pairs)
+    lines = out.splitlines()
+    assert code == 0 and len(lines) == L * L + 2 * L
+    for line in lines:
+        toks = line.split()
+        assert toks[-1] == "PASS" and float(toks[-2]) == int(toks[-4])
