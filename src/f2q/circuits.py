@@ -17,6 +17,7 @@ import numpy as np
 
 from .lattice import (
     Edge,
+    InputError,
     LatticeSpec,
     Site,
     aux_index,
@@ -28,7 +29,7 @@ from .lattice import (
     vacuum_plaquette_set,
 )
 from .pauli import ConstraintSet, PauliString
-from .statevec import MAX_GATE_QUBITS, StateVector, apply_matrix_gate
+from .statevec import MAX_GATE_QUBITS, StateVector, _check_unitary, apply_matrix_gate
 
 _H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2)
 _X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -66,8 +67,7 @@ class Gate:
             d = 1 << len(self.targets)
             if self.matrix.shape != (d, d):
                 raise ValueError("matrix shape does not match target count")
-            if np.max(np.abs(self.matrix.conj().T @ self.matrix - np.eye(d))) > 1e-10:
-                raise ValueError("matrix gate is not unitary")
+            _check_unitary(self.matrix)
         else:
             if self.kind not in GATE_ARITY:
                 raise ValueError(f"unknown gate kind {self.kind!r}")
@@ -222,20 +222,6 @@ def restrict_circuit(c: Circuit, support: Sequence[int]) -> Circuit:
             raise ValueError("gate acts outside the given support")
         out.add(Gate(g.kind, tgts, params=g.params, matrix=g.matrix,
                      two_qubit_cost=g.two_qubit_cost))
-    return out
-
-
-def adjoint(c: Circuit) -> Circuit:
-    inv = {"s": "sdg", "sdg": "s"}
-    out = Circuit(c.n_qubits)
-    for g in reversed(c.gates):
-        if g.kind == "matrix":
-            out.add(Gate("matrix", g.targets, matrix=g.matrix.conj().T,
-                         two_qubit_cost=g.two_qubit_cost))
-        elif g.kind in GATE_PARAMS:
-            out.add(Gate(g.kind, g.targets, params=tuple(-p for p in g.params)))
-        else:
-            out.add(Gate(inv.get(g.kind, g.kind), g.targets))
     return out
 
 
@@ -655,7 +641,7 @@ def hv_layout(spec: LatticeSpec, layers: int, granularity: str) -> List[Tuple[st
         return [(kind, e, (3 * layer + group[kind],)) for layer in range(layers) for kind, e in plan]
     if granularity == "per_edge":
         return [(kind, e, (slot,)) for slot, (kind, e) in enumerate(plan * layers)]
-    raise ValueError("granularity must be per_group or per_edge")
+    raise InputError("granularity must be per_group or per_edge")
 
 
 def hv_param_count(spec: LatticeSpec, layers: int, granularity: str) -> int:
@@ -663,7 +649,7 @@ def hv_param_count(spec: LatticeSpec, layers: int, granularity: str) -> int:
         return 3 * layers
     if granularity == "per_edge":
         return 2 * len(edges(spec)) * layers
-    raise ValueError("granularity must be per_group or per_edge")
+    raise InputError("granularity must be per_group or per_edge")
 
 
 def ansatz_hv(spec: LatticeSpec, layers: int, params: Sequence[float], granularity: str = "per_group") -> Circuit:

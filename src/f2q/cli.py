@@ -32,10 +32,6 @@ from .pauli import constraint_set, tv_hamiltonian
 from .statevec import cached_basis, ground_in_sector, qubit_marginals, restrict_sum
 
 
-class ConfigError(Exception):
-    pass
-
-
 # ----------------------------------------------------------------- settings
 
 CONFIG_SCHEMA = {
@@ -53,14 +49,14 @@ def load_config_file(path: str) -> Dict[str, Dict[str, str]]:
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:
-        raise ConfigError(f"cannot read config file {path!r}")
+        raise InputError(f"cannot read config file {path!r}")
     out: Dict[str, Dict[str, str]] = {}
     for section in parser.sections():
         if section not in CONFIG_SCHEMA:
-            raise ConfigError(f"unknown config section [{section}]")
+            raise InputError(f"unknown config section [{section}]")
         for key in parser[section]:
             if key not in CONFIG_SCHEMA[section]:
-                raise ConfigError(f"unknown key {key!r} in section [{section}]")
+                raise InputError(f"unknown key {key!r} in section [{section}]")
         out[section] = dict(parser[section])
     return out
 
@@ -79,13 +75,13 @@ class Settings:
             try:
                 value = cast(raw)
             except ValueError as exc:
-                raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
+                raise InputError(f"bad value for [{section}] {key}: {raw!r}") from exc
         if value is None:
             if required:
-                raise ConfigError(f"missing required setting {flag.replace('_', '-')}")
+                raise InputError(f"missing required setting {flag.replace('_', '-')}")
             return default
         if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"{flag.replace('_', '-')} must be a finite number, got {value!r}")
+            raise InputError(f"{flag.replace('_', '-')} must be a finite number, got {value!r}")
         return value
 
     def output_path(self) -> Optional[str]:
@@ -94,7 +90,7 @@ class Settings:
         if path:
             folder = os.path.dirname(path) or "."
             if not os.path.isdir(folder):
-                raise ConfigError(f"output directory {folder!r} does not exist")
+                raise InputError(f"output directory {folder!r} does not exist")
         return path
 
 
@@ -110,11 +106,11 @@ def parse_potentials(text: str) -> Dict[Site, float]:
             rx, ry = (int(p) for p in coords.split(","))
             mu = float(value)
         except ValueError as exc:
-            raise ConfigError(f"bad potentials entry {item!r}") from exc
+            raise InputError(f"bad potentials entry {item!r}") from exc
         if not math.isfinite(mu):
-            raise ConfigError(f"non-finite potential in {item!r}")
+            raise InputError(f"non-finite potential in {item!r}")
         if Site(rx, ry) in pots:
-            raise ConfigError(f"site {rx},{ry} is given twice in the potentials")
+            raise InputError(f"site {rx},{ry} is given twice in the potentials")
         pots[Site(rx, ry)] = mu
     return pots
 
@@ -128,11 +124,11 @@ def parse_pairs(text: str) -> List[Edge]:
             continue
         parts = item.split(",")
         if len(parts) != 3 or parts[2] not in ("x", "y"):
-            raise ConfigError(f"bad pair edge {item!r}")
+            raise InputError(f"bad pair edge {item!r}")
         try:
             out.append(Edge(Site(int(parts[0]), int(parts[1])), parts[2]))
         except ValueError as exc:
-            raise ConfigError(f"bad pair edge {item!r}") from exc
+            raise InputError(f"bad pair edge {item!r}") from exc
     return out
 
 
@@ -140,17 +136,14 @@ def check_on_lattice(spec: LatticeSpec, where: Iterable[Site]) -> None:
     """Reject coordinates outside 0 <= rx < Lx, 0 <= ry < Ly instead of wrapping them."""
     for r in where:
         if not (0 <= r.rx < spec.Lx and 0 <= r.ry < spec.Ly):
-            raise ConfigError(f"site {r.rx},{r.ry} lies outside the {spec.Lx}x{spec.Ly} lattice")
+            raise InputError(f"site {r.rx},{r.ry} lies outside the {spec.Lx}x{spec.Ly} lattice")
 
 
 def build_lattice(s: Settings) -> LatticeSpec:
     lx = s.get("lx", "lattice", "lx", int, required=True)
     ly = s.get("ly", "lattice", "ly", int, required=True)
     rho = s.get("rho", "lattice", "rho", int, default=0)
-    try:
-        return LatticeSpec(lx, ly, rho)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return LatticeSpec(lx, ly, rho)
 
 
 def _write_text(path: Optional[str], text: str) -> None:
@@ -182,11 +175,7 @@ def cmd_check_constraints(args: argparse.Namespace) -> int:
     check_on_lattice(spec, [e.origin for e in pairs])
     circuit = circ.vacuum_circuit(spec)
     for e in pairs:
-        try:
-            block = circ.pair_creation(spec, e)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        circuit.extend(block)
+        circuit.extend(circ.pair_creation(spec, e))
     cs = constraint_set(spec)
     values = circ.stabilizer_expectations(circuit, cs)
     lines = []
@@ -214,10 +203,10 @@ def quench_trajectories(spec: LatticeSpec, t: float, V: float, n_f: int,
     array shaped (n_times, n_sites).
     """
     if not tmax / dt <= MAX_QUENCH_STEPS:
-        raise ConfigError(f"tmax/dt exceeds the limit of {MAX_QUENCH_STEPS} Trotter steps")
+        raise InputError(f"tmax/dt exceeds the limit of {MAX_QUENCH_STEPS} Trotter steps")
     n_steps = int(round(tmax / dt))
     if abs(n_steps * dt - tmax) > 1e-9 or n_steps < 1:
-        raise ConfigError("tmax must be a positive multiple of dt")
+        raise InputError("tmax must be a positive multiple of dt")
     times = dt * np.arange(n_steps + 1)
     cs = constraint_set(spec)
     basis = cached_basis(spec, cs)
@@ -271,7 +260,7 @@ def cmd_quench(args: argparse.Namespace) -> int:
     tmax = s.get("tmax", "trotter", "tmax", float, required=True)
     k_pin = s.get("k", "trotter", "k", float, default=1.0)
     if dt <= 0 or tmax <= 0:
-        raise ConfigError("dt and tmax must be positive")
+        raise InputError("dt and tmax must be positive")
     pots_text = s.get("potentials", "model", "potentials", str)
     if pots_text is not None:
         pre_pots = parse_potentials(pots_text)
@@ -302,28 +291,25 @@ def cmd_vqe(args: argparse.Namespace) -> int:
     s = Settings(args)
     out = s.output_path()
     spec = build_lattice(s)
-    try:
-        config = vqe.VqeConfig(
-            spec=spec,
-            t=s.get("t", "model", "t", float, default=1.0),
-            V=s.get("v", "model", "v", float, required=True),
-            n_f=s.get("n_f", "vqe", "n_f", int, default=2),
-            ansatz=s.get("ansatz", "vqe", "ansatz", str, default="agate"),
-            layers=s.get("layers", "vqe", "layers", int, default=2),
-            granularity=s.get("granularity", "vqe", "granularity", str, default="per_edge"),
-            init_scale=s.get("init_scale", "vqe", "init_scale", float, default=0.1),
-        )
-        opt = vqe.OptimizerConfig(
-            learning_rate=s.get("learning_rate", "vqe", "learning_rate", float, default=1e-2),
-            lr_decay=s.get("lr_decay", "vqe", "lr_decay", float, default=2e-3),
-            max_steps=s.get("max_steps", "vqe", "max_steps", int, default=5000),
-            seed=s.get("seed", "vqe", "seed", int, default=7),
-            restarts=s.get("restarts", "vqe", "restarts", int, default=1),
-            window=s.get("window", "vqe", "window", int, default=150),
-            tolerance=s.get("tolerance", "vqe", "tolerance", float, default=1e-11),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    config = vqe.VqeConfig(
+        spec=spec,
+        t=s.get("t", "model", "t", float, default=1.0),
+        V=s.get("v", "model", "v", float, required=True),
+        n_f=s.get("n_f", "vqe", "n_f", int, default=2),
+        ansatz=s.get("ansatz", "vqe", "ansatz", str, default="agate"),
+        layers=s.get("layers", "vqe", "layers", int, default=2),
+        granularity=s.get("granularity", "vqe", "granularity", str, default="per_edge"),
+        init_scale=s.get("init_scale", "vqe", "init_scale", float, default=0.1),
+    )
+    opt = vqe.OptimizerConfig(
+        learning_rate=s.get("learning_rate", "vqe", "learning_rate", float, default=1e-2),
+        lr_decay=s.get("lr_decay", "vqe", "lr_decay", float, default=2e-3),
+        max_steps=s.get("max_steps", "vqe", "max_steps", int, default=5000),
+        seed=s.get("seed", "vqe", "seed", int, default=7),
+        restarts=s.get("restarts", "vqe", "restarts", int, default=1),
+        window=s.get("window", "vqe", "window", int, default=150),
+        tolerance=s.get("tolerance", "vqe", "tolerance", float, default=1e-11),
+    )
 
     start = time.perf_counter()
     trace = vqe.run(config, opt)
@@ -370,9 +356,9 @@ def cmd_depth_report(args: argparse.Namespace) -> int:
     try:
         sizes = [int(p) for p in args.sizes.split(",") if p.strip()]
     except ValueError as exc:
-        raise ConfigError(f"bad sizes list {args.sizes!r}") from exc
+        raise InputError(f"bad sizes list {args.sizes!r}") from exc
     if not sizes:
-        raise ConfigError("at least one lattice size is required")
+        raise InputError("at least one lattice size is required")
     t = s.get("t", "model", "t", float, default=1.0)
     V = s.get("v", "model", "v", float, default=2.0)
     dt = s.get("dt", "trotter", "dt", float, default=0.05)
@@ -380,10 +366,7 @@ def cmd_depth_report(args: argparse.Namespace) -> int:
     rows = ["L,trotter_depth_2q,trotter_gates_1q,trotter_gates_2q,vacuum_gates_2q"]
     ls, counts = [], []
     for L in sizes:
-        try:
-            spec = LatticeSpec(L, L)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        spec = LatticeSpec(L, L)
         step = circ.trotter_step(spec, t, V, dt)
         rep = circ.schedule(step)
         vac2q = sum(1 for g in circ.vacuum_circuit(spec) if g.arity >= 2)
@@ -420,13 +403,15 @@ def cmd_export_circuit(args: argparse.Namespace) -> int:
         granularity = s.get("granularity", "vqe", "granularity", str, default="per_edge")
         seed = s.get("seed", "vqe", "seed", int)
         if layers < 1:
-            raise ConfigError("layers must be positive")
+            raise InputError("layers must be positive")
+        if seed is not None and seed < 0:
+            raise InputError("seed must be non-negative")
         if ansatz == "agate":
             n_params = circ.agate_param_count(spec, layers)
         elif ansatz == "hv":
             n_params = circ.hv_param_count(spec, layers, granularity)
         else:
-            raise ConfigError(f"unknown ansatz {ansatz!r}")
+            raise InputError(f"unknown ansatz {ansatz!r}")
         if seed is None:
             params = np.zeros(n_params)
         else:
@@ -436,7 +421,7 @@ def cmd_export_circuit(args: argparse.Namespace) -> int:
         else:
             circuit = circ.ansatz_hv(spec, layers, params, granularity)
     else:
-        raise ConfigError(f"unknown circuit kind {kind!r}")
+        raise InputError(f"unknown circuit kind {kind!r}")
     _write_text(out, circ.export_text(circuit))
     return 0
 
@@ -451,13 +436,13 @@ def cmd_spectrum_match(args: argparse.Namespace) -> int:
     V = s.get("v", "model", "v", float, required=True)
     for n_f in args.n_f or ():
         if not 0 <= n_f <= spec.n_sites:
-            raise ConfigError(f"n-f {n_f} lies outside [0, {spec.n_sites}]")
+            raise InputError(f"n-f {n_f} lies outside [0, {spec.n_sites}]")
     basis = cached_basis(spec, constraint_set(spec))
     if args.n_f:
         sectors = sorted(set(args.n_f))
     else:
         if basis.dim > 4096:
-            raise ConfigError("full-spectrum match is too large here; pass --n-f")
+            raise InputError("full-spectrum match is too large here; pass --n-f")
         sectors = sorted(basis.occ_counts)
     H = tv_hamiltonian(spec, t, V)
     encoded = {}
@@ -572,11 +557,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
+        print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ScientificFailure as exc:
         print(f"failure: {exc}", file=sys.stderr)

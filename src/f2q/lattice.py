@@ -14,7 +14,7 @@ import numpy as np
 
 
 class InputError(ValueError):
-    """A request outside what the library can compute (size, particle number)."""
+    """A bad or out-of-range input (lattice, particle number, setting); the CLI exits 2."""
 
 
 class ScientificFailure(Exception):
@@ -44,13 +44,13 @@ class LatticeSpec:
 
     def __post_init__(self):
         if self.Lx < 2 or self.Ly < 2:
-            raise ValueError("lattice sides must be >= 2")
+            raise InputError("lattice sides must be >= 2")
         if self.Lx % 2 != self.Ly % 2:
-            raise ValueError("lattice sides must be both odd or both even")
+            raise InputError("lattice sides must be both odd or both even")
         if self.rho == 0:
             object.__setattr__(self, "rho", _default_rho(self.Lx, self.Ly))
         if self.rho not in (1, -1):
-            raise ValueError("rho must be +1 or -1")
+            raise InputError("rho must be +1 or -1")
 
     @property
     def n_sites(self) -> int:

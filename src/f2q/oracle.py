@@ -33,7 +33,6 @@ ALL_SECTORS = [BCSector(sx, sy) for sx in (+1, -1) for sy in (+1, -1)]
 @dataclass
 class EDResult:
     eigenvalues: np.ndarray
-    eigenvectors: Optional[np.ndarray] = None
     times: Optional[np.ndarray] = None
     occupations: Optional[np.ndarray] = None  # shape (len(times), N)
 

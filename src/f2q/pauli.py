@@ -162,11 +162,6 @@ class PauliSum:
     def __len__(self):
         return len(self.terms)
 
-    def __add__(self, other: "PauliSum") -> "PauliSum":
-        if self.n != other.n:
-            raise ValueError("register size mismatch")
-        return PauliSum(self.n, list(self.terms) + list(other.terms))
-
     def scaled(self, factor: complex) -> "PauliSum":
         return PauliSum(self.n, [(factor * c, s) for c, s in self.terms])
 

@@ -4,7 +4,8 @@ Two evaluation routes exist on purpose. The default "sector" route applies
 every number-conserving gate as an exact 2x2 update on the occupation-number
 basis of the constrained subspace; the "full" route simulates the actual
 circuits on the complete register. run() cross-checks the routes at the
-first and best parameter points so they can never drift apart silently.
+first and best parameter points and fails if their energies differ by more
+than 1e-10, so they can never drift apart silently.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from . import circuits as circ
 from . import oracle
 from .lattice import (Edge, InputError, LatticeSpec, ScientificFailure, aux_index, edge_sites,
                       edges, phys_index, site_index)
-from .pauli import PauliString, X, Y, Z, constraint_set, number_sum, tv_hamiltonian
+from .pauli import PauliString, PauliSum, X, Y, Z, constraint_set, number_sum, tv_hamiltonian
 from .statevec import (
     StateVector,
     cached_basis,
@@ -45,13 +46,26 @@ class OptimizerConfig:
 
     def __post_init__(self):
         if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+            raise InputError("learning_rate must be positive")
         if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
-            raise ValueError("beta1, beta2 must lie in (0, 1)")
+            raise InputError("beta1, beta2 must lie in (0, 1)")
         if self.max_steps < 1 or self.window < 2:
-            raise ValueError("max_steps >= 1 and window >= 2 required")
+            raise InputError("max_steps >= 1 and window >= 2 required")
         if self.restarts < 1:
-            raise ValueError("restarts must be positive")
+            raise InputError("restarts must be positive")
+        if self.seed < 0 or self.lr_decay < 0:
+            raise InputError("seed and lr_decay must be non-negative")
+
+
+def _disjoint_edges(spec: LatticeSpec, count: int) -> Tuple[Edge, ...]:
+    """Up to `count` site-disjoint edges, taken greedily in edges(spec) order."""
+    chosen, used = [], set()
+    for e in edges(spec):
+        ends = set(edge_sites(spec, e))
+        if len(chosen) < count and not ends & used:
+            chosen.append(e)
+            used |= ends
+    return tuple(chosen)
 
 
 @dataclass
@@ -68,17 +82,20 @@ class VqeConfig:
 
     def __post_init__(self):
         if self.ansatz not in ("agate", "hv"):
-            raise ValueError("ansatz must be agate or hv")
+            raise InputError("ansatz must be agate or hv")
         if self.n_f % 2 != 0 or self.n_f < 0:
-            raise ValueError("n_f must be even and non-negative")
+            raise InputError("n_f must be even and non-negative")
         if self.layers < 1:
-            raise ValueError("layers must be positive")
+            raise InputError("layers must be positive")
+        if self.init_scale < 0:
+            raise InputError("init_scale must be non-negative")
         if self.pair_edges is None:
-            defaults = tuple(edges(self.spec)[: self.n_f // 2])
-            object.__setattr__(self, "pair_edges", defaults)
+            self.pair_edges = _disjoint_edges(self.spec, self.n_f // 2)
         self.pair_edges = tuple(self.pair_edges)
-        if 2 * len(self.pair_edges) != self.n_f:
-            raise ValueError("need n_f/2 pair-creation edges")
+        ends = {r for e in self.pair_edges for r in edge_sites(self.spec, e)}
+        if 2 * len(self.pair_edges) != self.n_f or len(ends) != self.n_f:
+            raise InputError(f"n_f = {self.n_f} needs {self.n_f // 2} site-disjoint pair-creation "
+                             f"edges; have {len(self.pair_edges)} covering {len(ends)} sites")
 
     @property
     def n_params(self) -> int:
@@ -114,12 +131,6 @@ def pairing_string(spec: LatticeSpec, e: Edge) -> PauliString:
     return PauliString(spec.n_qubits, letters)
 
 
-def _string_action(p: PauliString, label: int) -> Tuple[int, complex]:
-    flip, sign, ycount = p.masks()
-    coeff = p.phase * (1j ** ycount) * (-1.0) ** int(bin(label & sign).count("1"))
-    return label ^ flip, coeff
-
-
 class SectorModel:
     """Constrained-subspace state machine for number-conserving ansaetze."""
 
@@ -131,8 +142,6 @@ class SectorModel:
         self.cols = np.flatnonzero(self.basis.phys_occ == config.n_f)
         if self.cols.size == 0:
             raise InputError(f"no constrained states with particle number {config.n_f}")
-        self.dim = self.cols.size
-        self._sector_of_occ = {int(self.basis.occ_masks[c]): i for i, c in enumerate(self.cols)}
         self.h_sector = restrict_sum(self.basis, tv_hamiltonian(spec, config.t, config.V), self.cols)
         self._edge_tables: Dict[Edge, Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
         self._gate_plan = self._build_plan()
@@ -140,46 +149,27 @@ class SectorModel:
 
     # ---------------------------------------------------------- construction
 
-    def _column_pauli(self, p: PauliString, col: int) -> Tuple[int, complex]:
-        """p |column> = coeff |column'>, for p preserving the subspace."""
-        j0 = self.basis.col_ptr[col]
-        y = int(self.basis.labels[j0])
-        z, coeff = _string_action(p, y)
-        pos = np.searchsorted(self.basis.sorted_labels, z)
-        if pos >= self.basis.sorted_labels.size or self.basis.sorted_labels[pos] != z:
-            raise ValueError("string leaves the constrained subspace")
-        other = int(self.basis.sorted_cols[pos])
-        coeff = coeff * self.basis.amps[j0] / self.basis.sorted_amps[pos]
-        if abs(abs(coeff) - 1.0) > 1e-12:
-            raise ScientificFailure("pairing coefficient modulus differs from 1 by "
-                                    f"{abs(abs(coeff) - 1.0):.3e} > 1e-12")
-        return other, coeff
+    def _pairing_matrix(self, e: Edge, cols: Optional[np.ndarray] = None) -> np.ndarray:
+        spec = self.config.spec
+        return restrict_sum(self.basis, PauliSum(spec.n_qubits, [(1, pairing_string(spec, e))]), cols)
 
     def _edge_table(self, e: Edge):
+        """Sector positions J (site s occupied, r empty), K and c with T|J> = c|K>
+        for the edge's pairing string T, and the positions with both sites occupied."""
         if e not in self._edge_tables:
             spec = self.config.spec
             r, s = edge_sites(spec, e)
-            bit_r = 1 << site_index(spec, r)
-            bit_s = 1 << site_index(spec, s)
-            T = pairing_string(spec, e)
-            occ = self.basis.occ_masks
-            js, ks, cs_ = [], [], []
-            both = []
-            for i, c in enumerate(self.cols):
-                o = int(occ[c])
-                if o & bit_r and o & bit_s:
-                    both.append(i)
-                elif (not o & bit_r) and (o & bit_s):
-                    k_col, coeff = self._column_pauli(T, int(c))
-                    js.append(i)
-                    ks.append(self._sector_of_occ[int(occ[k_col])])
-                    cs_.append(coeff)
-            self._edge_tables[e] = (
-                np.array(js, dtype=np.int64),
-                np.array(ks, dtype=np.int64),
-                np.array(cs_, dtype=np.complex128).reshape(-1, 1),
-                np.array(both, dtype=np.int64),
-            )
+            occ = self.basis.occ_masks[self.cols]
+            has_r = (occ >> site_index(spec, r)) & 1 == 1
+            has_s = (occ >> site_index(spec, s)) & 1 == 1
+            J = np.flatnonzero(has_s & ~has_r)
+            M = self._pairing_matrix(e, self.cols)[:, J]
+            K = np.argmax(np.abs(M), axis=0)
+            c = M[K, np.arange(J.size)]
+            dev = float(np.max(np.abs(np.abs(c) - 1.0), initial=0.0))
+            if dev > 1e-12:
+                raise ScientificFailure(f"pairing coefficient modulus differs from 1 by {dev:.3e} > 1e-12")
+            self._edge_tables[e] = (J, K, c.reshape(-1, 1), np.flatnonzero(has_r & has_s))
         return self._edge_tables[e]
 
     def _build_plan(self) -> List[Tuple[str, Edge, Tuple[int, ...]]]:
@@ -198,18 +188,11 @@ class SectorModel:
     def _build_initial_vector(self) -> np.ndarray:
         cfg = self.config
         if cfg.ansatz == "agate":
-            zero_cols = np.flatnonzero(self.basis.phys_occ == 0)
-            col = int(zero_cols[0])
-            amp = 1.0 + 0j
+            # the vacuum column, then each pair creation over the whole basis
+            vec = (self.basis.phys_occ == 0).astype(np.complex128)
             for e in cfg.pair_edges:
-                col, c = self._column_pauli(pairing_string(cfg.spec, e), col)
-                amp *= c
-            occ = int(self.basis.occ_masks[col])
-            if bin(occ).count("1") != cfg.n_f:
-                raise ValueError("pair-creation edges overlap; wrong particle number")
-            vec = np.zeros(self.dim, dtype=np.complex128)
-            vec[self._sector_of_occ[occ]] = amp
-            return vec
+                vec = self._pairing_matrix(e) @ vec
+            return vec[self.cols]
         h0 = tv_hamiltonian(cfg.spec, cfg.t, 0.0)
         _, state = ground_in_sector(h0, cfg.spec, self.cs, cfg.n_f)
         coeffs = self.basis.project(state)[self.cols]
@@ -285,9 +268,6 @@ class SectorModel:
         full[self.cols] = vec[:, 0]
         return self.basis.expand(full)
 
-    def exact_ground(self) -> float:
-        return float(np.linalg.eigh(self.h_sector)[0][0])
-
 
 # ------------------------------------------------------------- public routes
 
@@ -332,15 +312,6 @@ def energy(config: VqeConfig, params: Sequence[float], route: str = "sector") ->
         circ.apply_circuit(state, circ.fuse(ansatz_circuit(config, params)))
         return expval(state, tv_hamiltonian(config.spec, config.t, config.V))
     raise ValueError("route must be sector or full")
-
-
-def gradient(config: VqeConfig, params: Sequence[float], h: float = 1e-4,
-             model: Optional[SectorModel] = None) -> np.ndarray:
-    params = np.asarray(params, dtype=float)
-    if params.size != config.n_params:
-        raise ValueError(f"expected {config.n_params} parameters, got {params.size}")
-    model = model or SectorModel(config)
-    return model.gradient(params, h)
 
 
 def _spot_check(config: VqeConfig, model: SectorModel, params: np.ndarray) -> Tuple[float, float]:
@@ -407,6 +378,8 @@ def run(config: VqeConfig, opt: Optional[OptimizerConfig] = None) -> RunTrace:
     route_dev = max(route_dev, r2)
     if check_dev > 1e-10:
         raise ScientificFailure(f"ansatz state violates constraints by {check_dev:.3e} > 1e-10")
+    if route_dev > 1e-10:
+        raise ScientificFailure(f"sector and full-register energies differ by {route_dev:.3e} > 1e-10")
     if best_e < exact_energy - 1e-9:
         raise ScientificFailure("variational bound violated: best energy lies "
                                 f"{exact_energy - best_e:.3e} > 1e-9 below the exact one")

@@ -119,17 +119,6 @@ def test_apply_and_unitary_match_embedding_oracle():
     assert np.max(np.abs(sv.amplitudes - want @ amps)) < 1e-13
 
 
-def test_adjoint_inverts():
-    c = C.Circuit(3)
-    c.add(C.Gate("s", (0,)))
-    c.add(C.Gate("rz", (1,), params=(0.37,)))
-    c.add(C.Gate("ch", (2, 0)))
-    c.add(C.Gate("matrix", (1, 2), matrix=C.a_gate_unitary(0.2, 0.5), two_qubit_cost=3))
-    U = dense_circuit(c)
-    Ud = dense_circuit(C.adjoint(c))
-    assert np.max(np.abs(Ud @ U - np.eye(8))) < 1e-13
-
-
 def test_restrict_circuit_remaps():
     spec = lat(2, 2)
     e = [e for e in edges(spec) if e.direction == "x"][0]

@@ -1,13 +1,18 @@
 """Command-line contract: flags, config files, outputs, exit codes."""
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from f2q import cli, oracle, vqe
 from f2q.circuits import parse_text, trotter_step, vacuum_circuit
-from f2q.cli import ConfigError, main, parse_potentials
+from f2q.cli import main, parse_potentials
 from f2q.lattice import InputError, LatticeSpec, Site
 
 
@@ -242,7 +247,7 @@ def test_non_finite_numbers_are_rejected(tmp_path, capsys):
     ini.write_text("[lattice]\nlx = 2\nly = 2\n[trotter]\ndt = -inf\n")
     code, stdout, _ = run_cli(capsys, "export-circuit", "--config", str(ini), "--kind", "trotter")
     assert code == 2 and stdout == ""
-    with pytest.raises(ConfigError):
+    with pytest.raises(InputError):
         parse_potentials("0,0=nan")
 
 
@@ -255,6 +260,11 @@ def test_non_finite_numbers_are_rejected(tmp_path, capsys):
     # n_f outside [0, N] is a bad request, not an unmatched spectrum
     ("spectrum-match", "--lx", "2", "--ly", "2", "--v", "2", "--n-f", "2", "--n-f", "7"),
     ("spectrum-match", "--lx", "2", "--ly", "2", "--v", "2", "--n-f", "-1"),
+    # numpy rejects a negative seed, and a negative lr_decay divides by zero
+    ("vqe", "--lx", "2", "--ly", "2", "--v", "2", "--seed", "-1"),
+    ("vqe", "--lx", "2", "--ly", "2", "--v", "2", "--lr-decay", "-1"),
+    ("vqe", "--lx", "2", "--ly", "2", "--v", "2", "--init-scale", "-1"),
+    ("export-circuit", "--lx", "2", "--ly", "2", "--kind", "ansatz", "--seed", "-3"),
 ])
 def test_out_of_range_input_is_usage_error(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
@@ -355,3 +365,112 @@ def test_check_constraints_12x12_tracks_exactly(capsys):
     for line in lines:
         toks = line.split()
         assert toks[-1] == "PASS" and float(toks[-2]) == int(toks[-4])
+
+
+def test_route_disagreement_exits_one(capsys, monkeypatch):
+    monkeypatch.setattr(vqe, "_spot_check", lambda config, model, params: (0.0, 1e-3))
+    code, out, err = run_cli(capsys, "vqe", "--lx", "2", "--ly", "2", "--v", "2",
+                             "--max-steps", "5")
+    assert code == 1 and out == ""
+    assert err == "failure: sector and full-register energies differ by 1.000e-03 > 1e-10\n"
+
+
+@pytest.mark.parametrize("command", [("vqe", "--v", "2"), ("export-circuit", "--kind", "ansatz")])
+def test_ini_granularity_outside_choices_is_usage_error(tmp_path, capsys, command):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[lattice]\nlx = 2\nly = 2\n[vqe]\nansatz = hv\ngranularity = foo\n")
+    code, out, err = run_cli(capsys, *command, "--config", str(ini))
+    assert code == 2 and out == ""
+    assert err == "config error: granularity must be per_group or per_edge\n"
+
+
+def test_vqe_four_fermions_runs_on_default_edges(capsys):
+    code, out, err = run_cli(capsys, "vqe", "--lx", "2", "--ly", "4", "--v", "2",
+                             "--n-f", "4", "--max-steps", "5")
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["config"]["pair_edges"] == [[0, 0, "x"], [0, 1, "x"]]
+    assert doc["final_energy"] >= doc["exact_energy"] - 1e-9
+
+
+# (valid, invalid) values per flag; INI keys draw from the same pools
+NUMBERS = (("1", "2.5", "0", "-1", "0.5"), ("nan", "-inf", "abc"))
+FLAG_VALUES = {
+    "--lx": (("2",), ("3", "1", "x")), "--ly": (("2", "4"), ("3", "0")),
+    "--rho": (("1", "-1"), ("0", "2")),
+    "--t": NUMBERS, "--v": NUMBERS, "--k": NUMBERS,
+    "--dt": (("0.1", "0.05"), ("0.3", "0", "-0.1", "nan", "1e-12")),
+    "--tmax": (("0.1", "0.2"), ("0", "abc")),
+    "--n-f": (("2", "0", "4"), ("3", "6", "-2")),
+    "--potentials": (("0,0=-1", "0,1=-1;1,0=0.5"), ("9,9=1", "0=1", "0,0=nan", "0,0=1;0,0=2")),
+    "--pairs": (("0,0,x", "0,0,x;0,1,y"), ("7,7,x", "0,0,z", "a,b,x")),
+    "--ansatz": (("agate", "hv"), ("qaoa",)),
+    "--granularity": (("per_group", "per_edge"), ("foo",)),
+    "--layers": (("1", "2"), ("0", "-1")), "--seed": (("0", "3"), ("-1",)),
+    "--max-steps": (("1", "3"), ("0",)), "--learning-rate": (("0.01",), ("0", "-1")),
+    "--lr-decay": (("0.002", "0"), ("-1",)), "--restarts": (("1", "2"), ("0",)),
+    "--window": (("2", "5"), ("1",)), "--tolerance": (("0", "1e-11"), ("x",)),
+    "--init-scale": (("0.1", "0"), ("-1",)),
+    "--sizes": (("2", "4", "2,4", "3"), ("1", "x", ",")),
+    "--kind": (("vacuum", "trotter", "ansatz"), ()),
+}
+COMMAND_FLAGS = {
+    "check-constraints": ("--rho", "--pairs"),
+    "quench": ("--rho", "--t", "--v", "--n-f", "--dt", "--tmax", "--k", "--potentials"),
+    "vqe": ("--rho", "--t", "--v", "--n-f", "--ansatz", "--layers", "--granularity", "--seed",
+            "--learning-rate", "--lr-decay", "--restarts", "--window", "--tolerance",
+            "--init-scale"),
+    "depth-report": ("--sizes", "--t", "--v", "--dt"),
+    "export-circuit": ("--rho", "--t", "--v", "--dt", "--ansatz", "--layers",
+                       "--granularity", "--seed"),
+    "spectrum-match": ("--rho", "--t", "--v", "--n-f"),
+}
+INI_KEYS = sorted((section, key) for section, keys in cli.CONFIG_SCHEMA.items()
+                  for key in keys if section != "output")
+
+
+def draw_value(data, flag):
+    valid, invalid = FLAG_VALUES[flag]
+    return data.draw(st.sampled_from(valid * 4 + invalid))  # mostly valid
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.data())
+def test_cli_contract_exit_codes_without_traceback(data):
+    # flags and INI values on 2x2 and 2x4: exit 0, 1 or 2, never an uncaught exception
+    command = data.draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    argv = [command]
+    if command != "depth-report":
+        argv += ["--lx", "2", "--ly", data.draw(st.sampled_from(["2", "4"]))]
+    if command == "vqe":
+        argv += ["--max-steps", draw_value(data, "--max-steps")]  # the default is 5000
+    if command == "export-circuit":
+        argv += ["--kind", draw_value(data, "--kind")]
+    if command in ("quench", "vqe", "spectrum-match"):
+        argv += ["--v", draw_value(data, "--v")]
+    if command == "quench":
+        argv += ["--dt", draw_value(data, "--dt"), "--tmax", draw_value(data, "--tmax")]
+    for flag in data.draw(st.sets(st.sampled_from(COMMAND_FLAGS[command]), max_size=3)):
+        argv += [flag, draw_value(data, flag)]
+    with tempfile.TemporaryDirectory() as tmp:
+        sections: dict = {}
+        for section, key in data.draw(st.lists(st.sampled_from(INI_KEYS), max_size=3)):
+            flag = "--" + key.replace("_", "-")
+            sections.setdefault(section, {})[key] = (
+                draw_value(data, flag) if flag in FLAG_VALUES else "foo")
+        if sections:
+            ini = os.path.join(tmp, "run.ini")
+            with open(ini, "w") as fh:
+                for section, items in sections.items():
+                    fh.write(f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in items.items()))
+            argv += ["--config", ini]
+        if data.draw(st.booleans()):
+            argv += ["--output", os.path.join(tmp, data.draw(st.sampled_from(["o.txt", "no/o.txt"])))]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the flags
+                code = exc.code
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from f2q import vqe
+from f2q import oracle, vqe
 from f2q.circuits import apply_circuit, circuit_unitary, pair_creation
-from f2q.lattice import Edge, LatticeSpec, Site, edges
+from f2q.lattice import Edge, InputError, LatticeSpec, Site, edge_sites, edges, site_index
 from f2q.pauli import constraint_set, tv_hamiltonian
-from f2q.statevec import StateVector, expval, ground_in_sector
+from f2q.statevec import StateVector, apply_pauli, expval, ground_in_sector
 
 from dense_oracle import pauli_matrix
 
@@ -38,7 +38,11 @@ def test_pairing_string_action_on_basis_states(Lx, Ly):
         T = vqe.pairing_string(spec, e)
         circuit = pair_creation(spec, e)
         for y in rng.integers(0, 1 << spec.n_qubits, size=4):
-            z, coeff = vqe._string_action(T, int(y))
+            image = StateVector(np.zeros(1 << spec.n_qubits, dtype=np.complex128), spec.n_qubits)
+            image.amplitudes[int(y)] = 1.0
+            apply_pauli(image, T)
+            z = int(np.flatnonzero(image.amplitudes)[0])
+            coeff = image.amplitudes[z]
             state = StateVector(np.zeros(1 << spec.n_qubits, dtype=np.complex128), spec.n_qubits)
             state.amplitudes[int(y)] = 1.0
             apply_circuit(state, circuit)
@@ -46,12 +50,15 @@ def test_pairing_string_action_on_basis_states(Lx, Ly):
             assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-12
 
 
-@pytest.mark.parametrize("Lx,Ly", [(2, 2), (2, 4)])
+@pytest.mark.parametrize("Lx,Ly,n_f", [
+    pytest.param(2, 2, 2, id="2-2"), pytest.param(2, 4, 2, id="2-4"),
+    pytest.param(3, 3, 2, id="3-3"), pytest.param(2, 4, 4, id="2-4-nf4"),
+])
 @pytest.mark.parametrize("ansatz,granularity", [
     ("agate", "per_edge"), ("hv", "per_group"), ("hv", "per_edge"),
 ])
-def test_sector_route_matches_full_route(Lx, Ly, ansatz, granularity):
-    cfg = config(lat(Lx, Ly), ansatz, layers=2, granularity=granularity)
+def test_sector_route_matches_full_route(Lx, Ly, n_f, ansatz, granularity):
+    cfg = config(lat(Lx, Ly), ansatz, layers=2, granularity=granularity, n_f=n_f)
     rng = np.random.default_rng(17 + Lx + Ly)
     for _ in range(3):
         p = rng.uniform(-0.6, 0.6, cfg.n_params)
@@ -118,9 +125,9 @@ def test_pair_edges_must_not_overlap():
     spec = lat(2, 2)
     # both wrap x-edges in row 0 connect the same two sites
     clashing = (Edge(Site(0, 0), "x"), Edge(Site(1, 0), "x"))
-    cfg = vqe.VqeConfig(spec=spec, t=1.0, V=1.0, n_f=4, ansatz="agate",
-                        layers=1, pair_edges=clashing)
     with pytest.raises(ValueError):
+        cfg = vqe.VqeConfig(spec=spec, t=1.0, V=1.0, n_f=4, ansatz="agate",
+                            layers=1, pair_edges=clashing)
         vqe.SectorModel(cfg).initial_vector()
 
     disjoint = (Edge(Site(0, 0), "x"), Edge(Site(0, 1), "x"))
@@ -135,6 +142,9 @@ def test_pair_edge_count_must_match_n_f():
     with pytest.raises(ValueError):
         vqe.VqeConfig(spec=spec, t=1.0, V=1.0, n_f=4, ansatz="agate", layers=1,
                       pair_edges=(Edge(Site(0, 0), "x"),))
+    # 2x2 has four sites, so the default cannot find three disjoint edges
+    with pytest.raises(InputError):
+        vqe.VqeConfig(spec=spec, t=1.0, V=1.0, n_f=6, ansatz="agate", layers=1)
 
 
 def test_run_small_lattice_converges_to_exact():
@@ -178,3 +188,26 @@ def test_optimizer_config_validation():
         vqe.VqeConfig(spec=lat(2, 2), t=1.0, V=1.0, n_f=3, ansatz="agate", layers=1)
     with pytest.raises(ValueError):
         vqe.VqeConfig(spec=lat(2, 2), t=1.0, V=1.0, n_f=2, ansatz="qaoa", layers=1)
+
+
+@pytest.mark.parametrize("Lx,Ly", [(2, 4), (3, 3)])
+def test_four_fermions_on_default_edges_match_ed(Lx, Ly):
+    spec = lat(Lx, Ly)
+    cfg = config(spec, "agate", layers=1, n_f=4)
+    ends = [r for e in cfg.pair_edges for r in edge_sites(spec, e)]
+    assert len(cfg.pair_edges) == 2 and len(set(ends)) == 4
+
+    # at zero angles the state is the pair-created Fock state, whose energy
+    # is its diagonal element of the fermionic Hamiltonian (any boundary sector)
+    model = vqe.SectorModel(cfg)
+    h_ed = oracle.ed_hamiltonian(spec, cfg.t, cfg.V, None, oracle.ALL_SECTORS[0], 4)
+    mask = sum(1 << site_index(spec, r) for r in ends)
+    k = int(np.flatnonzero(oracle.sector_basis(spec.n_sites, 4) == mask)[0])
+    assert abs(model.energy(np.zeros(cfg.n_params)) - h_ed[k, k]) < 1e-12
+
+    tr = vqe.run(cfg, vqe.OptimizerConfig(max_steps=20, seed=3))
+    sector = oracle.BCSector(*tr.matched_sector)
+    e_ed, _ = oracle.ed_ground(spec, cfg.t, cfg.V, None, sector, 4)
+    assert abs(tr.exact_energy - e_ed) < 1e-12
+    assert tr.final_energy >= e_ed - 1e-9
+    assert tr.constraint_deviation <= 1e-10 and tr.dual_route_deviation <= 1e-10
