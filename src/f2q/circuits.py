@@ -671,7 +671,7 @@ class DepthReport:
     total_gates: int
 
 
-def schedule(c: Circuit, use_declared_costs: bool = False) -> DepthReport:
+def schedule(c: Circuit) -> DepthReport:
     """ASAP depth with single-qubit gates free and k>=2-qubit gates cost 1."""
     front = [0] * c.n_qubits
     counts: Dict[int, int] = {}
@@ -679,12 +679,9 @@ def schedule(c: Circuit, use_declared_costs: bool = False) -> DepthReport:
         counts[g.arity] = counts.get(g.arity, 0) + 1
         if g.arity < 2:
             continue
-        cost = 1
-        if use_declared_costs and g.two_qubit_cost is not None:
-            cost = g.two_qubit_cost
         start = max(front[q] for q in g.targets)
         for q in g.targets:
-            front[q] = start + cost
+            front[q] = start + 1
     depth = max(front) if front else 0
     return DepthReport(
         two_qubit_depth=depth,

@@ -326,7 +326,7 @@ def cmd_vqe(args: argparse.Namespace) -> int:
         },
         "optimizer": {
             "learning_rate": opt.learning_rate, "lr_decay": opt.lr_decay,
-            "beta1": opt.beta1, "beta2": opt.beta2, "epsilon": opt.epsilon,
+            "beta1": vqe.ADAM_BETA1, "beta2": vqe.ADAM_BETA2, "epsilon": vqe.ADAM_EPSILON,
             "max_steps": opt.max_steps, "seed": opt.seed,
             "restarts": opt.restarts, "window": opt.window,
             "tolerance": opt.tolerance,
@@ -406,12 +406,10 @@ def cmd_export_circuit(args: argparse.Namespace) -> int:
             raise InputError("layers must be positive")
         if seed is not None and seed < 0:
             raise InputError("seed must be non-negative")
-        if ansatz == "agate":
-            n_params = circ.agate_param_count(spec, layers)
-        elif ansatz == "hv":
-            n_params = circ.hv_param_count(spec, layers, granularity)
-        else:
+        if ansatz not in ("agate", "hv"):
             raise InputError(f"unknown ansatz {ansatz!r}")
+        hv_params = circ.hv_param_count(spec, layers, granularity)  # checks granularity for either ansatz
+        n_params = circ.agate_param_count(spec, layers) if ansatz == "agate" else hv_params
         if seed is None:
             params = np.zeros(n_params)
         else:

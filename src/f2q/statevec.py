@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -79,27 +79,48 @@ def apply_matrix_gate(state: StateVector, U: np.ndarray, targets: Sequence[int])
     return state
 
 
-def _string_coeffs(p: PauliString, idx: np.ndarray) -> np.ndarray:
-    flip, sign, ycount = p.masks()
-    par = np.bitwise_count(idx & np.uint64(sign)).astype(np.int64) & 1
-    return (p.phase * (1j) ** ycount) * np.where(par, -1.0, 1.0)
+def pauli_table(terms: Iterable[Tuple[complex, PauliString]]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(flip, sign, coeff) arrays for (coefficient, PauliString) pairs.
+
+    Term k maps |b> to coeff[k] * (-1)^|b & sign[k]| |b ^ flip[k]> (the binary
+    x|z form); coeff folds in the string's phase and i^(#Y). This is the one
+    place those two factors become a coefficient.
+    """
+    terms = list(terms)
+    masks = [s.masks() for _, s in terms]
+    flip = np.array([f for f, _, _ in masks], dtype=np.uint64)
+    sign = np.array([z for _, z, _ in masks], dtype=np.uint64)
+    coeff = np.array([c * s.phase * 1j ** y for (c, s), (_, _, y) in zip(terms, masks)],
+                     dtype=np.complex128)
+    return flip, sign, coeff
+
+
+def _signed(labels: np.ndarray, sign, coeff) -> np.ndarray:
+    """coeff * (-1)^|labels & sign|, broadcast."""
+    return np.where(np.bitwise_count(labels & sign) & 1, -coeff, coeff)
 
 
 def apply_pauli(state: StateVector, p: PauliString) -> StateVector:
     if p.n != state.register_size:
         raise ValueError("register size mismatch")
-    flip, _, _ = p.masks()
-    idx = np.arange(state.amplitudes.size, dtype=np.uint64)
-    src = idx ^ np.uint64(flip)
-    state.amplitudes = _string_coeffs(p, src) * state.amplitudes[src]
+    (flip,), (sign,), (coeff,) = pauli_table([(1, p)])
+    src = np.arange(state.amplitudes.size, dtype=np.uint64) ^ flip
+    state.amplitudes = _signed(src, sign, coeff) * state.amplitudes[src]
     return state
 
 
-def _expval_string(psi: np.ndarray, p: PauliString) -> complex:
-    flip, _, _ = p.masks()
+def _expectation(psi: np.ndarray, terms: Iterable[Tuple[complex, PauliString]]) -> complex:
+    """<psi| sum_k c_k S_k |psi>, gathering psi[b ^ flip] once per distinct flip."""
+    flip, sign, coeff = pauli_table(terms)
     idx = np.arange(psi.size, dtype=np.uint64)
-    src = idx ^ np.uint64(flip)
-    return complex(np.vdot(psi, _string_coeffs(p, src) * psi[src]))
+    val = 0j
+    for f in np.unique(flip):
+        src = idx ^ f
+        moved = psi[src]
+        group = flip == f
+        for z, c in zip(sign[group], coeff[group]):
+            val += np.vdot(psi, _signed(src, z, c) * moved)
+    return complex(val)
 
 
 def expval(state: StateVector, O: PauliSum) -> float:
@@ -107,7 +128,7 @@ def expval(state: StateVector, O: PauliSum) -> float:
         raise ValueError("register size mismatch")
     if not O.is_hermitian:
         raise ValueError("expectation of a non-Hermitian sum")
-    val = sum(c * _expval_string(state.amplitudes, s) for c, s in O)
+    val = _expectation(state.amplitudes, O)
     if abs(val.imag) > 1e-10:
         raise ScientificFailure(f"imaginary residue {abs(val.imag):.3e} > 1e-10 "
                                 "in Hermitian expectation")
@@ -115,7 +136,7 @@ def expval(state: StateVector, O: PauliSum) -> float:
 
 
 def expval_string(state: StateVector, p: PauliString) -> complex:
-    return _expval_string(state.amplitudes, p)
+    return _expectation(state.amplitudes, [(1, p)])
 
 
 def qubit_marginals(state: StateVector, qubits: Sequence[int]) -> np.ndarray:
@@ -132,43 +153,39 @@ def qubit_marginals(state: StateVector, qubits: Sequence[int]) -> np.ndarray:
 
 @dataclass
 class SubspaceBasis:
-    """Orthonormal constraint-satisfying basis, stored column-sparse.
+    """Orthonormal constraint-satisfying basis, stored as one label table.
 
-    Columns have pairwise disjoint label supports (orbit structure), and every
-    column has a definite physical occupation (the constraint flips touch only
-    auxiliary qubits): its site bitmask is occ_masks, its particle count phys_occ.
+    Columns have pairwise disjoint label supports (orbit structure), so each
+    label belongs to exactly one column: column cols[i] has amplitude amps[i]
+    on label labels[i]. Every column has a definite physical occupation (the
+    constraint flips touch only auxiliary qubits): its site bitmask is
+    occ_masks, its particle count phys_occ.
     """
 
     register_size: int
     dim: int
-    labels: np.ndarray    # int64, concatenated per column
+    labels: np.ndarray    # int64, ascending
+    cols: np.ndarray      # int64, the column of each label
     amps: np.ndarray      # complex128, aligned with labels
-    col_ptr: np.ndarray   # int64, dim+1 offsets
     occ_masks: np.ndarray  # int64 per column, bit i = occupation of site i
     phys_occ: np.ndarray  # int64 per column
     occ_counts: Dict[int, int]
-    # flat lookup arrays (sorted by label)
-    sorted_labels: np.ndarray
-    sorted_cols: np.ndarray
-    sorted_amps: np.ndarray
 
     def column_state(self, j: int) -> StateVector:
         psi = np.zeros(1 << self.register_size, dtype=np.complex128)
-        sl = slice(self.col_ptr[j], self.col_ptr[j + 1])
-        psi[self.labels[sl]] = self.amps[sl]
+        mine = self.cols == j
+        psi[self.labels[mine]] = self.amps[mine]
         return StateVector(psi, self.register_size)
 
     def project(self, state: StateVector) -> np.ndarray:
         """coefficients B^dagger psi."""
         coeffs = np.zeros(self.dim, dtype=np.complex128)
-        cols = np.repeat(np.arange(self.dim), np.diff(self.col_ptr))
-        np.add.at(coeffs, cols, np.conj(self.amps) * state.amplitudes[self.labels])
+        np.add.at(coeffs, self.cols, np.conj(self.amps) * state.amplitudes[self.labels])
         return coeffs
 
     def expand(self, coeffs: np.ndarray) -> StateVector:
         psi = np.zeros(1 << self.register_size, dtype=np.complex128)
-        cols = np.repeat(np.arange(self.dim), np.diff(self.col_ptr))
-        np.add.at(psi, self.labels, coeffs[cols] * self.amps)
+        psi[self.labels] = coeffs[self.cols] * self.amps
         return StateVector(psi, self.register_size)
 
 
@@ -177,31 +194,22 @@ def constrained_basis(spec: LatticeSpec, cs: ConstraintSet) -> SubspaceBasis:
     if n > MAX_SUBSPACE_QUBITS:
         raise InputError(f"subspace construction limited to {MAX_SUBSPACE_QUBITS} qubits")
     flip_gens = [(s, t) for s, t in cs if s.masks()[0] != 0]
-    diag_gens = [(s, t) for s, t in cs if s.masks()[0] == 0]
-    for s, _ in diag_gens:
+    diag_gens = [(t, s) for s, t in cs if s.masks()[0] == 0]
+    for _, s in diag_gens:
         if s.masks()[2] or s.phase_k not in (0, 2):
             raise ValueError("diagonal stabilizers must be pure Z strings")
 
     m = len(flip_gens)
-    # all 2^m signed subset products, built incrementally
-    prods: List[PauliString] = [pauli_identity(n)]
-    tgts = [1]
+    # all 2^m target-signed subset products t*S, built incrementally
+    prods: List[Tuple[int, PauliString]] = [(1, pauli_identity(n))]
     for i, (g, t) in enumerate(flip_gens):
         for sidx in range(1 << i, 1 << (i + 1)):
-            prods.append(prods[sidx ^ (1 << i)].mul(g))
-            tgts.append(tgts[sidx ^ (1 << i)] * t)
-    flips = np.array([p.masks()[0] for p in prods], dtype=np.uint64)
-    sgns = np.array([p.masks()[1] for p in prods], dtype=np.uint64)
-    consts = np.array(
-        [t * p.phase * (1j) ** p.masks()[2] for p, t in zip(prods, tgts)],
-        dtype=np.complex128,
-    )
+            tp, p = prods[sidx ^ (1 << i)]
+            prods.append((tp * t, p.mul(g)))
+    flips, sgns, consts = pauli_table(prods)
     uniq_flips, ginv = np.unique(flips, return_inverse=True)
-
-    diag_sgns = np.array([s.masks()[1] for s, _ in diag_gens], dtype=np.uint64)
-    diag_req = np.array(
-        [t * (1 if s.phase_k == 0 else -1) for s, t in diag_gens], dtype=np.int64
-    )
+    # t*S|b> = |b> for a diagonal generator iff its signed coefficient is +1
+    _, diag_sgns, diag_consts = pauli_table(diag_gens)
 
     phys_mask = np.uint64((1 << (n // 2)) - 1)
     dim_full = 1 << n
@@ -218,14 +226,10 @@ def constrained_basis(spec: LatticeSpec, cs: ConstraintSet) -> SubspaceBasis:
         bu = np.uint64(b)
         orbit = (bu ^ uniq_flips).astype(np.int64)
         visited[orbit] = True
-        if diag_sgns.size:
-            par = np.bitwise_count(bu & diag_sgns).astype(np.int64) & 1
-            if np.any(np.where(par, -1, 1) != diag_req):
-                continue
-        par = np.bitwise_count(bu & sgns).astype(np.int64) & 1
-        coeff = consts * np.where(par, -1.0, 1.0)
+        if (_signed(bu, diag_sgns, diag_consts) != 1).any():
+            continue
         sums = np.zeros(uniq_flips.size, dtype=np.complex128)
-        np.add.at(sums, ginv, coeff)
+        np.add.at(sums, ginv, _signed(bu, sgns, consts))
         nrm2 = float(np.vdot(sums, sums).real) / (scale * scale)
         if nrm2 < null_cut:
             continue
@@ -237,27 +241,21 @@ def constrained_basis(spec: LatticeSpec, cs: ConstraintSet) -> SubspaceBasis:
 
     if not labels_out:
         raise ValueError("empty constrained subspace: inconsistent targets")
-    lengths = np.array([len(a) for a in labels_out], dtype=np.int64)
-    col_ptr = np.concatenate([[0], np.cumsum(lengths)])
     labels = np.concatenate(labels_out)
-    amps = np.concatenate(amps_out)
+    cols = np.repeat(np.arange(len(labels_out)), [len(a) for a in labels_out])
+    order = np.argsort(labels)
     occ_masks = np.array(occ_out, dtype=np.int64)
     phys_occ = np.bitwise_count(occ_masks).astype(np.int64)
     occ_counts = {int(k): int(v) for k, v in zip(*np.unique(phys_occ, return_counts=True))}
-    order = np.argsort(labels, kind="stable")
-    cols = np.repeat(np.arange(len(labels_out)), lengths)
     return SubspaceBasis(
         register_size=n,
         dim=len(labels_out),
-        labels=labels,
-        amps=amps,
-        col_ptr=col_ptr,
+        labels=labels[order],
+        cols=cols[order],
+        amps=np.concatenate(amps_out)[order],
         occ_masks=occ_masks,
         phys_occ=phys_occ,
         occ_counts=occ_counts,
-        sorted_labels=labels[order],
-        sorted_cols=cols[order],
-        sorted_amps=amps[order],
     )
 
 
@@ -273,23 +271,19 @@ def restrict_sum(basis: SubspaceBasis, H: PauliSum, cols: Optional[np.ndarray] =
     cols = np.asarray(cols, dtype=np.int64)
     sel = -np.ones(basis.dim, dtype=np.int64)
     sel[cols] = np.arange(cols.size)
-    mat = np.zeros((cols.size, cols.size), dtype=np.complex128)
-    col_of = np.repeat(np.arange(basis.dim), np.diff(basis.col_ptr))
-    in_sel = sel[col_of] >= 0
+    in_sel = sel[basis.cols] >= 0
     labels = basis.labels[in_sel].astype(np.uint64)
     amps = basis.amps[in_sel]
-    src_cols = sel[col_of[in_sel]]
-    for c, s in H:
-        flip, _, _ = s.masks()
-        new_labels = labels ^ np.uint64(flip)
-        coeffs = _string_coeffs(s, labels)
-        pos = np.searchsorted(basis.sorted_labels, new_labels.astype(np.int64))
-        pos = np.clip(pos, 0, basis.sorted_labels.size - 1)
-        found = basis.sorted_labels[pos] == new_labels.astype(np.int64)
-        rows = sel[basis.sorted_cols[pos[found]]]
-        ok = rows >= 0
-        contrib = (c * coeffs[found] * amps[found] * np.conj(basis.sorted_amps[pos[found]]))[ok]
-        np.add.at(mat, (rows[ok], src_cols[found][ok]), contrib)
+    src_cols = sel[basis.cols[in_sel]]
+    flip, sign, coeff = pauli_table(H)
+    # one row per term: each source label b goes to b ^ flip
+    dest = (labels ^ flip[:, None]).astype(np.int64)
+    pos = np.minimum(np.searchsorted(basis.labels, dest), basis.labels.size - 1)
+    rows = np.where(basis.labels[pos] == dest, sel[basis.cols[pos]], -1)
+    k, i = np.nonzero(rows >= 0)  # (term, source label) pairs that land in the selection
+    contrib = _signed(labels[i], sign[k], coeff[k]) * amps[i] * np.conj(basis.amps[pos[k, i]])
+    mat = np.zeros((cols.size, cols.size), dtype=np.complex128)
+    np.add.at(mat, (rows[k, i], src_cols[i]), contrib)
     return mat
 
 

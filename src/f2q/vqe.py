@@ -31,12 +31,15 @@ from .statevec import (
 )
 
 
+# Adam moment decay rates and denominator guard
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
+
 @dataclass
 class OptimizerConfig:
     learning_rate: float = 1e-2
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     max_steps: int = 5000
     seed: int = 7
     lr_decay: float = 2e-3  # lr_t = lr / (1 + lr_decay * step)
@@ -47,8 +50,6 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise InputError("learning_rate must be positive")
-        if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
-            raise InputError("beta1, beta2 must lie in (0, 1)")
         if self.max_steps < 1 or self.window < 2:
             raise InputError("max_steps >= 1 and window >= 2 required")
         if self.restarts < 1:
@@ -87,6 +88,7 @@ class VqeConfig:
             raise InputError("n_f must be even and non-negative")
         if self.layers < 1:
             raise InputError("layers must be positive")
+        circ.hv_param_count(self.spec, self.layers, self.granularity)  # checks granularity for either ansatz
         if self.init_scale < 0:
             raise InputError("init_scale must be non-negative")
         if self.pair_edges is None:
@@ -341,12 +343,12 @@ def _adam_descent(model: SectorModel, opt: OptimizerConfig, seed: int):
     step = 0
     for step in range(1, opt.max_steps + 1):
         g = model.gradient(params)
-        m = opt.beta1 * m + (1 - opt.beta1) * g
-        v = opt.beta2 * v + (1 - opt.beta2) * g * g
-        mhat = m / (1 - opt.beta1 ** step)
-        vhat = v / (1 - opt.beta2 ** step)
+        m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * g * g
+        mhat = m / (1 - ADAM_BETA1 ** step)
+        vhat = v / (1 - ADAM_BETA2 ** step)
         lr = opt.learning_rate / (1 + opt.lr_decay * step)
-        params = params - lr * mhat / (np.sqrt(vhat) + opt.epsilon)
+        params = params - lr * mhat / (np.sqrt(vhat) + ADAM_EPSILON)
         e = model.energy(params)
         energies.append(e)
         if e < best_e:

@@ -1,4 +1,5 @@
-"""The benchmark's tracer wraps library names; each must still exist.
+"""The benchmark's tracer wraps library names; each must still exist, and
+its counters must read what the library returns.
 
 Tier-1 does not collect perfbench/tests, so this is where a removed or
 renamed library function that the traced benchmark mode wraps shows up.
@@ -7,6 +8,10 @@ renamed library function that the traced benchmark mode wraps shows up.
 import importlib
 import importlib.util
 from pathlib import Path
+
+from f2q.lattice import LatticeSpec
+from f2q.pauli import constraint_set
+from f2q.statevec import constrained_basis
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -26,3 +31,11 @@ def test_tracer_targets_resolve():
     cls = importlib.import_module("f2q.vqe").SectorModel
     for attr, _, _ in tracer.METHODS:
         assert attr in cls.__dict__, f"SectorModel.{attr}"
+
+
+def test_basis_counter_reads_the_label_table():
+    spec = LatticeSpec(2, 2)
+    cs = constraint_set(spec)
+    basis = constrained_basis(spec, cs)
+    counts = load_tracer()._basis_labels((spec, cs), {}, basis)
+    assert counts == {"labels": float(1 << cs.n), "kept": float(basis.labels.size)}

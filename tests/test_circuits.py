@@ -685,8 +685,8 @@ def test_schedule_declared_costs():
     e = [ed for ed in edges(spec) if ed.direction == "x"][0]
     c = C.Circuit(spec.n_qubits)
     c.add(C.vx_gate(spec, e, 0.1, 0.2))
-    assert C.schedule(c).two_qubit_depth == 1
-    assert C.schedule(c, use_declared_costs=True).two_qubit_depth == 5
+    assert c.gates[0].two_qubit_cost == 5
+    assert C.schedule(c).two_qubit_depth == 1  # the declared cost is not scheduled
 
 
 # ---------------------------------------------------------------- text export

@@ -378,10 +378,11 @@ def test_route_disagreement_exits_one(capsys, monkeypatch):
 @pytest.mark.parametrize("command", [("vqe", "--v", "2"), ("export-circuit", "--kind", "ansatz")])
 def test_ini_granularity_outside_choices_is_usage_error(tmp_path, capsys, command):
     ini = tmp_path / "run.ini"
-    ini.write_text("[lattice]\nlx = 2\nly = 2\n[vqe]\nansatz = hv\ngranularity = foo\n")
-    code, out, err = run_cli(capsys, *command, "--config", str(ini))
-    assert code == 2 and out == ""
-    assert err == "config error: granularity must be per_group or per_edge\n"
+    for ansatz in ("hv", "agate"):
+        ini.write_text(f"[lattice]\nlx = 2\nly = 2\n[vqe]\nansatz = {ansatz}\ngranularity = foo\n")
+        code, out, err = run_cli(capsys, *command, "--config", str(ini))
+        assert code == 2 and out == ""
+        assert err == "config error: granularity must be per_group or per_edge\n"
 
 
 def test_vqe_four_fermions_runs_on_default_edges(capsys):

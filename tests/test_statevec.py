@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from f2q.lattice import LatticeSpec, Site
 from f2q.pauli import (
+    I,
     PauliString,
     PauliSum,
     X,
@@ -235,17 +236,17 @@ def test_every_column_satisfies_every_stabilizer(shape):
     spec = LatticeSpec(*shape)
     cs = constraint_set(spec)
     basis = cached_basis(spec, cs)
+    assert np.all(np.diff(basis.labels) > 0)  # one ascending table, each label once
     labels = basis.labels.astype(np.uint64)
-    cols = np.repeat(np.arange(basis.dim), np.diff(basis.col_ptr))
     for s, t in cs:
         flip, sign, yc = s.masks()
         par = np.bitwise_count(labels & np.uint64(sign)).astype(np.int64) & 1
         coeff = s.phase * 1j**yc * np.where(par, -1.0, 1.0) * basis.amps
         dest = (labels ^ np.uint64(flip)).astype(np.int64)
-        pos = np.searchsorted(basis.sorted_labels, dest)
-        assert np.all(basis.sorted_labels[pos] == dest)
-        assert np.array_equal(basis.sorted_cols[pos], cols)  # same column
-        assert np.max(np.abs(basis.sorted_amps[pos] * t - coeff)) < 1e-12
+        pos = np.minimum(np.searchsorted(basis.labels, dest), basis.labels.size - 1)
+        assert np.all(basis.labels[pos] == dest)
+        assert np.array_equal(basis.cols[pos], basis.cols)  # same column
+        assert np.max(np.abs(basis.amps[pos] * t - coeff)) < 1e-12
 
 
 def test_columns_have_definite_occupation():
@@ -300,6 +301,56 @@ def test_restrict_sum_matches_dense_2x2():
     cols = np.array([1, 3, 4, 7])
     assert np.max(np.abs(restrict_sum(basis, H, cols) - dense[np.ix_(cols, cols)])) < 1e-11
 
+
+def colliding_sums(n, masks):
+    """1-8 (coefficient, string) terms whose flip masks come from `masks`.
+
+    Each string has X or Y on the flipped qubits and I or Z elsewhere, so
+    terms share flip masks (XX/YY/XY/YX pairs, Z-only strings) while their
+    sign masks and Y counts differ.
+    """
+    def string(mask, picks, phase_k):
+        letters = [(Y if pick else X) if mask >> q & 1 else (Z if pick else I)
+                   for q, pick in enumerate(picks)]
+        return PauliString(n, letters, phase_k)
+
+    term = st.tuples(
+        st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
+        st.builds(string, st.sampled_from(masks),
+                  st.lists(st.booleans(), min_size=n, max_size=n), st.integers(0, 3)),
+    )
+    return st.lists(term, min_size=1, max_size=8)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(colliding_sums(5, (0, 0b00011, 0b01110, 0b10011)), st.integers(0, 2**31 - 1))
+def test_sums_sharing_flip_masks_match_dense(terms, seed):
+    s = random_state(5, seed)
+    psi = s.amplitudes
+    dense = pauli_sum_matrix(PauliSum(5, terms))
+    want = np.vdot(psi, dense @ psi)
+    hermitian_part = PauliSum(5, [(c.real, p) for c, p in PauliSum(5, terms)])
+    assert abs(expval(s, hermitian_part) - want.real) < 1e-10
+    assert abs(sum(c * expval_string(s, p) for c, p in terms) - want) < 1e-10
+    applied = sum(c * apply_pauli(s.copy(), p).amplitudes for c, p in terms)
+    assert np.max(np.abs(applied - dense @ psi)) < 1e-10
+
+
+# the four smallest flip masks of the 2x2 Hamiltonian terms (0: its Z-only terms)
+MASKS_2X2 = tuple(sorted({p.masks()[0] for _, p in tv_hamiltonian(LatticeSpec(2, 2), 1.0, 1.0)})[:4])
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(colliding_sums(8, MASKS_2X2))
+def test_restrict_sum_sharing_flip_masks_matches_dense_2x2(terms):
+    spec = LatticeSpec(2, 2)
+    basis = cached_basis(spec, constraint_set(spec))
+    H = PauliSum(8, terms)
+    B = np.column_stack([basis.column_state(j).amplitudes for j in range(basis.dim)])
+    dense = B.conj().T @ pauli_sum_matrix(H) @ B
+    assert np.max(np.abs(restrict_sum(basis, H) - dense)) < 1e-11
+    cols = np.array([0, 2, 5, 6])
+    assert np.max(np.abs(restrict_sum(basis, H, cols) - dense[np.ix_(cols, cols)])) < 1e-11
 
 # ------------------------------------------------------------- sector solve
 
