@@ -216,18 +216,23 @@ def constrained_basis(spec: LatticeSpec, cs: ConstraintSet) -> SubspaceBasis:
     scale = float(1 << m)
     null_cut = 0.5 / scale
 
+    # the diagonal generators commute with the flips, so an orbit passes them
+    # or fails them as a whole: visit only the labels that pass
+    all_labels = np.arange(dim_full, dtype=np.uint64)
+    passes = np.ones(dim_full, dtype=bool)
+    for z, c in zip(diag_sgns, diag_consts):
+        passes &= (np.bitwise_count(all_labels & z) & 1).astype(bool) == (c.real < 0)
+
     visited = np.zeros(dim_full, dtype=bool)
     labels_out: List[np.ndarray] = []
     amps_out: List[np.ndarray] = []
     occ_out: List[int] = []
-    for b in range(dim_full):
+    for b in np.flatnonzero(passes):
         if visited[b]:
             continue
         bu = np.uint64(b)
         orbit = (bu ^ uniq_flips).astype(np.int64)
         visited[orbit] = True
-        if (_signed(bu, diag_sgns, diag_consts) != 1).any():
-            continue
         sums = np.zeros(uniq_flips.size, dtype=np.complex128)
         np.add.at(sums, ginv, _signed(bu, sgns, consts))
         nrm2 = float(np.vdot(sums, sums).real) / (scale * scale)

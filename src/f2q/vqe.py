@@ -54,8 +54,8 @@ class OptimizerConfig:
             raise InputError("max_steps >= 1 and window >= 2 required")
         if self.restarts < 1:
             raise InputError("restarts must be positive")
-        if self.seed < 0 or self.lr_decay < 0:
-            raise InputError("seed and lr_decay must be non-negative")
+        if self.seed < 0 or self.lr_decay < 0 or self.tolerance < 0:
+            raise InputError("seed, lr_decay and tolerance must be non-negative")
 
 
 def _disjoint_edges(spec: LatticeSpec, count: int) -> Tuple[Edge, ...]:
@@ -145,7 +145,7 @@ class SectorModel:
         if self.cols.size == 0:
             raise InputError(f"no constrained states with particle number {config.n_f}")
         self.h_sector = restrict_sum(self.basis, tv_hamiltonian(spec, config.t, config.V), self.cols)
-        self._edge_tables: Dict[Edge, Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._edge_tables: Dict[Edge, Tuple[np.ndarray, ...]] = {}
         self._gate_plan = self._build_plan()
         self._init_vec: Optional[np.ndarray] = None
 
@@ -157,7 +157,8 @@ class SectorModel:
 
     def _edge_table(self, e: Edge):
         """Sector positions J (site s occupied, r empty), K and c with T|J> = c|K>
-        for the edge's pairing string T, and the positions with both sites occupied."""
+        for the edge's pairing string T, conj(c), and the positions with both
+        sites occupied."""
         if e not in self._edge_tables:
             spec = self.config.spec
             r, s = edge_sites(spec, e)
@@ -171,7 +172,8 @@ class SectorModel:
             dev = float(np.max(np.abs(np.abs(c) - 1.0), initial=0.0))
             if dev > 1e-12:
                 raise ScientificFailure(f"pairing coefficient modulus differs from 1 by {dev:.3e} > 1e-12")
-            self._edge_tables[e] = (J, K, c.reshape(-1, 1), np.flatnonzero(has_r & has_s))
+            c = c.reshape(-1, 1)
+            self._edge_tables[e] = (J, K, c, np.conj(c), np.flatnonzero(has_r & has_s))
         return self._edge_tables[e]
 
     def _build_plan(self) -> List[Tuple[str, Edge, Tuple[int, ...]]]:
@@ -210,7 +212,7 @@ class SectorModel:
         """Batched in-place application; vecs (dim, B), params (B, n_params)."""
         rho = self.config.spec.rho
         for kind, e, slots in self._gate_plan:
-            J, K, c, both = self._edge_table(e)
+            J, K, c, cc, both = self._edge_table(e)
             if kind == "interaction":
                 lam = params[:, slots[0]]
                 if both.size:
@@ -223,22 +225,22 @@ class SectorModel:
             if kind == "hop_x":
                 th = 2.0 * rho * params[:, slots[0]]
                 ct, ist = np.cos(th), 1j * np.sin(th)
-                vecs[J] = ct * a + ist * np.conj(c) * b
+                vecs[J] = ct * a + ist * cc * b
                 vecs[K] = ct * b + ist * c * a
             elif kind == "hop_y":
                 th = 2.0 * params[:, slots[0]]
                 ct, st = np.cos(th), np.sin(th)
-                vecs[J] = ct * a + st * np.conj(c) * b
+                vecs[J] = ct * a + st * cc * b
                 vecs[K] = ct * b - st * c * a
             elif kind == "vx":
                 th, ph = params[:, slots[0]], params[:, slots[1]]
                 ct, st, eip = np.cos(th), np.sin(th), np.exp(1j * ph)
-                vecs[J] = ct * a + eip * st * np.conj(c) * b
+                vecs[J] = ct * a + eip * st * cc * b
                 vecs[K] = -ct * b + np.conj(eip) * st * c * a
             elif kind == "vy":
                 th, ph = params[:, slots[0]], params[:, slots[1]]
                 ct, st, eip = np.cos(th), np.sin(th), np.exp(1j * ph)
-                vecs[J] = ct * a + 1j * np.conj(eip) * st * np.conj(c) * b
+                vecs[J] = ct * a + 1j * np.conj(eip) * st * cc * b
                 vecs[K] = -ct * b - 1j * eip * st * c * a
             else:
                 raise ValueError(f"unknown plan entry {kind}")
@@ -253,15 +255,17 @@ class SectorModel:
     def energy(self, params: Sequence[float]) -> float:
         return float(self.energies(np.asarray(params, dtype=float)[None, :])[0])
 
-    def gradient(self, params: np.ndarray, h: float = 1e-4) -> np.ndarray:
+    def gradient(self, params: np.ndarray, h: float = 1e-4) -> Tuple[float, np.ndarray]:
+        """(energy, central-difference gradient) at params from one batch of
+        2n + 1 rows: the centre point first, then +h and -h along each axis."""
         p = np.asarray(params, dtype=float)
         n = p.size
-        pm = np.tile(p, (2 * n, 1))
+        pm = np.tile(p, (2 * n + 1, 1))
         idx = np.arange(n)
-        pm[2 * idx, idx] += h
-        pm[2 * idx + 1, idx] -= h
+        pm[2 * idx + 1, idx] += h
+        pm[2 * idx + 2, idx] -= h
         e = self.energies(pm)
-        return (e[0::2] - e[1::2]) / (2.0 * h)
+        return float(e[0]), (e[1::2] - e[2::2]) / (2.0 * h)
 
     def sector_state(self, params: Sequence[float]) -> StateVector:
         vec = self.initial_vector()[:, None]
@@ -334,7 +338,8 @@ def _adam_descent(model: SectorModel, opt: OptimizerConfig, seed: int):
                          size=model.config.n_params)
     m = np.zeros_like(params)
     v = np.zeros_like(params)
-    energies = [model.energy(params)]
+    e, g = model.gradient(params)
+    energies = [e]
     first_p = params.copy()
     best_e = energies[0]
     best_p = params.copy()
@@ -342,14 +347,16 @@ def _adam_descent(model: SectorModel, opt: OptimizerConfig, seed: int):
     converged = False
     step = 0
     for step in range(1, opt.max_steps + 1):
-        g = model.gradient(params)
         m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * g
         v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * g * g
         mhat = m / (1 - ADAM_BETA1 ** step)
         vhat = v / (1 - ADAM_BETA2 ** step)
         lr = opt.learning_rate / (1 + opt.lr_decay * step)
         params = params - lr * mhat / (np.sqrt(vhat) + ADAM_EPSILON)
-        e = model.energy(params)
+        if step < opt.max_steps:
+            e, g = model.gradient(params)
+        else:  # the last step needs no gradient
+            e = model.energy(params)
         energies.append(e)
         if e < best_e:
             best_e = e

@@ -265,6 +265,7 @@ def test_non_finite_numbers_are_rejected(tmp_path, capsys):
     ("vqe", "--lx", "2", "--ly", "2", "--v", "2", "--lr-decay", "-1"),
     ("vqe", "--lx", "2", "--ly", "2", "--v", "2", "--init-scale", "-1"),
     ("export-circuit", "--lx", "2", "--ly", "2", "--kind", "ansatz", "--seed", "-3"),
+    ("vqe", "--lx", "2", "--ly", "2", "--v", "2", "--max-steps", "3", "--tolerance", "-1"),
 ])
 def test_out_of_range_input_is_usage_error(capsys, argv):
     code, _, err = run_cli(capsys, *argv)

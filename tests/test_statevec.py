@@ -249,6 +249,15 @@ def test_every_column_satisfies_every_stabilizer(shape):
         assert np.max(np.abs(basis.amps[pos] * t - coeff)) < 1e-12
 
 
+@pytest.mark.parametrize("shape", sorted(FROZEN_DIMS))
+def test_columns_ordered_by_smallest_label(shape):
+    spec = LatticeSpec(*shape)
+    basis = constrained_basis(spec, constraint_set(spec))
+    smallest = np.full(basis.dim, np.iinfo(np.int64).max)
+    np.minimum.at(smallest, basis.cols, basis.labels)
+    assert np.all(np.diff(smallest) > 0)
+
+
 def test_columns_have_definite_occupation():
     for shape in ((2, 2), (2, 4)):
         spec = LatticeSpec(*shape)

@@ -109,10 +109,39 @@ def test_gradient_matches_directional_derivative(ansatz, granularity):
     d = rng.normal(size=cfg.n_params)
     d /= np.linalg.norm(d)
     model = vqe.SectorModel(cfg)
-    g = model.gradient(p)
+    _, g = model.gradient(p)
     eps = 1e-5
     num = (model.energy(p + eps * d) - model.energy(p - eps * d)) / (2 * eps)
     assert abs(float(g @ d) - num) < 1e-6
+
+
+@pytest.mark.parametrize("ansatz,granularity", [("agate", "per_edge"), ("hv", "per_edge")])
+def test_gradient_centre_energy_matches_energy(ansatz, granularity):
+    cfg = config(lat(2, 4), ansatz, layers=2, granularity=granularity)
+    p = np.random.default_rng(29).uniform(-0.5, 0.5, cfg.n_params)
+    model = vqe.SectorModel(cfg)
+    e, _ = model.gradient(p)
+    assert abs(e - model.energy(p)) < 1e-13
+
+
+def test_adam_step_is_one_batch(monkeypatch):
+    # one batch per step plus the one at the start point; the last step
+    # evaluates only the energy
+    cfg = config(lat(2, 2), "agate", layers=1)
+    model = vqe.SectorModel(cfg)
+    calls = []
+    batched = vqe.SectorModel.energies
+
+    def counted(self, params_matrix):
+        calls.append(params_matrix.shape[0])
+        return batched(self, params_matrix)
+
+    monkeypatch.setattr(vqe.SectorModel, "energies", counted)
+    k = 7
+    energies, *_ = vqe._adam_descent(model, vqe.OptimizerConfig(max_steps=k, tolerance=0.0), 3)
+    assert len(energies) == k + 1
+    assert len(calls) == k + 1
+    assert calls == [2 * cfg.n_params + 1] * k + [1]
 
 
 def test_energy_rejects_wrong_param_count():
@@ -184,6 +213,8 @@ def test_optimizer_config_validation():
         vqe.OptimizerConfig(learning_rate=0.0)
     with pytest.raises(ValueError):
         vqe.OptimizerConfig(restarts=0)
+    with pytest.raises(InputError):
+        vqe.OptimizerConfig(tolerance=-1.0)
     with pytest.raises(ValueError):
         vqe.VqeConfig(spec=lat(2, 2), t=1.0, V=1.0, n_f=3, ansatz="agate", layers=1)
     with pytest.raises(ValueError):
