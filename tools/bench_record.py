@@ -4,8 +4,8 @@
         --pairs vqe-2x4=10,quench-3x3=3,tracking-large=3 --seeds 3,41
 
 Both revisions are exported with `git archive` into a temporary directory and
-`perfbench/run.py --trace 0` runs from each export, so only committed files
-are measured. For every workload the pairs alternate which side runs first
+`perfbench/run.py --trace 0` runs from each export for BENCHMARK.json's
+run_seconds, so only committed files are measured. For every workload the pairs alternate which side runs first
 (the parent in even pairs); pair i uses seeds[i % len(seeds)]. The record
 holds the machine (nproc, Python, numpy and scipy versions), both commits,
 every run (metrics, digest, failed and attempted operations), and per side
@@ -103,13 +103,12 @@ def main(argv=None) -> int:
     p.add_argument("--change", default="HEAD", help="git revision measured against it")
     p.add_argument("--pairs", required=True, help="workload=pairs, comma-separated")
     p.add_argument("--seeds", default="3", help="comma-separated; cycled over the pairs")
-    p.add_argument("--seconds", type=float, default=40.0)
-    p.add_argument("--out", type=Path, default=None, help="default: BENCH_<label>.json at the root")
     args = p.parse_args(argv)
     plan = [(w, int(n)) for w, n in (item.split("=") for item in args.pairs.split(","))]
     seeds = [int(s) for s in args.seeds.split(",")]
-    better = {m["name"]: m["better"]
-              for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    seconds = bench["run_seconds"]
 
     work = Path(tempfile.mkdtemp(prefix="bench_record-"))
     try:
@@ -123,7 +122,7 @@ def main(argv=None) -> int:
                         "numpy": metadata.version("numpy"), "scipy": metadata.version("scipy")},
             "parent": commits["parent"], "change": commits["change"],
             "command": "perfbench/run.py --workload W --seed S "
-                       f"--seconds {args.seconds:g} --trace 0",
+                       f"--seconds {seconds:g} --trace 0",
             "workloads": {},
         }
         for workload, n_pairs in plan:
@@ -132,7 +131,7 @@ def main(argv=None) -> int:
                 seed = seeds[i % len(seeds)]
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 for side in order:
-                    r = run_once(trees[side], workload, seed, args.seconds)
+                    r = run_once(trees[side], workload, seed, seconds)
                     r.update(pair=i, side=side, seed=seed, first=side == order[0])
                     runs.append(r)
                     print(f"{workload} pair {i} {side:6s} seed {seed}: "
@@ -142,7 +141,7 @@ def main(argv=None) -> int:
     finally:
         shutil.rmtree(work, ignore_errors=True)
 
-    out = args.out or ROOT / f"BENCH_{args.label}.json"
+    out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(record, indent=1) + "\n")
     for workload, w in record["workloads"].items():
         for m in better:
