@@ -1,6 +1,6 @@
 """Record a before/after benchmark comparison as BENCH_<label>.json.
 
-    python3 tools/bench_record.py --label pr8 --parent d92d9e7 --change HEAD \\
+    python3 tools/bench_record.py --label NAME --parent BASE_COMMIT --change HEAD \\
         --pairs vqe-2x4=10,quench-3x3=3,tracking-large=3 --seeds 3,41
 
 Both revisions are exported with `git archive` into a temporary directory and
