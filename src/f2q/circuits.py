@@ -652,7 +652,7 @@ def hv_param_count(spec: LatticeSpec, layers: int, granularity: str) -> int:
     raise InputError("granularity must be per_group or per_edge")
 
 
-def ansatz_hv(spec: LatticeSpec, layers: int, params: Sequence[float], granularity: str = "per_group") -> Circuit:
+def ansatz_hv(spec: LatticeSpec, layers: int, params: Sequence[float], granularity: str) -> Circuit:
     expect = hv_param_count(spec, layers, granularity)
     if len(params) != expect:
         raise ValueError(f"expected {expect} parameters, got {len(params)}")

@@ -27,7 +27,7 @@ import numpy as np
 from . import circuits as circ
 from . import oracle, vqe
 from .lattice import (Edge, InputError, LatticeSpec, ScientificFailure, Site, occupation_bits,
-                      phys_index, sites)
+                      phys_index, require, sites)
 from .pauli import constraint_set, tv_hamiltonian
 from .statevec import cached_basis, ground_in_sector, qubit_marginals, restrict_sum
 
@@ -167,7 +167,7 @@ def constraint_labels(spec: LatticeSpec) -> List[str]:
     return labels
 
 
-def cmd_check_constraints(args: argparse.Namespace) -> int:
+def cmd_check_constraints(args: argparse.Namespace) -> None:
     s = Settings(args)
     out = s.output_path()
     spec = build_lattice(s)
@@ -178,16 +178,13 @@ def cmd_check_constraints(args: argparse.Namespace) -> int:
         circuit.extend(circ.pair_creation(spec, e))
     cs = constraint_set(spec)
     values = circ.stabilizer_expectations(circuit, cs)
-    lines = []
-    all_pass = True
-    for label, (stab, target), value in zip(constraint_labels(spec), cs, values):
-        ok = abs(value - target) < 1e-10
-        all_pass &= ok
+    lines, devs = [], []
+    for label, (_, target), value in zip(constraint_labels(spec), cs, values):
+        devs.append(abs(value - target))
         lines.append(f"{label} target {target:+d} value {fmt(value.real)} "
-                     f"{'PASS' if ok else 'FAIL'}")
-    text = "\n".join(lines) + "\n"
-    _write_text(out, text)
-    return 0 if all_pass else 1
+                     f"{'PASS' if devs[-1] <= 1e-10 else 'FAIL'}")
+    _write_text(out, "\n".join(lines) + "\n")
+    require("largest constraint deviation", np.max(devs), 1e-10)
 
 
 # ------------------------------------------------------------------ quench
@@ -200,7 +197,8 @@ def quench_trajectories(spec: LatticeSpec, t: float, V: float, n_f: int,
     """Trotter circuit vs exact encoded vs exact fermionic occupations.
 
     Returns (times, occ_trotter, occ_encoded, occ_fermionic), each occupation
-    array shaped (n_times, n_sites).
+    array shaped (n_times, n_sites). Raises ScientificFailure when the two exact
+    references differ by more than 1e-8.
     """
     if not tmax / dt <= MAX_QUENCH_STEPS:
         raise InputError(f"tmax/dt exceeds the limit of {MAX_QUENCH_STEPS} Trotter steps")
@@ -236,6 +234,7 @@ def quench_trajectories(spec: LatticeSpec, t: float, V: float, n_f: int,
     _, ferm0 = oracle.ed_ground(spec, t, 0.0, pre_potentials, sector, n_f)
     ferm = oracle.ed_propagate(spec, t, V, ferm0, sector, n_f, times)
     occ_fermionic = ferm.occupations
+    require("exact references disagree by", np.max(np.abs(occ_encoded - occ_fermionic)), 1e-8)
 
     # Trotterized circuit evolution on the full register
     step = circ.fuse(circ.trotter_step(spec, t, V, dt))
@@ -249,7 +248,7 @@ def quench_trajectories(spec: LatticeSpec, t: float, V: float, n_f: int,
     return times, occ_trotter, occ_encoded, occ_fermionic
 
 
-def cmd_quench(args: argparse.Namespace) -> int:
+def cmd_quench(args: argparse.Namespace) -> None:
     s = Settings(args)
     out = s.output_path()
     spec = build_lattice(s)
@@ -278,16 +277,10 @@ def cmd_quench(args: argparse.Namespace) -> int:
                         f"{fmt(occ_enc[k, q])},{fmt(occ_fm[k, q])}")
     _write_text(out, "\n".join(rows) + "\n")
 
-    ref_dev = float(np.max(np.abs(occ_enc - occ_fm)))
-    if ref_dev > 1e-8:
-        print(f"exact references disagree: {ref_dev:.3e}", file=sys.stderr)
-        return 1
-    return 0
-
 
 # --------------------------------------------------------------------- vqe
 
-def cmd_vqe(args: argparse.Namespace) -> int:
+def cmd_vqe(args: argparse.Namespace) -> None:
     s = Settings(args)
     out = s.output_path()
     spec = build_lattice(s)
@@ -345,12 +338,11 @@ def cmd_vqe(args: argparse.Namespace) -> int:
         "wall_time_seconds": wall,
     }
     _write_text(out, json.dumps(doc, indent=2) + "\n")
-    return 0
 
 
 # ------------------------------------------------------------ depth report
 
-def cmd_depth_report(args: argparse.Namespace) -> int:
+def cmd_depth_report(args: argparse.Namespace) -> None:
     s = Settings(args)
     out = s.output_path()
     try:
@@ -380,12 +372,11 @@ def cmd_depth_report(args: argparse.Namespace) -> int:
     resid = float(np.max(np.abs(np.array(counts) - c * l2) / (c * l2))) * 100.0
     rows.append(f"# fit_c={fmt(c)} max_residual_pct={fmt(resid)}")
     _write_text(out, "\n".join(rows) + "\n")
-    return 0
 
 
 # ----------------------------------------------------------- circuit export
 
-def cmd_export_circuit(args: argparse.Namespace) -> int:
+def cmd_export_circuit(args: argparse.Namespace) -> None:
     s = Settings(args)
     out = s.output_path()
     spec = build_lattice(s)
@@ -421,12 +412,11 @@ def cmd_export_circuit(args: argparse.Namespace) -> int:
     else:
         raise InputError(f"unknown circuit kind {kind!r}")
     _write_text(out, circ.export_text(circuit))
-    return 0
 
 
 # ----------------------------------------------------------- spectrum match
 
-def cmd_spectrum_match(args: argparse.Namespace) -> int:
+def cmd_spectrum_match(args: argparse.Namespace) -> None:
     s = Settings(args)
     out = s.output_path()
     spec = build_lattice(s)
@@ -453,8 +443,9 @@ def cmd_spectrum_match(args: argparse.Namespace) -> int:
         encoded[n_f] = np.linalg.eigvalsh(restrict_sum(basis, H, cols))
     matches = oracle.matching_bc_sectors(spec, t, V, encoded)
     if not matches:
-        _write_text(out, "no fermionic boundary sector matches within 1e-08\n")
-        return 1
+        text = "no fermionic boundary sector matches within 1e-08"
+        _write_text(out, text + "\n")
+        raise ScientificFailure(text)
     dev = 0.0
     for sector in matches:
         for n_f, vals in encoded.items():
@@ -464,7 +455,7 @@ def cmd_spectrum_match(args: argparse.Namespace) -> int:
     head = "matched sector" if len(matches) == 1 else f"matched {len(matches)} sectors:"
     _write_text(out, f"{head} {names} "
                 f"max_deviation={dev:.3e} sectors={','.join(str(n) for n in sectors)}\n")
-    return 0 if dev < 1e-8 else 1
+    require("encoded spectra deviate from fermionic ED by", dev, 1e-8)
 
 
 # -------------------------------------------------------------------- main
@@ -552,15 +543,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command; the only place an exit code is chosen."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
     except InputError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ScientificFailure as exc:
         print(f"failure: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

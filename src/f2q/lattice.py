@@ -21,6 +21,12 @@ class ScientificFailure(Exception):
     """A checked physical property misses its tolerance; the message gives both."""
 
 
+def require(what: str, value: float, bound: float) -> None:
+    """Raise ScientificFailure unless value <= bound; NaN fails too."""
+    if not value <= bound:
+        raise ScientificFailure(f"{what} {value:.3e} > {bound:g}")
+
+
 class Site(NamedTuple):
     rx: int
     ry: int

@@ -15,8 +15,8 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 import scipy.sparse
 
-from .lattice import (LatticeSpec, ScientificFailure, Site, edge_sites, edge_wraps, edges,
-                      occupation_bits, site_index)
+from .lattice import (LatticeSpec, Site, edge_sites, edge_wraps, edges,
+                      occupation_bits, require, site_index)
 
 MAX_SITES = 12
 DENSE_GUARD = 4096
@@ -119,9 +119,7 @@ def ed_ground(
     H = ed_hamiltonian(spec, t, V, potentials, sector, n_f).toarray()
     evals, evecs = np.linalg.eigh(H)
     energy, vec = float(evals[0]), evecs[:, 0]
-    resid = float(np.linalg.norm(H @ vec - energy * vec))
-    if resid > 1e-10:
-        raise ScientificFailure(f"ED eigenpair residual {resid:.3e} > 1e-10")
+    require("ED eigenpair residual", float(np.linalg.norm(H @ vec - energy * vec)), 1e-10)
     return energy, vec
 
 
@@ -178,9 +176,7 @@ def ed_propagate(
     occs = np.zeros((times_arr.size, N))
     for k, tau in enumerate(times_arr):
         psi = evecs @ (np.exp(-1j * evals * tau) * coeff)
-        drift = abs(np.linalg.norm(psi) - 1.0)
-        if drift > 1e-10:
-            raise ScientificFailure(f"propagation norm drift {drift:.3e} > 1e-10")
+        require("propagation norm drift", abs(np.linalg.norm(psi) - 1.0), 1e-10)
         occs[k] = (np.abs(psi) ** 2) @ occ_table
     return EDResult(eigenvalues=evals, times=times_arr, occupations=occs)
 

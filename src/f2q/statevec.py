@@ -13,7 +13,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .lattice import InputError, LatticeSpec, ScientificFailure
+from .lattice import InputError, LatticeSpec, require
 from .pauli import ConstraintSet, PauliString, PauliSum, identity as pauli_identity
 
 MAX_QUBITS = 24          # hard resource guard for dense states
@@ -41,11 +41,11 @@ def zero_state(n_qubits: int) -> StateVector:
     return StateVector(amps, n_qubits)
 
 
-def _check_unitary(U: np.ndarray, tol: float = 1e-10) -> None:
+def _check_unitary(U: np.ndarray) -> None:
     d = U.shape[0]
     if U.shape != (d, d) or d & (d - 1):
         raise ValueError("gate matrix must be square with power-of-two size")
-    if np.max(np.abs(U.conj().T @ U - np.eye(d))) > tol:
+    if np.max(np.abs(U.conj().T @ U - np.eye(d))) > 1e-10:
         raise ValueError("gate matrix is not unitary")
 
 
@@ -129,9 +129,7 @@ def expval(state: StateVector, O: PauliSum) -> float:
     if not O.is_hermitian:
         raise ValueError("expectation of a non-Hermitian sum")
     val = _expectation(state.amplitudes, O)
-    if abs(val.imag) > 1e-10:
-        raise ScientificFailure(f"imaginary residue {abs(val.imag):.3e} > 1e-10 "
-                                "in Hermitian expectation")
+    require("imaginary residue of a Hermitian expectation", abs(val.imag), 1e-10)
     return float(val.real)
 
 
@@ -305,9 +303,7 @@ def ground_in_sector(
     Hs = restrict_sum(basis, H, cols)
     evals, evecs = np.linalg.eigh(Hs)
     energy, vec = float(evals[0]), evecs[:, 0]
-    resid = float(np.linalg.norm(Hs @ vec - energy * vec))
-    if resid > 1e-8:
-        raise ScientificFailure(f"sector eigenpair residual {resid:.3e} > 1e-8")
+    require("sector eigenpair residual", float(np.linalg.norm(Hs @ vec - energy * vec)), 1e-8)
     full = np.zeros(basis.dim, dtype=np.complex128)
     full[cols] = vec
     return energy, basis.expand(full)

@@ -10,6 +10,7 @@ than 1e-10, so they can never drift apart silently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -17,8 +18,8 @@ import numpy as np
 
 from . import circuits as circ
 from . import oracle
-from .lattice import (Edge, InputError, LatticeSpec, ScientificFailure, aux_index, edge_sites,
-                      edges, phys_index, site_index)
+from .lattice import (Edge, InputError, LatticeSpec, aux_index, edge_sites, edges, phys_index,
+                      require, site_index)
 from .pauli import PauliString, PauliSum, X, Y, Z, constraint_set, number_sum, tv_hamiltonian
 from .statevec import (
     StateVector,
@@ -35,6 +36,8 @@ from .statevec import (
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
+# central finite-difference step of SectorModel.gradient
+FD_STEP = 1e-4
 
 
 @dataclass
@@ -89,8 +92,8 @@ class VqeConfig:
         if self.layers < 1:
             raise InputError("layers must be positive")
         circ.hv_param_count(self.spec, self.layers, self.granularity)  # checks granularity for either ansatz
-        if self.init_scale < 0:
-            raise InputError("init_scale must be non-negative")
+        if not 0 <= 2 * self.init_scale < math.inf:  # the uniform draw spans 2 * init_scale
+            raise InputError("init_scale must be non-negative, with 2 * init_scale finite")
         if self.pair_edges is None:
             self.pair_edges = _disjoint_edges(self.spec, self.n_f // 2)
         self.pair_edges = tuple(self.pair_edges)
@@ -169,9 +172,8 @@ class SectorModel:
             M = self._pairing_matrix(e, self.cols)[:, J]
             K = np.argmax(np.abs(M), axis=0)
             c = M[K, np.arange(J.size)]
-            dev = float(np.max(np.abs(np.abs(c) - 1.0), initial=0.0))
-            if dev > 1e-12:
-                raise ScientificFailure(f"pairing coefficient modulus differs from 1 by {dev:.3e} > 1e-12")
+            require("pairing coefficient modulus differs from 1 by",
+                    float(np.max(np.abs(np.abs(c) - 1.0), initial=0.0)), 1e-12)
             c = c.reshape(-1, 1)
             self._edge_tables[e] = (J, K, c, np.conj(c), np.flatnonzero(has_r & has_s))
         return self._edge_tables[e]
@@ -201,9 +203,7 @@ class SectorModel:
         _, state = ground_in_sector(h0, cfg.spec, self.cs, cfg.n_f)
         coeffs = self.basis.project(state)[self.cols]
         norm = np.linalg.norm(coeffs)
-        if abs(norm - 1.0) > 1e-9:
-            raise ScientificFailure("free-fermion state norm in the sector differs from 1 by "
-                                    f"{abs(norm - 1.0):.3e} > 1e-9")
+        require("free-fermion state norm in the sector differs from 1 by", abs(norm - 1.0), 1e-9)
         return coeffs / norm
 
     # ---------------------------------------------------------- ansatz action
@@ -255,17 +255,18 @@ class SectorModel:
     def energy(self, params: Sequence[float]) -> float:
         return float(self.energies(np.asarray(params, dtype=float)[None, :])[0])
 
-    def gradient(self, params: np.ndarray, h: float = 1e-4) -> Tuple[float, np.ndarray]:
+    def gradient(self, params: np.ndarray) -> Tuple[float, np.ndarray]:
         """(energy, central-difference gradient) at params from one batch of
-        2n + 1 rows: the centre point first, then +h and -h along each axis."""
+        2n + 1 rows: the centre point first, then +FD_STEP and -FD_STEP along
+        each axis."""
         p = np.asarray(params, dtype=float)
         n = p.size
         pm = np.tile(p, (2 * n + 1, 1))
         idx = np.arange(n)
-        pm[2 * idx + 1, idx] += h
-        pm[2 * idx + 2, idx] -= h
+        pm[2 * idx + 1, idx] += FD_STEP
+        pm[2 * idx + 2, idx] -= FD_STEP
         e = self.energies(pm)
-        return float(e[0]), (e[1::2] - e[2::2]) / (2.0 * h)
+        return float(e[0]), (e[1::2] - e[2::2]) / (2.0 * FD_STEP)
 
     def sector_state(self, params: Sequence[float]) -> StateVector:
         vec = self.initial_vector()[:, None]
@@ -282,9 +283,7 @@ def _exact_reference(config: VqeConfig, model: SectorModel) -> Tuple[float, orac
     enc = np.linalg.eigvalsh(model.h_sector)
     sector = oracle.match_bc_sector(config.spec, config.t, config.V, {config.n_f: enc})
     e_fermi, _ = oracle.ed_ground(config.spec, config.t, config.V, None, sector, config.n_f)
-    if abs(e_fermi - enc[0]) > 1e-8:
-        raise ScientificFailure("encoded and fermionic ground energies differ by "
-                                f"{abs(e_fermi - enc[0]):.3e} > 1e-8")
+    require("encoded and fermionic ground energies differ by", abs(e_fermi - enc[0]), 1e-8)
     return float(e_fermi), sector
 
 
@@ -324,12 +323,10 @@ def _spot_check(config: VqeConfig, model: SectorModel, params: np.ndarray) -> Tu
     """Full-route constraint/number deviation and route energy disagreement."""
     state = initial_state_full(config)
     circ.apply_circuit(state, circ.fuse(ansatz_circuit(config, params)))
-    dev = 0.0
-    for s, target in model.cs:
-        dev = max(dev, abs(expval_string(state, s) - target))
-    dev = max(dev, abs(expval(state, number_sum(config.spec)) - config.n_f))
+    devs = [abs(expval_string(state, s) - target) for s, target in model.cs]
+    devs.append(abs(expval(state, number_sum(config.spec)) - config.n_f))
     e_full = expval(state, tv_hamiltonian(config.spec, config.t, config.V))
-    return dev, abs(e_full - model.energy(params))
+    return float(np.max(devs)), abs(e_full - model.energy(params))
 
 
 def _adam_descent(model: SectorModel, opt: OptimizerConfig, seed: int):
@@ -352,11 +349,15 @@ def _adam_descent(model: SectorModel, opt: OptimizerConfig, seed: int):
         mhat = m / (1 - ADAM_BETA1 ** step)
         vhat = v / (1 - ADAM_BETA2 ** step)
         lr = opt.learning_rate / (1 + opt.lr_decay * step)
-        params = params - lr * mhat / (np.sqrt(vhat) + ADAM_EPSILON)
-        if step < opt.max_steps:
-            e, g = model.gradient(params)
-        else:  # the last step needs no gradient
-            e = model.energy(params)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite step stops the run below
+            params = params - lr * mhat / (np.sqrt(vhat) + ADAM_EPSILON)
+            if step < opt.max_steps:
+                e, g = model.gradient(params)
+            else:  # the last step needs no gradient
+                e = model.energy(params)
+        if not (math.isfinite(e) and np.isfinite(params).all()):
+            raise InputError(f"Adam step {step} made the parameters or the energy non-finite; "
+                             "lower the learning rate")
         energies.append(e)
         if e < best_e:
             best_e = e
@@ -381,17 +382,13 @@ def run(config: VqeConfig, opt: Optional[OptimizerConfig] = None) -> RunTrace:
             best = result
     energies, best_e, best_p, first_p, step, converged = best
 
-    check_dev, route_dev = _spot_check(config, model, first_p)
-    d2, r2 = _spot_check(config, model, best_p)
-    check_dev = max(check_dev, d2)
-    route_dev = max(route_dev, r2)
-    if check_dev > 1e-10:
-        raise ScientificFailure(f"ansatz state violates constraints by {check_dev:.3e} > 1e-10")
-    if route_dev > 1e-10:
-        raise ScientificFailure(f"sector and full-register energies differ by {route_dev:.3e} > 1e-10")
-    if best_e < exact_energy - 1e-9:
-        raise ScientificFailure("variational bound violated: best energy lies "
-                                f"{exact_energy - best_e:.3e} > 1e-9 below the exact one")
+    # np.max, unlike max(), passes a NaN deviation on to require
+    spots = [_spot_check(config, model, p) for p in (first_p, best_p)]
+    check_dev, route_dev = np.max(spots, axis=0).tolist()
+    require("ansatz state violates constraints by", check_dev, 1e-10)
+    require("sector and full-register energies differ by", route_dev, 1e-10)
+    require("variational bound violated: best energy lies below the exact one by",
+            exact_energy - best_e, 1e-9)
 
     # relative to |exact_energy|; absolute where the exact energy is 0 (n_f = 0)
     raw = abs(best_e - exact_energy) / (abs(exact_energy) or 1.0)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from f2q import cli, oracle, vqe
+from f2q import circuits, cli, oracle, vqe
 from f2q.circuits import parse_text, trotter_step, vacuum_circuit
 from f2q.cli import main, parse_potentials
 from f2q.lattice import InputError, LatticeSpec, Site
@@ -221,10 +221,11 @@ def test_spectrum_match_sector_3x3(capsys):
 
 
 def test_spectrum_match_wrong_rho_fails(capsys):
-    code, out, _ = run_cli(capsys, "spectrum-match", "--lx", "3", "--ly", "3",
-                           "--rho", "1", "--v", "2", "--n-f", "2")
+    code, out, err = run_cli(capsys, "spectrum-match", "--lx", "3", "--ly", "3",
+                             "--rho", "1", "--v", "2", "--n-f", "2")
     assert code == 1
     assert "no fermionic boundary sector" in out
+    assert err == "failure: no fermionic boundary sector matches within 1e-08\n"
 
 
 def test_parse_potentials():
@@ -266,6 +267,8 @@ def test_non_finite_numbers_are_rejected(tmp_path, capsys):
     ("vqe", "--lx", "2", "--ly", "2", "--v", "2", "--init-scale", "-1"),
     ("export-circuit", "--lx", "2", "--ly", "2", "--kind", "ansatz", "--seed", "-3"),
     ("vqe", "--lx", "2", "--ly", "2", "--v", "2", "--max-steps", "3", "--tolerance", "-1"),
+    # the uniform start draw needs a finite range 2 * init_scale
+    ("vqe", "--lx", "2", "--ly", "2", "--v", "2", "--max-steps", "5", "--init-scale", "1e308"),
 ])
 def test_out_of_range_input_is_usage_error(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
@@ -355,6 +358,14 @@ def test_library_check_failure_exits_one_with_deviation(capsys, monkeypatch):
     assert err == "failure: ansatz state violates constraints by 1.000e-03 > 1e-10\n"
 
 
+def test_nan_constraint_deviation_exits_one(capsys, monkeypatch):
+    monkeypatch.setattr(vqe, "expval_string", lambda state, s: float("nan"))
+    code, out, err = run_cli(capsys, "vqe", "--lx", "2", "--ly", "2", "--v", "2",
+                             "--max-steps", "5")
+    assert code == 1 and out == ""
+    assert err == "failure: ansatz state violates constraints by nan > 1e-10\n"
+
+
 def test_check_constraints_12x12_tracks_exactly(capsys):
     # 288 qubits: far beyond a state vector, exact only through Pauli tracking
     L = 12
@@ -374,6 +385,42 @@ def test_route_disagreement_exits_one(capsys, monkeypatch):
                              "--max-steps", "5")
     assert code == 1 and out == ""
     assert err == "failure: sector and full-register energies differ by 1.000e-03 > 1e-10\n"
+
+
+def test_check_constraints_off_target_exits_one(capsys, monkeypatch):
+    real = circuits.stabilizer_expectations
+    monkeypatch.setattr(circuits, "stabilizer_expectations",
+                        lambda c, cs: [v + 1e-3 * (k == 0) for k, v in enumerate(real(c, cs))])
+    code, out, err = run_cli(capsys, "check-constraints", "--lx", "2", "--ly", "2")
+    lines = out.splitlines()
+    assert code == 1
+    assert lines[0].endswith("FAIL") and all(ln.endswith("PASS") for ln in lines[1:])
+    assert err == "failure: largest constraint deviation 1.000e-03 > 1e-10\n"
+
+
+def test_quench_reference_disagreement_exits_one_writing_nothing(tmp_path, capsys, monkeypatch):
+    real = oracle.ed_propagate
+
+    def perturbed(*args, **kwargs):
+        result = real(*args, **kwargs)
+        result.occupations = result.occupations + 1e-6
+        return result
+
+    monkeypatch.setattr(oracle, "ed_propagate", perturbed)
+    target = tmp_path / "q.csv"
+    code, out, err = run_cli(capsys, "quench", "--lx", "2", "--ly", "2", "--v", "3",
+                             "--dt", "0.1", "--tmax", "0.2", "--output", str(target))
+    assert code == 1 and out == "" and not target.exists()
+    assert err == "failure: exact references disagree by 1.000e-06 > 1e-08\n"
+
+
+def test_vqe_non_finite_step_is_usage_error(capsys):
+    # learning_rate * gradient overflows in the first Adam step
+    code, out, err = run_cli(capsys, "vqe", "--lx", "2", "--ly", "2", "--v", "2",
+                             "--max-steps", "5", "--learning-rate", "1e308")
+    assert code == 2 and out == ""
+    assert err.startswith("config error: Adam step ") and err.count("\n") == 1
+    assert "non-finite" in err
 
 
 @pytest.mark.parametrize("command", [("vqe", "--v", "2"), ("export-circuit", "--kind", "ansatz")])

@@ -4,6 +4,7 @@ import pytest
 from f2q.lattice import (
     Edge,
     LatticeSpec,
+    ScientificFailure,
     Site,
     aux_index,
     edge_sites,
@@ -12,6 +13,7 @@ from f2q.lattice import (
     occupation_bits,
     phys_index,
     plaquette_sites,
+    require,
     site_index,
     sites,
     vacuum_plaquette_set,
@@ -124,3 +126,12 @@ def test_vacuum_plaquette_set():
     for spec in (LatticeSpec(4, 4), LatticeSpec(2, 4)):
         for a in vacuum_plaquette_set(spec):
             assert a.rx < spec.Lx - 1 and a.ry < spec.Ly - 1
+
+
+def test_require_passes_at_bound_and_fails_above_or_on_nan():
+    require("deviation", 1e-10, 1e-10)
+    with pytest.raises(ScientificFailure) as err:
+        require("what", 1e-3, 1e-10)
+    assert str(err.value) == "what 1.000e-03 > 1e-10"
+    with pytest.raises(ScientificFailure, match="nan > 1e-10"):
+        require("what", float("nan"), 1e-10)
