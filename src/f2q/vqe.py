@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,8 +36,6 @@ from .statevec import (
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
-# central finite-difference step of SectorModel.gradient
-FD_STEP = 1e-4
 
 
 @dataclass
@@ -136,6 +134,27 @@ def pairing_string(spec: LatticeSpec, e: Edge) -> PauliString:
     return PauliString(spec.n_qubits, letters)
 
 
+# Every plan entry acts on its sector positions R as
+#     psi[R] <- diag * psi[R] + off * psi[P],
+# P holding each position's partner. A rotation on edge (r, s) pairs the
+# positions J (s occupied, r empty) with K, where the edge's pairing string T
+# gives T|J> = c|K>:
+#     psi[J] <- cos(th) psi[J] + u_J e^{+i sig phi} sin(th) conj(c) psi[K]
+#     psi[K] <- eps cos(th) psi[K] + u_K e^{-i sig phi} sin(th) c psi[J]
+# with th = scale * params[slot 0] and phi = params[slot 1] (slot 0 again for
+# one-angle gates, where sig = 0). The interaction exp(-i lam) =
+# cos(lam) - i sin(lam) acts on the positions with both sites occupied, each
+# its own partner. Per kind: (scale, eps, u_J, u_K, sig); hop_x's scale
+# carries the rho sign.
+_GATE_FORMS = {
+    "interaction": (1.0, 1.0, -1j, 0.0, 0.0),
+    "hop_x": (2.0, 1.0, 1j, 1j, 0.0),
+    "hop_y": (2.0, 1.0, 1.0, -1.0, 0.0),
+    "vx": (1.0, -1.0, 1.0, 1.0, 1.0),
+    "vy": (1.0, -1.0, 1j, -1j, -1.0),
+}
+
+
 class SectorModel:
     """Constrained-subspace state machine for number-conserving ansaetze."""
 
@@ -148,8 +167,7 @@ class SectorModel:
         if self.cols.size == 0:
             raise InputError(f"no constrained states with particle number {config.n_f}")
         self.h_sector = restrict_sum(self.basis, tv_hamiltonian(spec, config.t, config.V), self.cols)
-        self._edge_tables: Dict[Edge, Tuple[np.ndarray, ...]] = {}
-        self._gate_plan = self._build_plan()
+        self._build_gate_table()
         self._init_vec: Optional[np.ndarray] = None
 
     # ---------------------------------------------------------- construction
@@ -160,29 +178,59 @@ class SectorModel:
 
     def _edge_table(self, e: Edge):
         """Sector positions J (site s occupied, r empty), K and c with T|J> = c|K>
-        for the edge's pairing string T, conj(c), and the positions with both
-        sites occupied."""
-        if e not in self._edge_tables:
-            spec = self.config.spec
-            r, s = edge_sites(spec, e)
-            occ = self.basis.occ_masks[self.cols]
-            has_r = (occ >> site_index(spec, r)) & 1 == 1
-            has_s = (occ >> site_index(spec, s)) & 1 == 1
-            J = np.flatnonzero(has_s & ~has_r)
-            M = self._pairing_matrix(e, self.cols)[:, J]
-            K = np.argmax(np.abs(M), axis=0)
-            c = M[K, np.arange(J.size)]
-            require("pairing coefficient modulus differs from 1 by",
-                    float(np.max(np.abs(np.abs(c) - 1.0), initial=0.0)), 1e-12)
-            c = c.reshape(-1, 1)
-            self._edge_tables[e] = (J, K, c, np.conj(c), np.flatnonzero(has_r & has_s))
-        return self._edge_tables[e]
+        for the edge's pairing string T, and the positions with both sites
+        occupied."""
+        spec = self.config.spec
+        r, s = edge_sites(spec, e)
+        occ = self.basis.occ_masks[self.cols]
+        has_r = (occ >> site_index(spec, r)) & 1 == 1
+        has_s = (occ >> site_index(spec, s)) & 1 == 1
+        J = np.flatnonzero(has_s & ~has_r)
+        M = self._pairing_matrix(e, self.cols)[:, J]
+        K = np.argmax(np.abs(M), axis=0)
+        c = M[K, np.arange(J.size)]
+        require("pairing coefficient modulus differs from 1 by",
+                float(np.max(np.abs(np.abs(c) - 1.0), initial=0.0)), 1e-12)
+        return J, K, c, np.flatnonzero(has_r & has_s)
 
-    def _build_plan(self) -> List[Tuple[str, Edge, Tuple[int, ...]]]:
+    def _build_gate_table(self) -> None:
+        """One row per (plan entry, moved position), in applied order, and the
+        plan cut into runs of consecutive entries on disjoint positions.
+
+        A run's entries touch no position another of them touches, so a run
+        applies as one update, and the state before a run is, on each of its
+        entries' positions, the state before that entry."""
         cfg = self.config
-        if cfg.ansatz == "agate":
-            return circ.agate_layout(cfg.spec, cfg.layers)
-        return circ.hv_layout(cfg.spec, cfg.layers, cfg.granularity)
+        plan = (circ.agate_layout(cfg.spec, cfg.layers) if cfg.ansatz == "agate"
+                else circ.hv_layout(cfg.spec, cfg.layers, cfg.granularity))
+        tables = {e: self._edge_table(e) for e in dict.fromkeys(e for _, e, _ in plan)}
+        parts, runs, touched, size = [], [], set(), 0
+        for kind, e, slots in plan:
+            scale, eps, u_j, u_k, sig = _GATE_FORMS[kind]
+            J, K, c, both = tables[e]
+            if kind == "interaction":
+                rows, partners, mate = both, both, np.arange(both.size)
+                a, b, sg = np.ones(both.size), np.full(both.size, u_j), np.zeros(both.size)
+            else:
+                scale *= cfg.spec.rho if kind == "hop_x" else 1
+                rows, partners = np.concatenate([J, K]), np.concatenate([K, J])
+                mate = np.concatenate([np.arange(J.size) + J.size, np.arange(J.size)])
+                a = np.repeat([1.0, eps], J.size)
+                b = np.concatenate([u_j * np.conj(c), u_k * c])
+                sg = np.repeat([sig, -sig], J.size)
+            moved = set(rows.tolist())
+            if not runs or touched & moved:
+                runs.append(size)
+                touched = set()
+            touched |= moved
+            parts.append((rows, partners, mate + size, np.full(rows.size, slots[0]),
+                          np.full(rows.size, slots[-1]), np.full(rows.size, scale), a, b, sg))
+            size += rows.size
+        (self._rows, self._partners, self._mate, self._slot0, self._slot1, self._scale,
+         self._a, self._b, self._sig) = (np.concatenate(col) for col in zip(*parts))
+        ends = runs[1:] + [size]
+        self._run_of = np.repeat(np.arange(len(runs)), np.subtract(ends, runs))
+        self._runs = [(self._rows[i:j], self._partners[i:j], slice(i, j)) for i, j in zip(runs, ends)]
 
     # ---------------------------------------------------------- state prep
 
@@ -208,42 +256,37 @@ class SectorModel:
 
     # ---------------------------------------------------------- ansatz action
 
-    def apply_ansatz(self, vecs: np.ndarray, params: np.ndarray) -> np.ndarray:
-        """Batched in-place application; vecs (dim, B), params (B, n_params)."""
-        rho = self.config.spec.rho
-        for kind, e, slots in self._gate_plan:
-            J, K, c, cc, both = self._edge_table(e)
-            if kind == "interaction":
-                lam = params[:, slots[0]]
-                if both.size:
-                    vecs[both] *= np.exp(-1j * lam)[None, :]
-                continue
-            if J.size == 0:
-                continue
-            a = vecs[J]
-            b = vecs[K]
-            if kind == "hop_x":
-                th = 2.0 * rho * params[:, slots[0]]
-                ct, ist = np.cos(th), 1j * np.sin(th)
-                vecs[J] = ct * a + ist * cc * b
-                vecs[K] = ct * b + ist * c * a
-            elif kind == "hop_y":
-                th = 2.0 * params[:, slots[0]]
-                ct, st = np.cos(th), np.sin(th)
-                vecs[J] = ct * a + st * cc * b
-                vecs[K] = ct * b - st * c * a
-            elif kind == "vx":
-                th, ph = params[:, slots[0]], params[:, slots[1]]
-                ct, st, eip = np.cos(th), np.sin(th), np.exp(1j * ph)
-                vecs[J] = ct * a + eip * st * cc * b
-                vecs[K] = -ct * b + np.conj(eip) * st * c * a
-            elif kind == "vy":
-                th, ph = params[:, slots[0]], params[:, slots[1]]
-                ct, st, eip = np.cos(th), np.sin(th), np.exp(1j * ph)
-                vecs[J] = ct * a + 1j * np.conj(eip) * st * cc * b
-                vecs[K] = -ct * b - 1j * eip * st * c * a
-            else:
-                raise ValueError(f"unknown plan entry {kind}")
+    def _coefficients(self, params: np.ndarray):
+        """diag and off of every gate-table row for params (B, n_params), each
+        (rows, B), and their derivatives in the slot-0 angle."""
+        p = params.T
+        th = self._scale[:, None] * p[self._slot0]
+        phase = np.exp(1j * self._sig[:, None] * p[self._slot1])
+        cos, sin = np.cos(th), np.sin(th)
+        a, b = self._a[:, None], self._b[:, None] * phase
+        return a * cos, b * sin, -self._scale[:, None] * a * sin, self._scale[:, None] * b * cos
+
+    def _sweep(self, vec: np.ndarray, diag: np.ndarray, off: np.ndarray, order,
+               states: Optional[np.ndarray] = None) -> np.ndarray:
+        """vec (dim,) in place through the runs in `order`, each as
+        vec[R] <- diag vec[R] + off vec[P]; states[k], if given, receives vec
+        before run k."""
+        for k in order:
+            rows, partners, cut = self._runs[k]
+            if states is not None:
+                states[k] = vec
+            vec[rows] = diag[cut] * vec[rows] + off[cut] * vec[partners]
+        return vec
+
+    def apply_ansatz(self, vecs: np.ndarray, params: np.ndarray,
+                     states: Optional[np.ndarray] = None) -> np.ndarray:
+        """In-place application, one column at a time; vecs (dim, B), params
+        (B, n_params). states (runs, dim, B), if given, receives the state
+        before each run."""
+        diag, off, _, _ = self._coefficients(params)
+        for i in range(vecs.shape[1]):
+            self._sweep(vecs[:, i], diag[:, i], off[:, i], range(len(self._runs)),
+                        None if states is None else states[:, :, i])
         return vecs
 
     def energies(self, params_matrix: np.ndarray) -> np.ndarray:
@@ -256,17 +299,26 @@ class SectorModel:
         return float(self.energies(np.asarray(params, dtype=float)[None, :])[0])
 
     def gradient(self, params: np.ndarray) -> Tuple[float, np.ndarray]:
-        """(energy, central-difference gradient) at params from one batch of
-        2n + 1 rows: the centre point first, then +FD_STEP and -FD_STEP along
-        each axis."""
-        p = np.asarray(params, dtype=float)
-        n = p.size
-        pm = np.tile(p, (2 * n + 1, 1))
-        idx = np.arange(n)
-        pm[2 * idx + 1, idx] += FD_STEP
-        pm[2 * idx + 2, idx] -= FD_STEP
-        e = self.energies(pm)
-        return float(e[0]), (e[1::2] - e[2::2]) / (2.0 * FD_STEP)
+        """(energy, exact gradient) at params by reverse mode (Jones & Gacon,
+        arXiv:2009.02823). The forward sweep stores the state psi before each
+        run; lam = H psi is then carried back through each run's adjoint, and
+        dE/dp = 2 Re <lam|dG/dp|psi> summed over every gate-table row that
+        reads p."""
+        p = np.asarray(params, dtype=float)[None, :]
+        states = np.empty((len(self._runs), self.cols.size, 1), dtype=np.complex128)
+        psi = self.apply_ansatz(self.initial_vector()[:, None], p, states)[:, 0]
+        states = states[:, :, 0]
+        lam = self.h_sector @ psi
+        energy = float(np.vdot(psi, lam).real)
+        diag, off, d_diag, d_off = (c[:, 0] for c in self._coefficients(p))
+        lams = np.empty_like(states)
+        self._sweep(lam, diag.conj(), off[self._mate].conj(), reversed(range(len(self._runs))), lams)
+        bra = lams[self._run_of, self._rows].conj()
+        x, y = states[self._run_of, self._rows], states[self._run_of, self._partners]
+        by_angle = (bra * (d_diag * x + d_off * y)).real
+        by_phase = (bra * 1j * self._sig * off * y).real
+        n = p.shape[1]
+        return energy, 2.0 * (np.bincount(self._slot0, by_angle, n) + np.bincount(self._slot1, by_phase, n))
 
     def sector_state(self, params: Sequence[float]) -> StateVector:
         vec = self.initial_vector()[:, None]

@@ -124,24 +124,38 @@ def test_gradient_centre_energy_matches_energy(ansatz, granularity):
     assert abs(e - model.energy(p)) < 1e-13
 
 
-def test_adam_step_is_one_batch(monkeypatch):
-    # one batch per step plus the one at the start point; the last step
-    # evaluates only the energy
+@pytest.mark.parametrize("Lx,Ly,ansatz,granularity", [
+    (2, 4, "agate", "per_edge"), (2, 4, "hv", "per_edge"), (2, 4, "hv", "per_group"),
+    (3, 3, "agate", "per_edge"), (3, 3, "hv", "per_edge"),  # rho = -1 flips hop_x
+])
+def test_adjoint_gradient_matches_central_differences(Lx, Ly, ansatz, granularity):
+    cfg = config(lat(Lx, Ly), ansatz, layers=2, granularity=granularity)
+    p = np.random.default_rng(31).uniform(-0.5, 0.5, cfg.n_params)
+    model = vqe.SectorModel(cfg)
+    _, g = model.gradient(p)
+    eps = 1e-5
+    steps = eps * np.eye(cfg.n_params)
+    num = (model.energies(p + steps) - model.energies(p - steps)) / (2 * eps)
+    assert np.max(np.abs(g - num)) <= 1e-7
+
+
+def test_adam_step_is_one_sweep(monkeypatch):
+    # one single-column forward sweep per step plus the one at the start
+    # point; the last step evaluates only the energy
     cfg = config(lat(2, 2), "agate", layers=1)
     model = vqe.SectorModel(cfg)
-    calls = []
-    batched = vqe.SectorModel.energies
+    columns = []
+    forward = vqe.SectorModel.apply_ansatz
 
-    def counted(self, params_matrix):
-        calls.append(params_matrix.shape[0])
-        return batched(self, params_matrix)
+    def counted(self, vecs, params, *args):
+        columns.append(vecs.shape[1])
+        return forward(self, vecs, params, *args)
 
-    monkeypatch.setattr(vqe.SectorModel, "energies", counted)
+    monkeypatch.setattr(vqe.SectorModel, "apply_ansatz", counted)
     k = 7
     energies, *_ = vqe._adam_descent(model, vqe.OptimizerConfig(max_steps=k, tolerance=0.0), 3)
     assert len(energies) == k + 1
-    assert len(calls) == k + 1
-    assert calls == [2 * cfg.n_params + 1] * k + [1]
+    assert columns == [1] * (k + 1)
 
 
 def test_energy_rejects_wrong_param_count():
