@@ -25,6 +25,7 @@ from .lattice import (
     edges,
     phys_index,
     plaquette_sites,
+    require,
     sites,
     vacuum_plaquette_set,
 )
@@ -190,6 +191,7 @@ def apply_circuit(state: StateVector, c: Circuit) -> StateVector:
         raise ValueError("register size mismatch")
     for g in c.gates:
         apply_matrix_gate(state, gate_unitary(g), g.targets)
+    require("weight truncated from the sparse state", state.dropped, 1e-12)
     return state
 
 

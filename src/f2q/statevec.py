@@ -1,8 +1,23 @@
-"""Dense statevector simulator and constrained-subspace machinery.
+"""Label-sparse statevector simulator and constrained-subspace machinery.
 
-Amplitude indexing: computational basis index b has qubit q at bit q
-(qubit 0 = least significant bit). A k-qubit gate matrix is given in the
-basis where targets[0] is the most significant of the k local bits.
+A state is its support: the basis labels that carry an amplitude, as
+ascending int64, and those amplitudes. Label b has qubit q at bit q (qubit
+0 = least significant bit), so int64 labels reach 62-qubit registers;
+MAX_QUBITS bounds the support, not the register. A k-qubit gate matrix is
+given in the basis where targets[0] is the most significant of the k local
+bits.
+
+The lattice circuits keep every state inside the constrained subspace, whose
+columns are aux orbits of 2^rank labels, so the support stays far below 2^n
+(3x3, n_f = 2: 576 of 2^18 labels). A gate splits U into the blocks that its
+entries above DROP_CUT connect, applies each block to the groups of labels
+that agree outside the targets, and drops the outputs with |a| <= DROP_CUT.
+The dropped weight, plus a bound for the matrix entries left out, adds up on
+the state, and circuits.apply_circuit fails once it exceeds 1e-12. A state
+with full support (2^n labels) is a dense vector. Its gates take the
+reshape/tensordot kernel, which applies a 3x3 Trotter step to a random
+18-qubit state about six times faster than grouping does. Kernels replace a
+state's arrays and never write into them.
 """
 
 from __future__ import annotations
@@ -16,29 +31,68 @@ import numpy as np
 from .lattice import InputError, LatticeSpec, require
 from .pauli import ConstraintSet, PauliString, PauliSum, identity as pauli_identity
 
-MAX_QUBITS = 24          # hard resource guard for dense states
+MAX_REGISTER_QUBITS = 62  # int64 labels
+MAX_QUBITS = 24  # support guard: no state or gate output holds more than 2^MAX_QUBITS labels
 MAX_SUBSPACE_QUBITS = 18  # guard for subspace construction
 MAX_GATE_QUBITS = 4  # widest gate apply_matrix_gate takes
+DROP_CUT = 1e-14  # a gate output amplitude with |a| <= DROP_CUT leaves the support
 
 
 @dataclass
 class StateVector:
-    amplitudes: np.ndarray
+    """sum_i amps[i] |labels[i]> on register_size qubits.
+
+    labels are distinct and ascending; dropped is the weight sum |a|^2 that
+    gates have cut from the support so far.
+    """
+
+    labels: np.ndarray
+    amps: np.ndarray
     register_size: int
+    dropped: float = 0.0
+
+    def __post_init__(self):
+        n = self.register_size
+        if not 0 <= n <= MAX_REGISTER_QUBITS:
+            raise ValueError(f"register of {n} qubits exceeds the {MAX_REGISTER_QUBITS}-qubit "
+                             "label range")
+        self.labels = np.asarray(self.labels, dtype=np.int64)
+        self.amps = np.asarray(self.amps, dtype=np.complex128)
+        labels = self.labels
+        if labels.ndim != 1 or labels.shape != self.amps.shape:
+            raise ValueError("labels and amplitudes must be aligned 1-D arrays")
+        _check_support(labels.size)
+        if labels.size and (labels[0] < 0 or labels[-1] >> n or np.any(np.diff(labels) <= 0)):
+            raise ValueError("labels must be distinct, ascending and inside the register")
+
+    @classmethod
+    def from_dense(cls, amps: np.ndarray, n_qubits: int) -> "StateVector":
+        """The full-support state with amplitude vector amps (2^n entries)."""
+        if np.shape(amps) != (1 << n_qubits,):
+            raise ValueError("a dense state needs 2^n amplitudes")
+        return cls(np.arange(1 << n_qubits, dtype=np.int64), amps, n_qubits)
+
+    def to_dense(self) -> np.ndarray:
+        """The 2^n amplitude vector."""
+        _check_support(1 << self.register_size)
+        psi = np.zeros(1 << self.register_size, dtype=np.complex128)
+        psi[self.labels] = self.amps
+        return psi
 
     def copy(self) -> "StateVector":
-        return StateVector(self.amplitudes.copy(), self.register_size)
+        return StateVector(self.labels.copy(), self.amps.copy(), self.register_size, self.dropped)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        return float(np.linalg.norm(self.amps))
+
+
+def _check_support(size: int) -> None:
+    if size > 1 << MAX_QUBITS:
+        raise ValueError(f"support of {size} labels exceeds the 2^{MAX_QUBITS}-label guard")
 
 
 def zero_state(n_qubits: int) -> StateVector:
-    if n_qubits > MAX_QUBITS:
-        raise ValueError(f"register of {n_qubits} qubits exceeds the {MAX_QUBITS}-qubit guard")
-    amps = np.zeros(1 << n_qubits, dtype=np.complex128)
-    amps[0] = 1.0
-    return StateVector(amps, n_qubits)
+    return StateVector(np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.complex128), n_qubits)
 
 
 def _check_unitary(U: np.ndarray) -> None:
@@ -60,7 +114,19 @@ def apply_matrix_gate(state: StateVector, U: np.ndarray, targets: Sequence[int])
         raise ValueError("target out of range")
     U = np.asarray(U, dtype=np.complex128)
     _check_unitary(U)
-    psi = state.amplitudes.reshape([2] * n)
+    if U.shape[0] != 1 << k:
+        raise ValueError("gate matrix size does not match its targets")
+    if state.labels.size == 1 << n:
+        _apply_dense(state, U, targets)
+    else:
+        _apply_sparse(state, U, targets)
+    return state
+
+
+def _apply_dense(state: StateVector, U: np.ndarray, targets: Sequence[int]) -> None:
+    """Full support: the amplitudes are the dense vector, gated as an n-axis tensor."""
+    n, k = state.register_size, len(targets)
+    psi = state.amps.reshape([2] * n)
     axes = [n - 1 - q for q in targets]  # tensor axis of qubit q
     phases = np.diagonal(U)
     if not np.any(U - np.diag(phases)):
@@ -70,13 +136,77 @@ def apply_matrix_gate(state: StateVector, U: np.ndarray, targets: Sequence[int])
         for a in axes:
             shape[a] = 2
         P = phases.reshape([2] * k).transpose(order).reshape(shape)
-        state.amplitudes = (psi * P).reshape(-1)
-        return state
+        state.amps = (psi * P).reshape(-1)
+        return
     Ut = U.reshape([2] * (2 * k))
     out = np.tensordot(Ut, psi, axes=(list(range(k, 2 * k)), axes))
     out = np.moveaxis(out, list(range(k)), axes)
-    state.amplitudes = np.ascontiguousarray(out).reshape(-1)
-    return state
+    state.amps = np.ascontiguousarray(out).reshape(-1)
+
+
+def _local_index(labels: np.ndarray, targets: Sequence[int]) -> np.ndarray:
+    """Each label's row in a gate matrix on targets (targets[0] the MSB)."""
+    k = len(targets)
+    loc = np.zeros(labels.size, dtype=np.int64)
+    for i, q in enumerate(targets):
+        loc |= ((labels >> q) & 1) << (k - 1 - i)
+    return loc
+
+
+def _apply_sparse(state: StateVector, U: np.ndarray, targets: Sequence[int]) -> None:
+    """Partial support: U one invariant block at a time.
+
+    Local indices joined by a chain of entries of U above DROP_CUT form one
+    block. U is block diagonal on these up to the entries it leaves out,
+    whose bound ||E||_F^2 ||psi||^2 on the weight they would move is added to
+    state.dropped. A one-index block is a phase on its labels. A wider block
+    acts on each group of its labels that agree outside the targets, and its
+    outputs with |a| <= DROP_CUT leave the support.
+    """
+    k = len(targets)
+    labels, amps = state.labels, state.amps
+    loc = _local_index(labels, targets)
+    big = np.abs(U) > DROP_CUT
+    link = big | big.T | np.eye(1 << k, dtype=bool)
+    for _ in range(k):  # 2^k-step reachability in k squarings
+        link = (link.astype(np.int64) @ link) > 0
+    head = np.argmax(link, axis=0)  # the smallest local index in each one's block
+    width = np.bincount(head, minlength=1 << k)
+    cut = float(np.sum(np.abs(U[head[:, None] != head]) ** 2))
+    dropped = cut * float(np.vdot(amps, amps).real) if cut else 0.0
+    at = head[loc]
+    alone = width[at] == 1
+    if alone.all():
+        state.amps = amps * np.diagonal(U)[loc]
+        state.dropped += dropped
+        return
+    new, out = [labels[alone]], [amps[alone] * np.diagonal(U)[loc[alone]]]
+    size = new[0].size
+    rest = labels & ~sum(1 << q for q in targets)
+    spread = np.zeros(1 << k, dtype=np.int64)
+    for i, q in enumerate(targets):
+        spread |= ((np.arange(1 << k) >> (k - 1 - i)) & 1) << q
+    for h in np.flatnonzero(width > 1):
+        mine = at == h
+        if not mine.any():
+            continue
+        members = np.flatnonzero(head == h)
+        keys, group = np.unique(rest[mine], return_inverse=True)
+        size += keys.size * members.size
+        _check_support(size)
+        block = np.zeros((keys.size, members.size), dtype=np.complex128)
+        block[group, np.searchsorted(members, loc[mine])] = amps[mine]
+        # row j of res holds the outputs on keys | spread[members[j]]
+        res = (U[np.ix_(members, members)] @ block.T).reshape(-1)
+        weight = res.real ** 2 + res.imag ** 2
+        keep = weight > DROP_CUT ** 2
+        dropped += float(weight[~keep].sum())
+        new.append((spread[members][:, None] | keys).reshape(-1)[keep])
+        out.append(res[keep])
+    new, out = np.concatenate(new), np.concatenate(out)
+    order = np.argsort(new, kind="stable")  # merges ascending runs
+    state.labels, state.amps = new[order], out[order]
+    state.dropped += dropped
 
 
 def pauli_table(terms: Iterable[Tuple[complex, PauliString]]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -104,22 +234,31 @@ def apply_pauli(state: StateVector, p: PauliString) -> StateVector:
     if p.n != state.register_size:
         raise ValueError("register size mismatch")
     (flip,), (sign,), (coeff,) = pauli_table([(1, p)])
-    src = np.arange(state.amplitudes.size, dtype=np.uint64) ^ flip
-    state.amplitudes = _signed(src, sign, coeff) * state.amplitudes[src]
+    src = state.labels.view(np.uint64)
+    dest = (src ^ flip).view(np.int64)
+    order = np.argsort(dest)
+    state.labels, state.amps = dest[order], (_signed(src, sign, coeff) * state.amps)[order]
     return state
 
 
-def _expectation(psi: np.ndarray, terms: Iterable[Tuple[complex, PauliString]]) -> complex:
-    """<psi| sum_k c_k S_k |psi>, gathering psi[b ^ flip] once per distinct flip."""
+def _find(labels: np.ndarray, wanted: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(pos, hit): labels[pos[i]] == wanted[i] wherever hit[i]; labels ascending."""
+    pos = np.minimum(np.searchsorted(labels, wanted), labels.size - 1)
+    return pos, labels[pos] == wanted
+
+
+def _expectation(state: StateVector, terms: Iterable[Tuple[complex, PauliString]]) -> complex:
+    """<psi| sum_k c_k S_k |psi>, looking up the image labels b ^ flip once per
+    distinct flip."""
     flip, sign, coeff = pauli_table(terms)
-    idx = np.arange(psi.size, dtype=np.uint64)
+    labels, amps = state.labels, state.amps
+    src = labels.view(np.uint64)
     val = 0j
     for f in np.unique(flip):
-        src = idx ^ f
-        moved = psi[src]
+        pos, hit = _find(labels, (src ^ f).view(np.int64))
+        overlap = np.conj(amps[pos[hit]]) * amps[hit]  # <b ^ f|psi>* <b|psi>
         group = flip == f
-        for z, c in zip(sign[group], coeff[group]):
-            val += np.vdot(psi, _signed(src, z, c) * moved)
+        val += np.sum(_signed(src[hit], sign[group, None], coeff[group, None]) @ overlap)
     return complex(val)
 
 
@@ -128,13 +267,15 @@ def expval(state: StateVector, O: PauliSum) -> float:
         raise ValueError("register size mismatch")
     if not O.is_hermitian:
         raise ValueError("expectation of a non-Hermitian sum")
-    val = _expectation(state.amplitudes, O)
+    val = _expectation(state, O)
     require("imaginary residue of a Hermitian expectation", abs(val.imag), 1e-10)
     return float(val.real)
 
 
 def expval_string(state: StateVector, p: PauliString) -> complex:
-    return _expectation(state.amplitudes, [(1, p)])
+    if p.n != state.register_size:
+        raise ValueError("register size mismatch")
+    return _expectation(state, [(1, p)])
 
 
 def qubit_marginals(state: StateVector, qubits: Sequence[int]) -> np.ndarray:
@@ -142,9 +283,8 @@ def qubit_marginals(state: StateVector, qubits: Sequence[int]) -> np.ndarray:
     n = state.register_size
     if any(not 0 <= q < n for q in qubits):
         raise ValueError("qubit out of range")
-    prob = np.abs(state.amplitudes) ** 2
-    # qubit q is the middle axis of shape (2^(n-1-q), 2, 2^q)
-    return np.array([prob.reshape(-1, 2, 1 << q)[:, 1, :].sum() for q in qubits])
+    bits = (state.labels[:, None] >> np.asarray(qubits, dtype=np.int64)) & 1
+    return (np.abs(state.amps) ** 2) @ bits
 
 
 # ---------------------------------------------------------------- subspace
@@ -170,21 +310,22 @@ class SubspaceBasis:
     occ_counts: Dict[int, int]
 
     def column_state(self, j: int) -> StateVector:
-        psi = np.zeros(1 << self.register_size, dtype=np.complex128)
         mine = self.cols == j
-        psi[self.labels[mine]] = self.amps[mine]
-        return StateVector(psi, self.register_size)
+        return StateVector(self.labels[mine], self.amps[mine], self.register_size)
 
     def project(self, state: StateVector) -> np.ndarray:
         """coefficients B^dagger psi."""
         coeffs = np.zeros(self.dim, dtype=np.complex128)
-        np.add.at(coeffs, self.cols, np.conj(self.amps) * state.amplitudes[self.labels])
+        pos, hit = _find(self.labels, state.labels)
+        pos = pos[hit]
+        np.add.at(coeffs, self.cols[pos], np.conj(self.amps[pos]) * state.amps[hit])
         return coeffs
 
     def expand(self, coeffs: np.ndarray) -> StateVector:
-        psi = np.zeros(1 << self.register_size, dtype=np.complex128)
-        psi[self.labels] = coeffs[self.cols] * self.amps
-        return StateVector(psi, self.register_size)
+        """B coeffs, on the labels of the columns with a nonzero coefficient."""
+        amps = coeffs[self.cols] * self.amps
+        keep = amps != 0
+        return StateVector(self.labels[keep], amps[keep], self.register_size)
 
 
 def constrained_basis(spec: LatticeSpec, cs: ConstraintSet) -> SubspaceBasis:
@@ -281,8 +422,8 @@ def restrict_sum(basis: SubspaceBasis, H: PauliSum, cols: Optional[np.ndarray] =
     flip, sign, coeff = pauli_table(H)
     # one row per term: each source label b goes to b ^ flip
     dest = (labels ^ flip[:, None]).astype(np.int64)
-    pos = np.minimum(np.searchsorted(basis.labels, dest), basis.labels.size - 1)
-    rows = np.where(basis.labels[pos] == dest, sel[basis.cols[pos]], -1)
+    pos, hit = _find(basis.labels, dest)
+    rows = np.where(hit, sel[basis.cols[pos]], -1)
     k, i = np.nonzero(rows >= 0)  # (term, source label) pairs that land in the selection
     contrib = _signed(labels[i], sign[k], coeff[k]) * amps[i] * np.conj(basis.amps[pos[k, i]])
     mat = np.zeros((cols.size, cols.size), dtype=np.complex128)

@@ -279,11 +279,13 @@ class SectorModel:
         return vec
 
     def apply_ansatz(self, vecs: np.ndarray, params: np.ndarray,
-                     states: Optional[np.ndarray] = None) -> np.ndarray:
+                     states: Optional[np.ndarray] = None,
+                     coeffs: Optional[Tuple[np.ndarray, np.ndarray]] = None) -> np.ndarray:
         """In-place application, one column at a time; vecs (dim, B), params
         (B, n_params). states (runs, dim, B), if given, receives the state
-        before each run."""
-        diag, off, _, _ = self._coefficients(params)
+        before each run. coeffs, if given, is the (diag, off) pair of
+        _coefficients(params), computed by the caller."""
+        diag, off = self._coefficients(params)[:2] if coeffs is None else coeffs
         for i in range(vecs.shape[1]):
             self._sweep(vecs[:, i], diag[:, i], off[:, i], range(len(self._runs)),
                         None if states is None else states[:, :, i])
@@ -305,12 +307,13 @@ class SectorModel:
         dE/dp = 2 Re <lam|dG/dp|psi> summed over every gate-table row that
         reads p."""
         p = np.asarray(params, dtype=float)[None, :]
+        coeffs = self._coefficients(p)
         states = np.empty((len(self._runs), self.cols.size, 1), dtype=np.complex128)
-        psi = self.apply_ansatz(self.initial_vector()[:, None], p, states)[:, 0]
+        psi = self.apply_ansatz(self.initial_vector()[:, None], p, states, coeffs[:2])[:, 0]
         states = states[:, :, 0]
         lam = self.h_sector @ psi
         energy = float(np.vdot(psi, lam).real)
-        diag, off, d_diag, d_off = (c[:, 0] for c in self._coefficients(p))
+        diag, off, d_diag, d_off = (c[:, 0] for c in coeffs)
         lams = np.empty_like(states)
         self._sweep(lam, diag.conj(), off[self._mate].conj(), reversed(range(len(self._runs))), lams)
         bra = lams[self._run_of, self._rows].conj()

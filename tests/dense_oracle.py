@@ -25,6 +25,18 @@ def pauli_matrix(p):
     return p.phase * out
 
 
+def pauli_apply(p, psi):
+    """P|psi> for a 2^n vector, one 2x2 letter per tensor axis (no 2^n matrix)."""
+    n = p.n
+    out = psi.reshape([2] * n)
+    for q in range(n):
+        if p.letters[q]:
+            axis = n - 1 - q
+            out = np.moveaxis(np.tensordot(LETTER_MATS[p.letters[q]], out, axes=([1], [axis])),
+                              0, axis)
+    return p.phase * out.reshape(-1)
+
+
 def pauli_sum_matrix(s):
     out = np.zeros((1 << s.n, 1 << s.n), dtype=np.complex128)
     for c, term in s:

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
-from dense_oracle import embed_gate, pauli_matrix, pauli_sum_matrix
+from dense_oracle import embed_gate, pauli_apply, pauli_matrix, pauli_sum_matrix
 from f2q import circuits as C
 from f2q import pauli as P
 from f2q.lattice import (
+    Edge,
     LatticeSpec,
     Site,
     aux_index,
@@ -19,7 +20,8 @@ from f2q.lattice import (
     phys_index,
     sites,
 )
-from f2q.statevec import StateVector, constrained_basis, expval, expval_string, zero_state
+from f2q.statevec import (StateVector, constrained_basis, expval, expval_string,
+                          qubit_marginals, zero_state)
 
 RNG = np.random.default_rng(20260813)
 
@@ -114,9 +116,9 @@ def test_apply_and_unitary_match_embedding_oracle():
     rng = np.random.default_rng(3)
     amps = rng.normal(size=16) + 1j * rng.normal(size=16)
     amps /= np.linalg.norm(amps)
-    sv = StateVector(amps.copy(), n)
+    sv = StateVector.from_dense(amps.copy(), n)
     C.apply_circuit(sv, c)
-    assert np.max(np.abs(sv.amplitudes - want @ amps)) < 1e-13
+    assert np.max(np.abs(sv.to_dense() - want @ amps)) < 1e-13
 
 
 def test_restrict_circuit_remaps():
@@ -395,9 +397,88 @@ def test_fuse_preserves_action_property(data):
     assert all(g.kind == "matrix" and g.arity <= 4 for g in fused)
     assert len(fused) <= len(c)
     amps = random_amplitudes(n, data.draw(st.integers(0, 2**31 - 1)))
-    want = C.apply_circuit(StateVector(amps.copy(), n), c).amplitudes
-    got = C.apply_circuit(StateVector(amps.copy(), n), fused).amplitudes
+    want = C.apply_circuit(StateVector.from_dense(amps.copy(), n), c).to_dense()
+    got = C.apply_circuit(StateVector.from_dense(amps.copy(), n), fused).to_dense()
     assert np.max(np.abs(got - want)) < 1e-12
+
+
+def _random_unitary(k, rng):
+    q, r = np.linalg.qr(rng.normal(size=(1 << k, 1 << k)) + 1j * rng.normal(size=(1 << k, 1 << k)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_sparse_state_matches_dense_oracle_property(data):
+    # gates on a block of at most 8 of 3..12 qubits, at the bottom or the top
+    # of the register, so the oracle is circuit_unitary on that block
+    n = data.draw(st.integers(3, 12))
+    m = min(n, 8)
+    low = data.draw(st.sampled_from([0, n - m]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+    angle = st.floats(-4, 4, allow_nan=False, allow_infinity=False)
+    c = C.Circuit(n)
+    for _ in range(data.draw(st.integers(0, 12))):
+        kind = data.draw(st.sampled_from(sorted(C.GATE_ARITY) + ["matrix"]))
+        order = [low + q for q in data.draw(st.permutations(range(m)))]  # unsorted targets
+        if kind == "matrix":
+            k = data.draw(st.integers(1, 4))
+            c.add(C.Gate(kind, tuple(order[:k]), matrix=_random_unitary(k, rng)))
+        else:
+            params = tuple(data.draw(angle) for _ in range(C.GATE_PARAMS.get(kind, 0)))
+            c.add(C.Gate(kind, tuple(order[:C.GATE_ARITY[kind]]), params=params))
+
+    support = data.draw(st.one_of(st.just(None), st.integers(1, 64)))
+    if support is None:
+        labels = np.arange(1 << n)
+    else:
+        labels = np.sort(rng.choice(1 << n, size=min(support, 1 << n), replace=False))
+    amps = rng.normal(size=labels.size) + 1j * rng.normal(size=labels.size)
+    amps /= np.linalg.norm(amps)
+    psi = np.zeros(1 << n, dtype=complex)
+    psi[labels] = amps
+    small = C.circuit_unitary(C.restrict_circuit(c, range(low, low + m)))
+    want = np.einsum("ij,ajb->aib", small, psi.reshape(-1, 1 << m, 1 << low)).reshape(-1)
+
+    letters = st.lists(st.integers(0, 3), min_size=n, max_size=n)
+    strings = [P.PauliString(n, bytes(data.draw(letters)), data.draw(st.sampled_from([0, 2])))
+               for _ in range(3)]
+    H = P.PauliSum(n, [(float(x), s) for x, s in zip(rng.normal(size=3), strings)])
+    qubits = list(rng.permutation(n)[:4])
+    for circuit in (c, C.fuse(c)):
+        state = C.apply_circuit(StateVector(labels, amps, n), circuit)
+        assert state.dropped <= 1e-12
+        assert np.max(np.abs(state.to_dense() - want)) < 1e-12
+        dense_h = sum(x * np.vdot(want, pauli_apply(s, want)) for x, s in H)
+        assert abs(expval(state, H) - dense_h.real) < 1e-12
+        assert abs(expval_string(state, strings[0]) - np.vdot(want, pauli_apply(strings[0], want))) < 1e-12
+        bits = (np.arange(1 << n)[:, None] >> np.array(qubits)) & 1
+        assert np.max(np.abs(qubit_marginals(state, qubits) - np.abs(want) ** 2 @ bits)) < 1e-12
+
+
+def test_4x4_state_keeps_constraints_and_particle_number():
+    # 32 qubits: no dense state reaches this; the sparse one holds <= 120 x 512 labels
+    spec = lat(4, 4)
+    cs = P.constraint_set(spec)
+    number = P.number_sum(spec)
+
+    def check(state, n_f):
+        for s, target in cs:
+            assert abs(expval_string(state, s) - target) < 1e-10
+        assert abs(expval(state, number) - n_f) < 1e-10
+
+    state = C.apply_circuit(zero_state(spec.n_qubits), C.vacuum_circuit(spec))
+    check(state, 0)
+    C.apply_circuit(state, C.pair_creation(spec, Edge(Site(0, 0), "x")))
+    check(state, 2)
+    params = np.random.default_rng(11).uniform(-0.5, 0.5, C.agate_param_count(spec, 1))
+    C.apply_circuit(state, C.fuse(C.ansatz_agate(spec, 1, params)))
+    check(state, 2)
+    step = C.fuse(C.trotter_step(spec, 1.0, 2.0, 0.05))
+    for _ in range(10):
+        C.apply_circuit(state, step)
+        check(state, 2)
+    assert state.labels.size <= 120 * 512
 
 
 def test_fuse_trotter_step_blocks_and_action():
@@ -409,8 +490,8 @@ def test_fuse_trotter_step_blocks_and_action():
         step = C.trotter_step(spec, 1.0, 3.0, 0.1)
         fused = C.fuse(step)
         amps = random_amplitudes(spec.n_qubits, seed=dims[1])
-        want = C.apply_circuit(StateVector(amps.copy(), spec.n_qubits), step).amplitudes
-        got = C.apply_circuit(StateVector(amps.copy(), spec.n_qubits), fused).amplitudes
+        want = C.apply_circuit(StateVector.from_dense(amps.copy(), spec.n_qubits), step).to_dense()
+        got = C.apply_circuit(StateVector.from_dense(amps.copy(), spec.n_qubits), fused).to_dense()
         assert np.max(np.abs(got - want)) < 1e-12
 
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from f2q import statevec
 from f2q.lattice import LatticeSpec, Site
 from f2q.pauli import (
     I,
@@ -45,7 +46,7 @@ def random_state(n, seed=0):
     rng = np.random.default_rng(seed)
     amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
     amps /= np.linalg.norm(amps)
-    return StateVector(amps, n)
+    return StateVector.from_dense(amps, n)
 
 
 def random_unitary(dim, seed=0):
@@ -59,26 +60,36 @@ def random_unitary(dim, seed=0):
 
 def test_zero_state_basics():
     s = zero_state(8)
-    assert s.amplitudes.size == 256  # 2x2 register
+    assert s.to_dense().size == 256  # 2x2 register
     assert s.norm() == pytest.approx(1.0)
     for q in range(8):
         zq = PauliSum(8, [(1.0, PauliString(8, {q: Z}))])
         assert expval(s, zq) == pytest.approx(1.0)
     with pytest.raises(ValueError):
-        zero_state(25)
+        zero_state(63)  # beyond int64 labels
+
+
+def test_gate_output_beyond_support_guard_raises(monkeypatch):
+    monkeypatch.setattr(statevec, "MAX_QUBITS", 2)  # at most 4 labels
+    s = zero_state(30)
+    apply_matrix_gate(s, H_GATE, [29])
+    apply_matrix_gate(s, H_GATE, [0])
+    assert s.labels.size == 4
+    with pytest.raises(ValueError):
+        apply_matrix_gate(s, H_GATE, [15])  # would hold 8 labels
 
 
 def test_apply_x_twice_is_identity():
     s = zero_state(3)
     apply_matrix_gate(s, X_GATE, [1])
     apply_matrix_gate(s, X_GATE, [1])
-    assert abs(s.amplitudes[0] - 1.0) < 1e-14
+    assert abs(s.to_dense()[0] - 1.0) < 1e-14
 
 
 def test_hadamard_on_zero():
     s = zero_state(1)
     apply_matrix_gate(s, H_GATE, [0])
-    assert np.allclose(s.amplitudes, [1 / np.sqrt(2), 1 / np.sqrt(2)])
+    assert np.allclose(s.to_dense(), [1 / np.sqrt(2), 1 / np.sqrt(2)])
 
 
 def test_gate_errors():
@@ -102,9 +113,9 @@ def test_matrix_gate_matches_dense_embedding():
     for targets in ([2, 0], [0, 2], [1], [0, 1, 2]):
         U = random_unitary(1 << len(targets), seed=len(targets) + 10 * targets[0])
         s = random_state(3, seed=5)
-        expect = embed_gate(U, targets, 3) @ s.amplitudes
+        expect = embed_gate(U, targets, 3) @ s.to_dense()
         apply_matrix_gate(s, U, targets)
-        assert np.max(np.abs(s.amplitudes - expect)) < 1e-12
+        assert np.max(np.abs(s.to_dense() - expect)) < 1e-12
 
 
 def test_diagonal_gate_matches_dense_embedding():
@@ -112,10 +123,10 @@ def test_diagonal_gate_matches_dense_embedding():
     for targets in ([2, 0], [0, 2], [1], [3, 0, 2], [1, 3, 0, 2]):
         U = np.diag(np.exp(1j * rng.uniform(-np.pi, np.pi, 1 << len(targets))))
         s = random_state(4, seed=len(targets))
-        expect = embed_gate(U, targets, 4) @ s.amplitudes
-        held, before = s.amplitudes, s.amplitudes.copy()
+        expect = embed_gate(U, targets, 4) @ s.to_dense()
+        held, before = s.amps, s.amps.copy()
         apply_matrix_gate(s, U, targets)
-        assert np.max(np.abs(s.amplitudes - expect)) < 1e-12
+        assert np.max(np.abs(s.to_dense() - expect)) < 1e-12
         assert np.array_equal(held, before)  # the old array is replaced, not overwritten
     with pytest.raises(ValueError):
         apply_matrix_gate(random_state(2), np.diag([1.0, 2.0]), [0])
@@ -138,18 +149,18 @@ def test_cnot_written_as_matrix():
     s = zero_state(2)
     apply_matrix_gate(s, X_GATE, [1])  # set control
     apply_matrix_gate(s, cnot, [1, 0])
-    assert abs(s.amplitudes[0b11] - 1.0) < 1e-14
+    assert abs(s.to_dense()[0b11] - 1.0) < 1e-14
 
 
 def test_apply_pauli_examples():
     s = zero_state(1)
     apply_matrix_gate(s, X_GATE, [0])
     apply_pauli(s, PauliString(1, {0: Z}))
-    assert abs(s.amplitudes[1] + 1.0) < 1e-14  # Z|1> = -|1>
+    assert abs(s.to_dense()[1] + 1.0) < 1e-14  # Z|1> = -|1>
 
     s = zero_state(1)
     apply_pauli(s, PauliString(1, {0: Y}))
-    assert abs(s.amplitudes[1] - 1j) < 1e-14  # Y|0> = i|1>
+    assert abs(s.to_dense()[1] - 1j) < 1e-14  # Y|0> = i|1>
 
     with pytest.raises(ValueError):
         apply_pauli(zero_state(2), PauliString(3, {0: X}))
@@ -164,9 +175,9 @@ def test_apply_pauli_examples():
 def test_apply_pauli_matches_dense(letters, phase_k, seed):
     p = PauliString(3, bytes(letters), phase_k)
     s = random_state(3, seed)
-    expect = pauli_matrix(p) @ s.amplitudes
+    expect = pauli_matrix(p) @ s.to_dense()
     apply_pauli(s, p)
-    assert np.max(np.abs(s.amplitudes - expect)) < 1e-12
+    assert np.max(np.abs(s.to_dense() - expect)) < 1e-12
 
 
 def test_expval_examples():
@@ -184,14 +195,14 @@ def test_expval_matches_dense_2x2():
     s = random_state(8, 11)
     dense = pauli_sum_matrix(H)
     assert expval(s, H) == pytest.approx(
-        float(np.vdot(s.amplitudes, dense @ s.amplitudes).real), abs=1e-11
+        float(np.vdot(s.to_dense(), dense @ s.to_dense()).real), abs=1e-11
     )
 
 
 def test_circuit_then_adjoint_returns_input():
     rng = np.random.default_rng(4)
     s = random_state(4, 42)
-    start = s.amplitudes.copy()
+    start = s.to_dense().copy()
     gates = []
     for k in range(6):
         tgts = list(rng.choice(4, size=2, replace=False))
@@ -200,7 +211,7 @@ def test_circuit_then_adjoint_returns_input():
         apply_matrix_gate(s, U, tgts)
     for U, tgts in reversed(gates):
         apply_matrix_gate(s, U.conj().T, tgts)
-    assert np.max(np.abs(s.amplitudes - start)) < 1e-10
+    assert np.max(np.abs(s.to_dense() - start)) < 1e-10
 
 
 # ------------------------------------------------------------- subspace
@@ -221,11 +232,24 @@ def test_constrained_basis_dimension(shape):
     assert basis.dim == symplectic_dimension(cs)
 
 
+def test_project_and_expand_match_dense_basis_2x2():
+    # a full-support state has weight outside the subspace; project ignores it
+    basis = cached_basis(LatticeSpec(2, 2), constraint_set(LatticeSpec(2, 2)))
+    B = np.column_stack([basis.column_state(j).to_dense() for j in range(basis.dim)])
+    s = random_state(8, seed=6)
+    assert np.max(np.abs(basis.project(s) - B.conj().T @ s.to_dense())) < 1e-14
+    coeffs = np.zeros(basis.dim, dtype=complex)
+    coeffs[[1, 4]] = [0.6, 0.8j]
+    v = basis.expand(coeffs)
+    assert np.max(np.abs(v.to_dense() - B @ coeffs)) < 1e-14
+    assert v.labels.size == np.count_nonzero(B[:, [1, 4]])
+
+
 def test_basis_orthonormal_and_stabilized_dense_2x2():
     spec = LatticeSpec(2, 2)
     cs = constraint_set(spec)
     basis = cached_basis(spec, cs)
-    B = np.column_stack([basis.column_state(j).amplitudes for j in range(basis.dim)])
+    B = np.column_stack([basis.column_state(j).to_dense() for j in range(basis.dim)])
     assert np.max(np.abs(B.conj().T @ B - np.eye(basis.dim))) < 1e-12
     for s, t in cs:
         assert np.max(np.abs(pauli_matrix(s) @ B - t * B)) < 1e-12
@@ -304,7 +328,7 @@ def test_restrict_sum_matches_dense_2x2():
     cs = constraint_set(spec)
     basis = cached_basis(spec, cs)
     H = tv_hamiltonian(spec, t=1.0, V=2.0, potentials={Site(1, 1): 0.5})
-    B = np.column_stack([basis.column_state(j).amplitudes for j in range(basis.dim)])
+    B = np.column_stack([basis.column_state(j).to_dense() for j in range(basis.dim)])
     dense = B.conj().T @ pauli_sum_matrix(H) @ B
     assert np.max(np.abs(restrict_sum(basis, H) - dense)) < 1e-11
     cols = np.array([1, 3, 4, 7])
@@ -335,13 +359,13 @@ def colliding_sums(n, masks):
 @given(colliding_sums(5, (0, 0b00011, 0b01110, 0b10011)), st.integers(0, 2**31 - 1))
 def test_sums_sharing_flip_masks_match_dense(terms, seed):
     s = random_state(5, seed)
-    psi = s.amplitudes
+    psi = s.to_dense()
     dense = pauli_sum_matrix(PauliSum(5, terms))
     want = np.vdot(psi, dense @ psi)
     hermitian_part = PauliSum(5, [(c.real, p) for c, p in PauliSum(5, terms)])
     assert abs(expval(s, hermitian_part) - want.real) < 1e-10
     assert abs(sum(c * expval_string(s, p) for c, p in terms) - want) < 1e-10
-    applied = sum(c * apply_pauli(s.copy(), p).amplitudes for c, p in terms)
+    applied = sum(c * apply_pauli(s.copy(), p).to_dense() for c, p in terms)
     assert np.max(np.abs(applied - dense @ psi)) < 1e-10
 
 
@@ -355,7 +379,7 @@ def test_restrict_sum_sharing_flip_masks_matches_dense_2x2(terms):
     spec = LatticeSpec(2, 2)
     basis = cached_basis(spec, constraint_set(spec))
     H = PauliSum(8, terms)
-    B = np.column_stack([basis.column_state(j).amplitudes for j in range(basis.dim)])
+    B = np.column_stack([basis.column_state(j).to_dense() for j in range(basis.dim)])
     dense = B.conj().T @ pauli_sum_matrix(H) @ B
     assert np.max(np.abs(restrict_sum(basis, H) - dense)) < 1e-11
     cols = np.array([0, 2, 5, 6])
@@ -415,7 +439,7 @@ def test_ground_state_satisfies_constraints_and_number():
     for s, t in cs:
         w = v.copy()
         apply_pauli(w, s)
-        assert np.max(np.abs(w.amplitudes - t * v.amplitudes)) < 1e-10
+        assert np.max(np.abs(w.to_dense() - t * v.to_dense())) < 1e-10
     assert expval(v, number_sum(spec)) == pytest.approx(2.0, abs=1e-10)
     assert e == pytest.approx(expval(v, H), abs=1e-10)
 

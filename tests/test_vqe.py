@@ -38,16 +38,14 @@ def test_pairing_string_action_on_basis_states(Lx, Ly):
         T = vqe.pairing_string(spec, e)
         circuit = pair_creation(spec, e)
         for y in rng.integers(0, 1 << spec.n_qubits, size=4):
-            image = StateVector(np.zeros(1 << spec.n_qubits, dtype=np.complex128), spec.n_qubits)
-            image.amplitudes[int(y)] = 1.0
+            image = StateVector([int(y)], [1.0], spec.n_qubits)
             apply_pauli(image, T)
-            z = int(np.flatnonzero(image.amplitudes)[0])
-            coeff = image.amplitudes[z]
-            state = StateVector(np.zeros(1 << spec.n_qubits, dtype=np.complex128), spec.n_qubits)
-            state.amplitudes[int(y)] = 1.0
+            z = int(np.flatnonzero(image.to_dense())[0])
+            coeff = image.to_dense()[z]
+            state = StateVector([int(y)], [1.0], spec.n_qubits)
             apply_circuit(state, circuit)
-            assert abs(state.amplitudes[z] - coeff) < 1e-12
-            assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-12
+            assert abs(state.to_dense()[z] - coeff) < 1e-12
+            assert abs(np.linalg.norm(state.to_dense()) - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("Lx,Ly,n_f", [
@@ -97,7 +95,7 @@ def test_agate_sector_state_matches_full_state():
     sec = model.sector_state(p)
     full = vqe.initial_state_full(cfg)
     apply_circuit(full, vqe.ansatz_circuit(cfg, p))
-    overlap = np.vdot(full.amplitudes, sec.amplitudes)
+    overlap = np.vdot(full.to_dense(), sec.to_dense())
     assert abs(abs(overlap) - 1.0) < 1e-12
 
 
@@ -156,6 +154,24 @@ def test_adam_step_is_one_sweep(monkeypatch):
     energies, *_ = vqe._adam_descent(model, vqe.OptimizerConfig(max_steps=k, tolerance=0.0), 3)
     assert len(energies) == k + 1
     assert columns == [1] * (k + 1)
+
+
+def test_gradient_builds_one_coefficient_table(monkeypatch):
+    # the forward sweep reuses the table the backward sweep reads
+    model = vqe.SectorModel(config(lat(2, 2), "agate", layers=2))
+    p = np.random.default_rng(4).uniform(-0.5, 0.5, model.config.n_params)
+    want = model.gradient(p)
+    calls = []
+    table = vqe.SectorModel._coefficients
+
+    def counted(self, params):
+        calls.append(params.shape)
+        return table(self, params)
+
+    monkeypatch.setattr(vqe.SectorModel, "_coefficients", counted)
+    energy, grad = model.gradient(p)
+    assert calls == [(1, model.config.n_params)]
+    assert energy == want[0] and np.array_equal(grad, want[1])
 
 
 def test_energy_rejects_wrong_param_count():
