@@ -451,7 +451,8 @@ def test_sparse_state_matches_dense_oracle_property(data):
         assert np.max(np.abs(state.to_dense() - want)) < 1e-12
         dense_h = sum(x * np.vdot(want, pauli_apply(s, want)) for x, s in H)
         assert abs(expval(state, H) - dense_h.real) < 1e-12
-        assert abs(expval_string(state, strings[0]) - np.vdot(want, pauli_apply(strings[0], want))) < 1e-12
+        dense_s = np.vdot(want, pauli_apply(strings[0], want))
+        assert abs(expval_string(state, strings[0]) - dense_s) < 1e-12
         bits = (np.arange(1 << n)[:, None] >> np.array(qubits)) & 1
         assert np.max(np.abs(qubit_marginals(state, qubits) - np.abs(want) ** 2 @ bits)) < 1e-12
 
