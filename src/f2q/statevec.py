@@ -9,15 +9,13 @@ bits.
 
 The lattice circuits keep every state inside the constrained subspace, whose
 columns are aux orbits of 2^rank labels, so the support stays far below 2^n
-(3x3, n_f = 2: 576 of 2^18 labels). A gate splits U into the blocks that its
-entries above DROP_CUT connect, applies each block to the groups of labels
-that agree outside the targets, and drops the outputs with |a| <= DROP_CUT.
-The dropped weight, plus a bound for the matrix entries left out, adds up on
-the state, and circuits.apply_circuit fails once it exceeds 1e-12. A state
-with full support (2^n labels) is a dense vector. Its gates take the
-reshape/tensordot kernel, which applies a 3x3 Trotter step to a random
-18-qubit state about six times faster than grouping does. Kernels replace a
-state's arrays and never write into them.
+(3x3, n_f = 2: 576 of 2^18 labels). A diagonal gate multiplies each label by
+its phase. Any other gate collects the labels that agree outside its targets
+into groups, multiplies U with the (2^k, groups) block of their amplitudes,
+and drops the outputs with |a| <= DROP_CUT. The dropped weight adds up on the
+state, and circuits.apply_circuit fails once it exceeds 1e-12. A state with
+full support (2^n labels) is a dense vector and takes the same kernel. Kernels
+replace a state's arrays and never write into them.
 """
 
 from __future__ import annotations
@@ -116,32 +114,27 @@ def apply_matrix_gate(state: StateVector, U: np.ndarray, targets: Sequence[int])
     _check_unitary(U)
     if U.shape[0] != 1 << k:
         raise ValueError("gate matrix size does not match its targets")
-    if state.labels.size == 1 << n:
-        _apply_dense(state, U, targets)
-    else:
-        _apply_sparse(state, U, targets)
-    return state
-
-
-def _apply_dense(state: StateVector, U: np.ndarray, targets: Sequence[int]) -> None:
-    """Full support: the amplitudes are the dense vector, gated as an n-axis tensor."""
-    n, k = state.register_size, len(targets)
-    psi = state.amps.reshape([2] * n)
-    axes = [n - 1 - q for q in targets]  # tensor axis of qubit q
+    labels, amps = state.labels, state.amps
+    loc = _local_index(labels, targets)
     phases = np.diagonal(U)
     if not np.any(U - np.diag(phases)):
-        # diagonal gate: a phase product broadcast on the target axes
-        order = np.argsort(axes)
-        shape = [1] * n
-        for a in axes:
-            shape[a] = 2
-        P = phases.reshape([2] * k).transpose(order).reshape(shape)
-        state.amps = (psi * P).reshape(-1)
-        return
-    Ut = U.reshape([2] * (2 * k))
-    out = np.tensordot(Ut, psi, axes=(list(range(k, 2 * k)), axes))
-    out = np.moveaxis(out, list(range(k)), axes)
-    state.amps = np.ascontiguousarray(out).reshape(-1)
+        state.amps = amps * phases[loc]  # diagonal gate: a phase per label
+        return state
+    # the labels that agree outside the targets form a group, a column of
+    # block indexed by local index; row j of U @ block holds the outputs on
+    # spread[j] | keys, so the new labels are 2^k ascending runs
+    keys, group = np.unique(labels & ~sum(1 << q for q in targets), return_inverse=True)
+    _check_support(keys.size << k)
+    block = np.zeros((1 << k, keys.size), dtype=np.complex128)
+    block[loc, group] = amps
+    res = (U @ block).reshape(-1)
+    weight = res.real ** 2 + res.imag ** 2
+    keep = weight > DROP_CUT ** 2
+    new = (_spread(targets)[:, None] | keys).reshape(-1)[keep]
+    order = np.argsort(new, kind="stable")  # merges the runs
+    state.labels, state.amps = new[order], res[keep][order]
+    state.dropped += float(weight[~keep].sum())
+    return state
 
 
 def _local_index(labels: np.ndarray, targets: Sequence[int]) -> np.ndarray:
@@ -153,60 +146,11 @@ def _local_index(labels: np.ndarray, targets: Sequence[int]) -> np.ndarray:
     return loc
 
 
-def _apply_sparse(state: StateVector, U: np.ndarray, targets: Sequence[int]) -> None:
-    """Partial support: U one invariant block at a time.
-
-    Local indices joined by a chain of entries of U above DROP_CUT form one
-    block. U is block diagonal on these up to the entries it leaves out,
-    whose bound ||E||_F^2 ||psi||^2 on the weight they would move is added to
-    state.dropped. A one-index block is a phase on its labels. A wider block
-    acts on each group of its labels that agree outside the targets, and its
-    outputs with |a| <= DROP_CUT leave the support.
-    """
+def _spread(targets: Sequence[int]) -> np.ndarray:
+    """The target bits of each local index as label bits: _local_index inverted."""
     k = len(targets)
-    labels, amps = state.labels, state.amps
-    loc = _local_index(labels, targets)
-    big = np.abs(U) > DROP_CUT
-    link = big | big.T | np.eye(1 << k, dtype=bool)
-    for _ in range(k):  # 2^k-step reachability in k squarings
-        link = (link.astype(np.int64) @ link) > 0
-    head = np.argmax(link, axis=0)  # the smallest local index in each one's block
-    width = np.bincount(head, minlength=1 << k)
-    cut = float(np.sum(np.abs(U[head[:, None] != head]) ** 2))
-    dropped = cut * float(np.vdot(amps, amps).real) if cut else 0.0
-    at = head[loc]
-    alone = width[at] == 1
-    if alone.all():
-        state.amps = amps * np.diagonal(U)[loc]
-        state.dropped += dropped
-        return
-    new, out = [labels[alone]], [amps[alone] * np.diagonal(U)[loc[alone]]]
-    size = new[0].size
-    rest = labels & ~sum(1 << q for q in targets)
-    spread = np.zeros(1 << k, dtype=np.int64)
-    for i, q in enumerate(targets):
-        spread |= ((np.arange(1 << k) >> (k - 1 - i)) & 1) << q
-    for h in np.flatnonzero(width > 1):
-        mine = at == h
-        if not mine.any():
-            continue
-        members = np.flatnonzero(head == h)
-        keys, group = np.unique(rest[mine], return_inverse=True)
-        size += keys.size * members.size
-        _check_support(size)
-        block = np.zeros((keys.size, members.size), dtype=np.complex128)
-        block[group, np.searchsorted(members, loc[mine])] = amps[mine]
-        # row j of res holds the outputs on keys | spread[members[j]]
-        res = (U[np.ix_(members, members)] @ block.T).reshape(-1)
-        weight = res.real ** 2 + res.imag ** 2
-        keep = weight > DROP_CUT ** 2
-        dropped += float(weight[~keep].sum())
-        new.append((spread[members][:, None] | keys).reshape(-1)[keep])
-        out.append(res[keep])
-    new, out = np.concatenate(new), np.concatenate(out)
-    order = np.argsort(new, kind="stable")  # merges ascending runs
-    state.labels, state.amps = new[order], out[order]
-    state.dropped += dropped
+    j = np.arange(1 << k, dtype=np.int64)
+    return sum(((j >> (k - 1 - i)) & 1) << q for i, q in enumerate(targets))
 
 
 def pauli_table(terms: Iterable[Tuple[complex, PauliString]]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
