@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -154,34 +155,61 @@ class Circuit:
         return self.n_qubits == other.n_qubits and self.gates == other.gates
 
 
-def _embed(U: np.ndarray, targets: Sequence[int], union: Sequence[int]) -> np.ndarray:
-    """U on `targets` as a matrix on `union` (a superset; union[0] the MSB)."""
-    m = len(union)
-    rest = [q for q in union if q not in targets]
-    order = list(targets) + rest
-    perm = [order.index(q) for q in union]
-    full = np.kron(U, np.eye(1 << len(rest))).reshape([2] * (2 * m))
-    return full.transpose(perm + [m + p for p in perm]).reshape(1 << m, 1 << m)
+@lru_cache(maxsize=128)
+def _block_index(m: int, axes: Tuple[int, ...]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(r, c, same): a gate U on block axes `axes` is np.where(same, U[r, c], 0)
+    on the m-qubit block (axis 0 the MSB).
+
+    r and c are the gate's local row and column of each block row and column;
+    same marks the entries whose bits agree off the gate's axes. The arrays
+    are shared between calls, so they are read-only.
+    """
+    i = np.arange(1 << m)
+    loc = np.zeros(1 << m, dtype=np.int64)
+    for j, p in enumerate(axes):
+        loc |= ((i >> (m - 1 - p)) & 1) << (len(axes) - 1 - j)
+    off = i & ~sum(1 << (m - 1 - p) for p in axes)
+    out = (loc[:, None], loc[None, :], off[:, None] == off[None, :])
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 def fuse(c: Circuit) -> Circuit:
     """The same unitary as fewer matrix gates, each on at most MAX_GATE_QUBITS qubits.
 
-    Gates merge greedily, in order, while the union of their targets fits.
-    The result is for simulation only: export, scheduling and stabilizer
-    tracking read the unfused circuit.
+    Gates merge greedily, in order, while the union of their targets fits; a
+    gate that would push it past MAX_GATE_QUBITS starts the next block. A
+    block's union lists its qubits in order of first appearance (union[0] the
+    MSB), and each gate is multiplied in on that final union. Blocks whose
+    gates match in kind, local axes, parameters and matrix are composed once
+    per call and share one read-only matrix. The result is for simulation
+    only: export, scheduling and stabilizer tracking read the unfused circuit.
     """
-    out = Circuit(c.n_qubits)
-    union: List[int] = []
-    block = np.eye(1, dtype=np.complex128)
+    blocks: List[Tuple[List[int], List[Gate]]] = []
     for g in c.gates:
+        union = blocks[-1][0] if blocks else []
         new = [q for q in g.targets if q not in union]
-        if union and len(union) + len(new) > MAX_GATE_QUBITS:
-            out.add(Gate("matrix", union, matrix=block))
-            union, block, new = [], np.eye(1, dtype=np.complex128), list(g.targets)
-        union = union + new
-        block = _embed(gate_unitary(g), g.targets, union) @ np.kron(block, np.eye(1 << len(new)))
-    if union:
+        if not blocks or len(union) + len(new) > MAX_GATE_QUBITS:
+            union, new = [], list(g.targets)
+            blocks.append((union, []))
+        union.extend(new)
+        blocks[-1][1].append(g)
+    out = Circuit(c.n_qubits)
+    composed: Dict[tuple, np.ndarray] = {}
+    for union, gates in blocks:
+        m = len(union)
+        local = [(g, tuple(union.index(q) for q in g.targets)) for g in gates]
+        key = (m, tuple((g.kind, axes, g.params, None if g.matrix is None else g.matrix.tobytes())
+                        for g, axes in local))
+        block = composed.get(key)
+        if block is None:
+            block = np.eye(1 << m, dtype=np.complex128)
+            for g, axes in local:
+                r, col, same = _block_index(m, axes)
+                block = np.where(same, gate_unitary(g)[r, col], 0) @ block
+            block.flags.writeable = False
+            composed[key] = block
         out.add(Gate("matrix", union, matrix=block))
     return out
 

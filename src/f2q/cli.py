@@ -29,7 +29,7 @@ from . import oracle, vqe
 from .lattice import (Edge, InputError, LatticeSpec, ScientificFailure, Site, occupation_bits,
                       phys_index, require, sites)
 from .pauli import constraint_set, tv_hamiltonian
-from .statevec import cached_basis, ground_in_sector, qubit_marginals, restrict_sum
+from .statevec import _sector_ground, cached_basis, qubit_marginals, restrict_sum
 
 
 # ----------------------------------------------------------------- settings
@@ -211,12 +211,10 @@ def quench_trajectories(spec: LatticeSpec, t: float, V: float, n_f: int,
     cols = np.flatnonzero(basis.phys_occ == n_f)
 
     h_pre = tv_hamiltonian(spec, t, 0.0, pre_potentials)
-    pre_sec = restrict_sum(basis, h_pre, cols)
-    pre_evals = np.linalg.eigvalsh(pre_sec)
+    pre_evals, psi0 = _sector_ground(basis, h_pre, n_f)
     if pre_evals.size > 1 and pre_evals[1] - pre_evals[0] < 1e-8:
         raise ScientificFailure("pre-quench ground state is degenerate; "
                                 "references are ill-defined")
-    _, psi0 = ground_in_sector(h_pre, spec, cs, n_f)
     sec0 = basis.project(psi0)[cols]
 
     # exact encoded evolution by spectral decomposition in the sector

@@ -381,7 +381,13 @@ def ground_in_sector(
     cs: ConstraintSet,
     n_f: int,
 ) -> Tuple[float, StateVector]:
-    basis = cached_basis(spec, cs)
+    evals, state = _sector_ground(cached_basis(spec, cs), H, n_f)
+    return float(evals[0]), state
+
+
+def _sector_ground(basis: SubspaceBasis, H: PauliSum, n_f: int) -> Tuple[np.ndarray, StateVector]:
+    """Every eigenvalue of H restricted to the n_f columns, ascending, and the
+    checked ground state on the register: ground_in_sector with the spectrum."""
     cols = np.flatnonzero(basis.phys_occ == n_f)
     if cols.size == 0:
         raise InputError(f"no constrained basis vectors with particle number {n_f}")
@@ -391,4 +397,4 @@ def ground_in_sector(
     require("sector eigenpair residual", float(np.linalg.norm(Hs @ vec - energy * vec)), 1e-8)
     full = np.zeros(basis.dim, dtype=np.complex128)
     full[cols] = vec
-    return energy, basis.expand(full)
+    return evals, basis.expand(full)

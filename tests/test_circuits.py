@@ -20,7 +20,7 @@ from f2q.lattice import (
     phys_index,
     sites,
 )
-from f2q.statevec import (StateVector, constrained_basis, expval, expval_string,
+from f2q.statevec import (MAX_GATE_QUBITS, StateVector, constrained_basis, expval, expval_string,
                           qubit_marginals, zero_state)
 
 RNG = np.random.default_rng(20260813)
@@ -494,6 +494,47 @@ def test_fuse_trotter_step_blocks_and_action():
         want = C.apply_circuit(StateVector.from_dense(amps.copy(), spec.n_qubits), step).to_dense()
         got = C.apply_circuit(StateVector.from_dense(amps.copy(), spec.n_qubits), fused).to_dense()
         assert np.max(np.abs(got - want)) < 1e-12
+
+
+def _greedy_blocks(c):
+    """fuse's partition rule: gates join the open block, in order, while the
+    union of their targets (in order of first appearance) fits MAX_GATE_QUBITS."""
+    blocks = []
+    for g in c.gates:
+        if blocks:
+            union, gates = blocks[-1]
+            grown = union + [q for q in g.targets if q not in union]
+            if len(grown) <= MAX_GATE_QUBITS:
+                blocks[-1] = (grown, gates + [g])
+                continue
+        blocks.append((list(g.targets), [g]))
+    return blocks
+
+
+def _fuse_cases():
+    s24 = lat(2, 4)
+    rng = np.random.default_rng(7)
+    agate = C.ansatz_agate(s24, 3, rng.uniform(-3, 3, C.agate_param_count(s24, 3)))
+    yield "trotter_3x3", C.trotter_step(lat(3, 3, rho=-1), 1.0, 3.0, 0.1)
+    yield "agate_2x4_3L", agate
+    # the same matrices without parameters: only their entries tell the blocks apart
+    yield "agate_2x4_3L_bare", C.Circuit(s24.n_qubits, [C.Gate("matrix", g.targets, matrix=g.matrix)
+                                                        for g in agate])
+    for gran in ("per_edge", "per_group"):
+        params = rng.uniform(-3, 3, C.hv_param_count(s24, 3, gran))
+        yield f"hv_2x4_3L_{gran}", C.ansatz_hv(s24, 3, params, gran)
+
+
+@pytest.mark.parametrize("c", [pytest.param(c, id=name) for name, c in _fuse_cases()])
+def test_fuse_blocks_match_dense_oracle(c):
+    fused = C.fuse(c)
+    blocks = _greedy_blocks(c)
+    assert [g.targets for g in fused] == [tuple(union) for union, _ in blocks]
+    for g, (union, gates) in zip(fused, blocks):
+        assert not g.matrix.flags.writeable
+        # restrict_circuit puts support[0] at the least significant bit, fuse union[0] at the MSB
+        want = C.circuit_unitary(C.restrict_circuit(C.Circuit(c.n_qubits, gates), list(reversed(union))))
+        assert np.max(np.abs(g.matrix - want)) < 1e-12, union
 
 
 # ---------------------------------------------------------------- pair creation
