@@ -46,9 +46,9 @@ GATE_ARITY = {
     "x": 1, "y": 1, "z": 1, "h": 1, "s": 1, "sdg": 1,
     "rx": 1, "ry": 1, "rz": 1,
     "cnot": 2, "cy": 2, "cz": 2, "ch": 2, "cphase": 2,
-    "ccz": 3,
+    "ccz": 3, "agate": 2,
 }
-GATE_PARAMS = {"rx": 1, "ry": 1, "rz": 1, "cphase": 1}
+GATE_PARAMS = {"rx": 1, "ry": 1, "rz": 1, "cphase": 1, "agate": 2}
 
 
 @dataclass(eq=False)
@@ -57,7 +57,6 @@ class Gate:
     targets: Tuple[int, ...]
     params: Tuple[float, ...] = ()
     matrix: Optional[np.ndarray] = None
-    two_qubit_cost: Optional[int] = None
 
     def __post_init__(self):
         self.targets = tuple(int(q) for q in self.targets)
@@ -75,10 +74,10 @@ class Gate:
                 raise ValueError(f"unknown gate kind {self.kind!r}")
             if len(self.targets) != GATE_ARITY[self.kind]:
                 raise ValueError(f"{self.kind} expects {GATE_ARITY[self.kind]} targets")
-            if len(self.params) != GATE_PARAMS.get(self.kind, 0):
-                raise ValueError(f"{self.kind} has wrong parameter count")
             if self.matrix is not None:
                 raise ValueError("only matrix gates carry an explicit matrix")
+        if len(self.params) != GATE_PARAMS.get(self.kind, 0):
+            raise ValueError(f"{self.kind} has wrong parameter count")
         if len(set(self.targets)) != len(self.targets):
             raise ValueError("duplicate targets")
 
@@ -89,9 +88,7 @@ class Gate:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Gate):
             return NotImplemented
-        if (self.kind, self.targets, self.params, self.two_qubit_cost) != (
-            other.kind, other.targets, other.params, other.two_qubit_cost
-        ):
+        if (self.kind, self.targets, self.params) != (other.kind, other.targets, other.params):
             return False
         if (self.matrix is None) != (other.matrix is None):
             return False
@@ -124,6 +121,8 @@ def gate_unitary(g: Gate) -> np.ndarray:
         out = np.eye(8, dtype=np.complex128)
         out[7, 7] = -1
         return out
+    if g.kind == "agate":
+        return a_gate_unitary(*g.params)
     raise ValueError(f"unknown gate kind {g.kind!r}")
 
 
@@ -250,8 +249,7 @@ def restrict_circuit(c: Circuit, support: Sequence[int]) -> Circuit:
             tgts = tuple(pos[q] for q in g.targets)
         except KeyError:
             raise ValueError("gate acts outside the given support")
-        out.add(Gate(g.kind, tgts, params=g.params, matrix=g.matrix,
-                     two_qubit_cost=g.two_qubit_cost))
+        out.add(Gate(g.kind, tgts, params=g.params, matrix=g.matrix))
     return out
 
 
@@ -537,7 +535,12 @@ def trotter_step(spec: LatticeSpec, t: float, V: float, dt: float) -> Circuit:
 # ------------------------------------------------- variational gates
 
 def a_gate_unitary(theta: float, phi: float) -> np.ndarray:
-    """Two-qubit particle-number-conserving rotation."""
+    """Two-qubit particle-number-conserving rotation, the `agate` gate kind.
+
+    It rotates |01> into |10> by theta with relative phase phi and fixes |00>
+    and |11>. It costs 3 CNOTs, so vx_native takes 5 two-qubit gates and
+    vy_native 7.
+    """
     ct, st = math.cos(theta), math.sin(theta)
     return np.array(
         [
@@ -550,78 +553,33 @@ def a_gate_unitary(theta: float, phi: float) -> np.ndarray:
     )
 
 
-def vx_unitary(theta: float, phi: float) -> np.ndarray:
-    """8x8 on (phys r, phys r+x, aux r+x); aux Z dresses the swap phases."""
-    ct, st = math.cos(theta), math.sin(theta)
-    U = np.eye(8, dtype=np.complex128)
-    for a in range(2):
-        lo, hi = 2 + a, 4 + a  # |01 a>, |10 a>
-        U[lo, lo] = ct
-        U[hi, hi] = -ct
-        U[lo, hi] = cmath.exp(1j * phi) * st * (-1) ** a
-        U[hi, lo] = cmath.exp(-1j * phi) * st * (-1) ** a
-    return U
-
-
-def vy_unitary(theta: float, phi: float) -> np.ndarray:
-    """16x16 on (phys r, phys r+y, aux r, aux r+y) with Y_ar X_ary dressing."""
-    ct, st = math.cos(theta), math.sin(theta)
-    U = np.eye(16, dtype=np.complex128)
-    for aa in range(4):
-        a_r = aa >> 1
-        f = aa ^ 3  # both aux bits flipped
-        U[4 + aa, 4 + aa] = ct
-        U[8 + aa, 8 + aa] = -ct
-        U[8 + f, 4 + aa] = (-1) ** a_r * cmath.exp(1j * phi) * st
-        U[4 + f, 8 + aa] = -((-1) ** a_r) * cmath.exp(-1j * phi) * st
-    return U
-
-
-VX_TWO_QUBIT_COST = 5  # CZ + A(3) + CZ
-VY_TWO_QUBIT_COST = 7  # CY,CX + A(3) + CX,CY
-
-
-def vx_gate(spec: LatticeSpec, e: Edge, theta: float, phi: float) -> Gate:
-    if e.direction != "x":
-        raise ValueError("x-edge required")
-    r, s = edge_sites(spec, e)
-    tgts = (phys_index(spec, r), phys_index(spec, s), aux_index(spec, s))
-    return Gate("matrix", tgts, params=(theta, phi), matrix=vx_unitary(theta, phi),
-                two_qubit_cost=VX_TWO_QUBIT_COST)
-
-
-def vy_gate(spec: LatticeSpec, e: Edge, theta: float, phi: float) -> Gate:
-    if e.direction != "y":
-        raise ValueError("y-edge required")
-    r, s = edge_sites(spec, e)
-    tgts = (phys_index(spec, r), phys_index(spec, s),
-            aux_index(spec, r), aux_index(spec, s))
-    return Gate("matrix", tgts, params=(theta, phi), matrix=vy_unitary(theta, phi),
-                two_qubit_cost=VY_TWO_QUBIT_COST)
-
-
 def vx_native(spec: LatticeSpec, e: Edge, theta: float, phi: float) -> Circuit:
-    """Gate-count decomposition of vx: CZ, A on the physical pair, CZ."""
+    """The vx block of an x-edge: CZ, A on the physical pair, CZ.
+
+    The CZ pair dresses the swap with the aux Z of r+x, so the block
+    commutes with every stabilizer.
+    """
     r, s = edge_sites(spec, e)
     pr, ps, a = phys_index(spec, r), phys_index(spec, s), aux_index(spec, s)
     c = Circuit(spec.n_qubits)
     c.add(Gate("cz", (pr, a)))
-    c.add(Gate("matrix", (pr, ps), params=(theta, phi),
-               matrix=a_gate_unitary(theta, phi), two_qubit_cost=3))
+    c.add(Gate("agate", (pr, ps), params=(theta, phi)))
     c.add(Gate("cz", (pr, a)))
     return c
 
 
 def vy_native(spec: LatticeSpec, e: Edge, theta: float, phi: float) -> Circuit:
-    """Gate-count decomposition of vy: controlled-Pauli dressing around A."""
+    """The vy block of a y-edge: CY, CNOT, A on the physical pair, CNOT, CY.
+
+    The controlled Paulis dress the swap with Y on aux r and X on aux r+y.
+    """
     r, s = edge_sites(spec, e)
     pr, ps = phys_index(spec, r), phys_index(spec, s)
     ar, as_ = aux_index(spec, r), aux_index(spec, s)
     c = Circuit(spec.n_qubits)
     c.add(Gate("cy", (pr, ar)))
     c.add(Gate("cnot", (pr, as_)))
-    c.add(Gate("matrix", (pr, ps), params=(theta, math.pi / 2 - phi),
-               matrix=a_gate_unitary(theta, math.pi / 2 - phi), two_qubit_cost=3))
+    c.add(Gate("agate", (pr, ps), params=(theta, math.pi / 2 - phi)))
     c.add(Gate("cnot", (pr, as_)))
     c.add(Gate("cy", (pr, ar)))
     return c
@@ -654,8 +612,8 @@ def ansatz_agate(spec: LatticeSpec, layers: int, params: Sequence[float]) -> Cir
         raise ValueError(f"expected {expect} parameters, got {len(params)}")
     c = Circuit(spec.n_qubits)
     for kind, e, (i, j) in layout:
-        builder = vy_gate if kind == "vy" else vx_gate
-        c.add(builder(spec, e, params[i], params[j]))
+        native = vy_native if kind == "vy" else vx_native
+        c.extend(native(spec, e, params[i], params[j]))
     return c
 
 
@@ -727,8 +685,6 @@ def export_text(c: Circuit) -> str:
         toks += [repr(p) for p in g.params]
         if g.kind == "matrix":
             toks += [repr(complex(v)) for v in g.matrix.reshape(-1)]
-            if g.two_qubit_cost is not None:
-                toks.append(f"cost={g.two_qubit_cost}")
         lines.append(" ".join(toks))
     return "\n".join(lines) + "\n"
 
@@ -745,21 +701,10 @@ def parse_text(text: str) -> Circuit:
         targets = []
         while rest and rest[0].startswith("q") and rest[0][1:].isdigit():
             targets.append(int(rest.pop(0)[1:]))
-        cost = None
-        if rest and rest[-1].startswith("cost="):
-            cost = int(rest.pop()[5:])
         if kind == "matrix":
             d = 1 << len(targets)
-            vals = [complex(tok) for tok in rest]
-            if len(vals) != d * d:
-                # matrix params precede the entries
-                params = [float(v.real) for v in vals[: len(vals) - d * d]]
-                vals = vals[len(vals) - d * d:]
-            else:
-                params = []
-            mat = np.array(vals, dtype=np.complex128).reshape(d, d)
-            c.add(Gate("matrix", tuple(targets), params=tuple(params), matrix=mat,
-                       two_qubit_cost=cost))
+            mat = np.array([complex(tok) for tok in rest], dtype=np.complex128).reshape(d, d)
+            c.add(Gate("matrix", tuple(targets), matrix=mat))
         else:
             params = tuple(float(tok) for tok in rest)
             c.add(Gate(kind, tuple(targets), params=params))

@@ -5,10 +5,18 @@ production kernels are checked against a second, unrelated construction.
 Qubit 0 is the least significant bit of the basis index, so it is the LAST
 factor in the Kronecker chain. The subspace dimension is counted a second
 way too: from the GF(2) rank of the stabilizer generators, without building
-any state.
+any state. The variational blocks vx and vy are written out a second time as
+closed-form 8x8 and 16x16 `matrix` gates, the reference for their native
+circuits.
 """
 
+import cmath
+import math
+
 import numpy as np
+
+from f2q.circuits import Gate
+from f2q.lattice import aux_index, edge_sites, phys_index
 
 I2 = np.eye(2, dtype=np.complex128)
 SX = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -87,3 +95,46 @@ def symplectic_dimension(cs):
         flip, sign, _ = s.masks()
         rows.append(flip | (sign << n))
     return 1 << (n - gf2_rank(rows))
+
+
+def vx_unitary(theta, phi):
+    """8x8 on (phys r, phys r+x, aux r+x); aux Z dresses the swap phases."""
+    ct, st = math.cos(theta), math.sin(theta)
+    U = np.eye(8, dtype=np.complex128)
+    for a in range(2):
+        lo, hi = 2 + a, 4 + a  # |01 a>, |10 a>
+        U[lo, lo] = ct
+        U[hi, hi] = -ct
+        U[lo, hi] = cmath.exp(1j * phi) * st * (-1) ** a
+        U[hi, lo] = cmath.exp(-1j * phi) * st * (-1) ** a
+    return U
+
+
+def vy_unitary(theta, phi):
+    """16x16 on (phys r, phys r+y, aux r, aux r+y) with Y_ar X_ary dressing."""
+    ct, st = math.cos(theta), math.sin(theta)
+    U = np.eye(16, dtype=np.complex128)
+    for aa in range(4):
+        a_r = aa >> 1
+        f = aa ^ 3  # both aux bits flipped
+        U[4 + aa, 4 + aa] = ct
+        U[8 + aa, 8 + aa] = -ct
+        U[8 + f, 4 + aa] = (-1) ** a_r * cmath.exp(1j * phi) * st
+        U[4 + f, 8 + aa] = -((-1) ** a_r) * cmath.exp(-1j * phi) * st
+    return U
+
+
+def vx_gate(spec, e, theta, phi):
+    if e.direction != "x":
+        raise ValueError("x-edge required")
+    r, s = edge_sites(spec, e)
+    tgts = (phys_index(spec, r), phys_index(spec, s), aux_index(spec, s))
+    return Gate("matrix", tgts, matrix=vx_unitary(theta, phi))
+
+
+def vy_gate(spec, e, theta, phi):
+    if e.direction != "y":
+        raise ValueError("y-edge required")
+    r, s = edge_sites(spec, e)
+    tgts = (phys_index(spec, r), phys_index(spec, s), aux_index(spec, r), aux_index(spec, s))
+    return Gate("matrix", tgts, matrix=vy_unitary(theta, phi))

@@ -31,9 +31,7 @@ from f2q.circuits import (
     trotter_blocks,
     trotter_step,
     vacuum_circuit,
-    vx_gate,
     vx_native,
-    vy_gate,
     vy_native,
     w_circuit,
     zyx_rotation,
@@ -50,7 +48,7 @@ from f2q.lattice import (
 from f2q.pauli import constraint_set, number_sum, tv_hamiltonian
 from f2q.statevec import cached_basis, expval_string, restrict_sum, zero_state
 
-from dense_oracle import pauli_matrix, pauli_sum_matrix, symplectic_dimension
+from dense_oracle import pauli_matrix, pauli_sum_matrix, symplectic_dimension, vx_gate, vy_gate
 
 
 RESULTS = []
@@ -94,11 +92,15 @@ def _check_tracked_4x4(t, V, dt, seed) -> float:
     dev = max(dev, max(abs(v - tgt) for v, (_, tgt) in
                        zip(stabilizer_expectations(prep, cs), cs)))
 
-    # the remaining layers preserve each expectation identically
-    ansatz = ansatz_agate(spec, 1, _random_agate_params(spec, 1, seed))
-    for g in ansatz:
-        single = C.Circuit(spec.n_qubits, [g])
-        assert _block_commutes_with_stabilizers(single, cs)
+    # the remaining layers preserve each expectation identically; the A-gate
+    # blocks commute only as a whole, not gate by gate
+    params = _random_agate_params(spec, 1, seed)
+    ansatz = C.Circuit(spec.n_qubits)
+    for kind, e, (i, j) in C.agate_layout(spec, 1):
+        block = (vy_native if kind == "vy" else vx_native)(spec, e, params[i], params[j])
+        assert _block_commutes_with_stabilizers(block, cs)
+        ansatz.extend(block)
+    assert ansatz == ansatz_agate(spec, 1, params)
     for _, _, block in trotter_blocks(spec, t, V, dt):
         assert _block_commutes_with_stabilizers(block, cs)
     return dev

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
-from dense_oracle import embed_gate, pauli_apply, pauli_matrix, pauli_sum_matrix
+from dense_oracle import (embed_gate, pauli_apply, pauli_matrix, pauli_sum_matrix, vx_gate, vx_unitary,
+                          vy_gate, vy_unitary)
 from f2q import circuits as C
 from f2q import pauli as P
 from f2q.lattice import (
@@ -61,6 +62,10 @@ def test_gate_validation():
         C.Gate("matrix", (0,), matrix=np.array([[1, 1], [0, 1]], dtype=complex))
     with pytest.raises(ValueError):
         C.Gate("x", (0,), matrix=np.eye(2, dtype=complex))
+    with pytest.raises(ValueError):
+        C.Gate("matrix", (0,), params=(0.3,), matrix=np.eye(2, dtype=complex))
+    with pytest.raises(ValueError):
+        C.Gate("agate", (0, 1), params=(0.3,))
 
 
 def test_circuit_add_checks_register():
@@ -101,7 +106,7 @@ def test_apply_and_unitary_match_embedding_oracle():
         C.Gate("h", (2,)),
         C.Gate("cnot", (3, 1)),
         C.Gate("ry", (0,), params=(0.3,)),
-        C.Gate("matrix", (1, 3), matrix=C.a_gate_unitary(0.4, -0.9), two_qubit_cost=3),
+        C.Gate("matrix", (1, 3), matrix=C.a_gate_unitary(0.4, -0.9)),
         C.Gate("ccz", (0, 2, 3)),
         C.Gate("cphase", (2, 0), params=(-1.1,)),
     ]
@@ -288,7 +293,7 @@ def test_stabilizer_engine_tracks_commuting_non_clifford_gates():
     spec = lat(2, 2)
     e = [ed for ed in edges(spec) if ed.direction == "x"][0]
     c = C.vacuum_circuit(spec)
-    c.add(C.vx_gate(spec, e, 0.3, 0.2))
+    c.add(vx_gate(spec, e, 0.3, 0.2))
     got = C.stabilizer_expectations(c, P.constraint_set(spec))
     for val, (_, target) in zip(got, P.constraint_set(spec)):
         assert val == target
@@ -518,8 +523,8 @@ def _fuse_cases():
     yield "trotter_3x3", C.trotter_step(lat(3, 3, rho=-1), 1.0, 3.0, 0.1)
     yield "agate_2x4_3L", agate
     # the same matrices without parameters: only their entries tell the blocks apart
-    yield "agate_2x4_3L_bare", C.Circuit(s24.n_qubits, [C.Gate("matrix", g.targets, matrix=g.matrix)
-                                                        for g in agate])
+    yield "agate_2x4_3L_bare", C.Circuit(s24.n_qubits, [
+        C.Gate("matrix", g.targets, matrix=C.gate_unitary(g)) for g in agate])
     for gran in ("per_edge", "per_group"):
         params = rng.uniform(-3, 3, C.hv_param_count(s24, 3, gran))
         yield f"hv_2x4_3L_{gran}", C.ansatz_hv(s24, 3, params, gran)
@@ -620,18 +625,18 @@ def test_trotter_depth_constant_even_lattices():
 # ---------------------------------------------------------------- variational gates
 
 def test_vx_unitary_structure():
-    U = C.vx_unitary(0.0, 0.4)
+    U = vx_unitary(0.0, 0.4)
     assert np.max(np.abs(U - np.diag(np.repeat([1, 1, -1, 1], 2)))) < 1e-15
-    U = C.vx_unitary(0.31, -0.7)
+    U = vx_unitary(0.31, -0.7)
     assert np.max(np.abs(U - U.conj().T)) < 1e-14
     assert np.max(np.abs(U @ U - np.eye(8))) < 1e-14
 
 
 def test_vy_unitary_structure():
-    U = C.vy_unitary(0.0, 0.4)
+    U = vy_unitary(0.0, 0.4)
     want = np.diag(np.concatenate([np.ones(4), np.ones(4), -np.ones(4), np.ones(4)]))
     assert np.max(np.abs(U - want)) < 1e-15
-    U = C.vy_unitary(0.31, -0.7)
+    U = vy_unitary(0.31, -0.7)
     assert np.max(np.abs(U - U.conj().T)) < 1e-14
     assert np.max(np.abs(U @ U - np.eye(16))) < 1e-14
 
@@ -641,7 +646,7 @@ def test_vx_native_decomposition_matches(theta, phi):
     spec = lat(2, 2)
     e = [ed for ed in edges(spec) if ed.direction == "x"][0]
     cc = C.Circuit(spec.n_qubits)
-    cc.add(C.vx_gate(spec, e, theta, phi))
+    cc.add(vx_gate(spec, e, theta, phi))
     assert np.max(np.abs(dense_circuit(C.vx_native(spec, e, theta, phi)) - dense_circuit(cc))) < 1e-12
 
 
@@ -650,7 +655,7 @@ def test_vy_native_decomposition_matches(theta, phi):
     spec = lat(2, 2)
     e = [ed for ed in edges(spec) if ed.direction == "y"][0]
     cc = C.Circuit(spec.n_qubits)
-    cc.add(C.vy_gate(spec, e, theta, phi))
+    cc.add(vy_gate(spec, e, theta, phi))
     assert np.max(np.abs(dense_circuit(C.vy_native(spec, e, theta, phi)) - dense_circuit(cc))) < 1e-12
 
 
@@ -658,7 +663,7 @@ def test_variational_gates_commute_with_constraints():
     spec = lat(2, 4)
     ex = [e for e in edges(spec) if e.direction == "x"][1]
     ey = [e for e in edges(spec) if e.direction == "y"][2]
-    for gate in (C.vx_gate(spec, ex, 0.37, 0.9), C.vy_gate(spec, ey, 0.37, 0.9)):
+    for gate in (vx_gate(spec, ex, 0.37, 0.9), vy_gate(spec, ey, 0.37, 0.9)):
         U = gate.matrix
         k = len(gate.targets)
         for s, _ in P.constraint_set(spec):
@@ -673,26 +678,13 @@ def test_variational_gates_conserve_number():
     spec = lat(2, 2)
     ex = [e for e in edges(spec) if e.direction == "x"][0]
     ey = [e for e in edges(spec) if e.direction == "y"][0]
-    for gate, n_phys in ((C.vx_gate(spec, ex, 0.3, 0.4), 2), (C.vy_gate(spec, ey, 0.3, 0.4), 2)):
+    for gate, n_phys in ((vx_gate(spec, ex, 0.3, 0.4), 2), (vy_gate(spec, ey, 0.3, 0.4), 2)):
         k = len(gate.targets)
         # the physical pair sits at target positions 0 and 1, i.e. the top bits
         num = sum(
             pauli_matrix(P.PauliString(k, {k - 1 - i: P.Z})) for i in range(n_phys)
         )
         assert np.max(np.abs(gate.matrix @ num - num @ gate.matrix)) < 1e-12
-
-
-def test_declared_two_qubit_costs():
-    spec = lat(2, 2)
-    ex = [e for e in edges(spec) if e.direction == "x"][0]
-    ey = [e for e in edges(spec) if e.direction == "y"][0]
-    assert C.vx_gate(spec, ex, 0.1, 0.2).two_qubit_cost == 5
-    assert C.vy_gate(spec, ey, 0.1, 0.2).two_qubit_cost == 7
-    # the declared costs equal the native decomposition totals
-    nx = C.vx_native(spec, ex, 0.1, 0.2)
-    assert sum(g.two_qubit_cost or 1 for g in nx if g.arity >= 2) == 5
-    ny = C.vy_native(spec, ey, 0.1, 0.2)
-    assert sum(g.two_qubit_cost or 1 for g in ny if g.arity >= 2) == 7
 
 
 # ---------------------------------------------------------------- ansaetze
@@ -714,10 +706,11 @@ def test_agate_layout_order_and_slots():
     # the layout is the record of which parameters drive which gate
     params = RNG.uniform(-0.3, 0.3, size=C.agate_param_count(spec, 2))
     c = C.ansatz_agate(spec, 2, params)
-    assert len(c) == len(layout)
-    for g, (kind, e, (i, j)) in zip(c, layout):
-        build = C.vy_gate if kind == "vy" else C.vx_gate
-        assert g == build(spec, e, params[i], params[j])
+    want = C.Circuit(spec.n_qubits)
+    for kind, e, (i, j) in layout:
+        build = C.vy_native if kind == "vy" else C.vx_native
+        want.extend(build(spec, e, params[i], params[j]))
+    assert c == want
 
 
 def test_agate_preserves_constraints_and_number():
@@ -803,13 +796,16 @@ def test_schedule_examples():
     assert rep.total_gates == 4
 
 
-def test_schedule_declared_costs():
-    spec = lat(2, 2)
-    e = [ed for ed in edges(spec) if ed.direction == "x"][0]
-    c = C.Circuit(spec.n_qubits)
-    c.add(C.vx_gate(spec, e, 0.1, 0.2))
-    assert c.gates[0].two_qubit_cost == 5
-    assert C.schedule(c).two_qubit_depth == 1  # the declared cost is not scheduled
+def test_schedule_native_agate_ansatz():
+    spec = lat(2, 4)
+    c = C.ansatz_agate(spec, 3, RNG.uniform(-0.5, 0.5, C.agate_param_count(spec, 3)))
+    rep = C.schedule(c)
+    assert rep.counts_by_arity == {2: 192}
+    assert rep.two_qubit_depth == 64
+    # with A at 3 CNOTs, a vx block costs 5 two-qubit gates and a vy block 7
+    blocks = {"vx": ["cz", "agate", "cz"], "vy": ["cy", "cnot", "agate", "cnot", "cy"]}
+    want = [k for kind, _, _ in C.agate_layout(spec, 3) for k in blocks[kind]]
+    assert [g.kind for g in c] == want
 
 
 # ---------------------------------------------------------------- text export
@@ -838,7 +834,8 @@ def test_export_parse_round_trip_all_kinds():
         c.add(C.Gate(kind, (4, 2)))
     c.add(C.Gate("cphase", (5, 6), params=(-0.25,)))
     c.add(C.Gate("ccz", (0, 1, 2)))
-    c.add(C.vx_gate(spec, ex, 0.31, -0.77))
+    c.add(C.Gate("agate", (3, 7), params=(0.31, -0.77)))
+    c.add(vx_gate(spec, ex, 0.31, -0.77))
     back = C.parse_text(C.export_text(c))
     assert back == c
 
@@ -869,6 +866,5 @@ def test_export_round_trip_property(data):
             c.add(C.Gate("cphase", (a, b), params=(data.draw(finite),)))
         else:
             theta, phi = data.draw(finite), data.draw(finite)
-            c.add(C.Gate("matrix", (2, 4), params=(theta, phi),
-                         matrix=C.a_gate_unitary(theta, phi), two_qubit_cost=3))
+            c.add(C.Gate("agate", (2, 4), params=(theta, phi)))
     assert C.parse_text(C.export_text(c)) == c

@@ -199,6 +199,16 @@ def test_export_ansatz_deterministic(capsys):
     assert out1 == out2
 
 
+def test_export_agate_ansatz_is_native_circuit(capsys):
+    code, out, _ = run_cli(capsys, "export-circuit", "--lx", "2", "--ly", "2", "--kind", "ansatz",
+                           "--ansatz", "agate", "--layers", "1", "--seed", "4")
+    assert code == 0
+    assert not any(ln.startswith("matrix") for ln in out.splitlines())
+    spec = LatticeSpec(2, 2)
+    params = np.random.default_rng(4).uniform(-0.1, 0.1, circuits.agate_param_count(spec, 1))
+    assert parse_text(out) == circuits.ansatz_agate(spec, 1, params)
+
+
 def test_export_unknown_kind_is_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
         main(["export-circuit", "--lx", "2", "--ly", "2", "--kind", "banana"])
