@@ -687,6 +687,17 @@ def test_variational_gates_conserve_number():
         assert np.max(np.abs(gate.matrix @ num - num @ gate.matrix)) < 1e-12
 
 
+def test_declared_two_qubit_costs():
+    # the paper's costs, 5 for vx and 7 for vy, follow from the native blocks with A at 3 CNOTs
+    spec = lat(2, 2)
+    ex = [e for e in edges(spec) if e.direction == "x"][0]
+    ey = [e for e in edges(spec) if e.direction == "y"][0]
+    for block, cost in ((C.vx_native(spec, ex, 0.1, 0.2), 5), (C.vy_native(spec, ey, 0.1, 0.2), 7)):
+        assert [g.kind for g in block].count("agate") == 1
+        assert all(g.arity == 2 for g in block)
+        assert sum(3 if g.kind == "agate" else 1 for g in block) == cost
+
+
 # ---------------------------------------------------------------- ansaetze
 
 def test_agate_parameter_count_example():
@@ -794,6 +805,17 @@ def test_schedule_examples():
     rep = C.schedule(c)
     assert rep.counts_by_arity == {2: 3, 1: 1}
     assert rep.total_gates == 4
+
+
+def test_schedule_declared_costs():
+    # schedule counts the A gate once, not at its 3-CNOT cost
+    spec = lat(2, 2)
+    ex = [e for e in edges(spec) if e.direction == "x"][0]
+    ey = [e for e in edges(spec) if e.direction == "y"][0]
+    rep = C.schedule(C.vx_native(spec, ex, 0.1, 0.2))
+    assert (rep.two_qubit_depth, rep.counts_by_arity) == (3, {2: 3})
+    rep = C.schedule(C.vy_native(spec, ey, 0.1, 0.2))
+    assert (rep.two_qubit_depth, rep.counts_by_arity) == (5, {2: 5})
 
 
 def test_schedule_native_agate_ansatz():
