@@ -12,7 +12,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .lattice import (
     vacuum_plaquette_set,
 )
 from .pauli import ConstraintSet, PauliString
-from .statevec import MAX_GATE_QUBITS, StateVector, _check_unitary, apply_matrix_gate
+from .statevec import MAX_GATE_QUBITS, StateVector, apply_matrix_gate
 
 _H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2)
 _X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -39,20 +39,104 @@ _Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 _Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 _S = np.diag([1, 1j]).astype(np.complex128)
 
-FIXED_1Q = {"x": _X, "y": _Y, "z": _Z, "h": _H, "s": _S, "sdg": _S.conj()}
-CONTROLLED_2Q = {"cnot": _X, "cy": _Y, "cz": _Z, "ch": _H}
 
-GATE_ARITY = {
-    "x": 1, "y": 1, "z": 1, "h": 1, "s": 1, "sdg": 1,
-    "rx": 1, "ry": 1, "rz": 1,
-    "cnot": 2, "cy": 2, "cz": 2, "ch": 2, "cphase": 2,
-    "ccz": 3, "agate": 2,
+def _fixed(U: np.ndarray) -> Callable[[], np.ndarray]:
+    """The builder of a gate without angles: one shared, read-only matrix."""
+    U.flags.writeable = False
+    return lambda: U
+
+
+def _controlled(U: np.ndarray) -> np.ndarray:
+    out = np.eye(4, dtype=np.complex128)
+    out[2:, 2:] = U
+    return out
+
+
+def _rx(theta: float) -> np.ndarray:
+    a = theta / 2
+    return np.array([[math.cos(a), -1j * math.sin(a)],
+                     [-1j * math.sin(a), math.cos(a)]], dtype=np.complex128)
+
+
+def _ry(theta: float) -> np.ndarray:
+    a = theta / 2
+    return np.array([[math.cos(a), -math.sin(a)],
+                     [math.sin(a), math.cos(a)]], dtype=np.complex128)
+
+
+def _rz(theta: float) -> np.ndarray:
+    a = theta / 2
+    return np.diag([cmath.exp(-1j * a), cmath.exp(1j * a)]).astype(np.complex128)
+
+
+def _cphase(phi: float) -> np.ndarray:
+    return np.diag([1, 1, 1, cmath.exp(1j * phi)]).astype(np.complex128)
+
+
+def a_gate_unitary(theta: float, phi: float) -> np.ndarray:
+    """Two-qubit particle-number-conserving rotation, the `agate` gate kind.
+
+    It rotates |01> into |10> by theta with relative phase phi and fixes |00>
+    and |11>. It costs 3 CNOTs, so vx_native takes 5 two-qubit gates and
+    vy_native 7.
+    """
+    ct, st = math.cos(theta), math.sin(theta)
+    return np.array(
+        [
+            [1, 0, 0, 0],
+            [0, ct, cmath.exp(1j * phi) * st, 0],
+            [0, cmath.exp(-1j * phi) * st, -ct, 0],
+            [0, 0, 0, 1],
+        ],
+        dtype=np.complex128,
+    )
+
+
+class GateKind(NamedTuple):
+    arity: int
+    angles: int
+    unitary: Callable[..., np.ndarray]  # the angles -> the 2^arity matrix
+
+
+# Every named gate kind. A `matrix` gate is the one kind outside the table:
+# it carries its own matrix, on any number of targets, and takes no angles.
+GATES: Dict[str, GateKind] = {
+    "x": GateKind(1, 0, _fixed(_X)),
+    "y": GateKind(1, 0, _fixed(_Y)),
+    "z": GateKind(1, 0, _fixed(_Z)),
+    "h": GateKind(1, 0, _fixed(_H)),
+    "s": GateKind(1, 0, _fixed(_S)),
+    "sdg": GateKind(1, 0, _fixed(_S.conj())),
+    "rx": GateKind(1, 1, _rx),
+    "ry": GateKind(1, 1, _ry),
+    "rz": GateKind(1, 1, _rz),
+    "cnot": GateKind(2, 0, _fixed(_controlled(_X))),
+    "cy": GateKind(2, 0, _fixed(_controlled(_Y))),
+    "cz": GateKind(2, 0, _fixed(_controlled(_Z))),
+    "ch": GateKind(2, 0, _fixed(_controlled(_H))),
+    "cphase": GateKind(2, 1, _cphase),
+    "ccz": GateKind(3, 0, _fixed(np.diag([1, 1, 1, 1, 1, 1, 1, -1]).astype(np.complex128))),
+    "agate": GateKind(2, 2, a_gate_unitary),
 }
-GATE_PARAMS = {"rx": 1, "ry": 1, "rz": 1, "cphase": 1, "agate": 2}
+
+
+def _check_unitary(U: np.ndarray) -> None:
+    """Raise ValueError unless U^dagger U = 1 to 1e-10; NaN and inf fail too."""
+    err = np.max(np.abs(U.conj().T @ U - np.eye(U.shape[0])))
+    if not err <= 1e-10:
+        raise ValueError("gate matrix is not unitary")
 
 
 @dataclass(eq=False)
 class Gate:
+    """One gate of a circuit, validated once here.
+
+    A named kind must match its GATES entry in arity and angle count, with
+    finite angles. A `matrix` gate is checked for unitarity here, the one
+    place in the library that does, and keeps its matrix read-only (a copy
+    when the caller's array is writeable), so the check holds for the
+    gate's whole life.
+    """
     kind: str
     targets: Tuple[int, ...]
     params: Tuple[float, ...] = ()
@@ -61,25 +145,34 @@ class Gate:
     def __post_init__(self):
         self.targets = tuple(int(q) for q in self.targets)
         self.params = tuple(float(p) for p in self.params)
-        if self.kind == "matrix":
-            if self.matrix is None:
-                raise ValueError("matrix gate without a matrix")
-            self.matrix = np.asarray(self.matrix, dtype=np.complex128)
-            d = 1 << len(self.targets)
-            if self.matrix.shape != (d, d):
-                raise ValueError("matrix shape does not match target count")
-            _check_unitary(self.matrix)
-        else:
-            if self.kind not in GATE_ARITY:
-                raise ValueError(f"unknown gate kind {self.kind!r}")
-            if len(self.targets) != GATE_ARITY[self.kind]:
-                raise ValueError(f"{self.kind} expects {GATE_ARITY[self.kind]} targets")
-            if self.matrix is not None:
-                raise ValueError("only matrix gates carry an explicit matrix")
-        if len(self.params) != GATE_PARAMS.get(self.kind, 0):
-            raise ValueError(f"{self.kind} has wrong parameter count")
         if len(set(self.targets)) != len(self.targets):
             raise ValueError("duplicate targets")
+        if not all(math.isfinite(p) for p in self.params):
+            raise ValueError(f"{self.kind} angles must be finite")
+        if self.kind == "matrix":
+            if self.params:
+                raise ValueError("matrix gates take no angles")
+            if self.matrix is None:
+                raise ValueError("matrix gate without a matrix")
+            U = np.asarray(self.matrix, dtype=np.complex128)
+            d = 1 << len(self.targets)
+            if U.shape != (d, d):
+                raise ValueError("matrix shape does not match target count")
+            _check_unitary(U)
+            if U.flags.writeable:
+                U = U.copy()
+                U.flags.writeable = False
+            self.matrix = U
+            return
+        if self.kind not in GATES:
+            raise ValueError(f"unknown gate kind {self.kind!r}")
+        arity, angles, _ = GATES[self.kind]
+        if len(self.targets) != arity:
+            raise ValueError(f"{self.kind} expects {arity} targets")
+        if len(self.params) != angles:
+            raise ValueError(f"{self.kind} has wrong parameter count")
+        if self.matrix is not None:
+            raise ValueError("only matrix gates carry an explicit matrix")
 
     @property
     def arity(self) -> int:
@@ -96,34 +189,10 @@ class Gate:
 
 
 def gate_unitary(g: Gate) -> np.ndarray:
+    """The gate's matrix, targets[0] the MSB; read-only unless built from angles."""
     if g.kind == "matrix":
         return g.matrix
-    if g.kind in FIXED_1Q:
-        return FIXED_1Q[g.kind]
-    if g.kind == "rx":
-        a = g.params[0] / 2
-        return np.array([[math.cos(a), -1j * math.sin(a)],
-                         [-1j * math.sin(a), math.cos(a)]], dtype=np.complex128)
-    if g.kind == "ry":
-        a = g.params[0] / 2
-        return np.array([[math.cos(a), -math.sin(a)],
-                         [math.sin(a), math.cos(a)]], dtype=np.complex128)
-    if g.kind == "rz":
-        a = g.params[0] / 2
-        return np.diag([cmath.exp(-1j * a), cmath.exp(1j * a)]).astype(np.complex128)
-    if g.kind in CONTROLLED_2Q:
-        out = np.eye(4, dtype=np.complex128)
-        out[2:, 2:] = CONTROLLED_2Q[g.kind]
-        return out
-    if g.kind == "cphase":
-        return np.diag([1, 1, 1, cmath.exp(1j * g.params[0])]).astype(np.complex128)
-    if g.kind == "ccz":
-        out = np.eye(8, dtype=np.complex128)
-        out[7, 7] = -1
-        return out
-    if g.kind == "agate":
-        return a_gate_unitary(*g.params)
-    raise ValueError(f"unknown gate kind {g.kind!r}")
+    return GATES[g.kind].unitary(*g.params)
 
 
 @dataclass
@@ -220,37 +289,6 @@ def apply_circuit(state: StateVector, c: Circuit) -> StateVector:
         apply_matrix_gate(state, gate_unitary(g), g.targets)
     require("weight truncated from the sparse state", state.dropped, 1e-12)
     return state
-
-
-def circuit_unitary(c: Circuit) -> np.ndarray:
-    """Dense unitary of the whole circuit (small registers only)."""
-    if c.n_qubits > 12:
-        raise ValueError("dense circuit unitary limited to 12 qubits")
-    n = c.n_qubits
-    dim = 1 << n
-    U = np.eye(dim, dtype=np.complex128)
-    for g in c.gates:
-        k = g.arity
-        axes = [n - 1 - q for q in g.targets]
-        M = gate_unitary(g).reshape([2] * (2 * k))
-        T = U.reshape([2] * n + [dim])
-        T = np.tensordot(M, T, axes=(list(range(k, 2 * k)), axes))
-        T = np.moveaxis(T, list(range(k)), axes)
-        U = np.ascontiguousarray(T).reshape(dim, dim)
-    return U
-
-
-def restrict_circuit(c: Circuit, support: Sequence[int]) -> Circuit:
-    """Remap a circuit whose gates all act within `support` onto qubits 0..k-1."""
-    pos = {q: i for i, q in enumerate(support)}
-    out = Circuit(len(support))
-    for g in c.gates:
-        try:
-            tgts = tuple(pos[q] for q in g.targets)
-        except KeyError:
-            raise ValueError("gate acts outside the given support")
-        out.add(Gate(g.kind, tgts, params=g.params, matrix=g.matrix))
-    return out
 
 
 # ------------------------------------------------- exact stabilizer tracking
@@ -534,25 +572,6 @@ def trotter_step(spec: LatticeSpec, t: float, V: float, dt: float) -> Circuit:
 
 # ------------------------------------------------- variational gates
 
-def a_gate_unitary(theta: float, phi: float) -> np.ndarray:
-    """Two-qubit particle-number-conserving rotation, the `agate` gate kind.
-
-    It rotates |01> into |10> by theta with relative phase phi and fixes |00>
-    and |11>. It costs 3 CNOTs, so vx_native takes 5 two-qubit gates and
-    vy_native 7.
-    """
-    ct, st = math.cos(theta), math.sin(theta)
-    return np.array(
-        [
-            [1, 0, 0, 0],
-            [0, ct, cmath.exp(1j * phi) * st, 0],
-            [0, cmath.exp(-1j * phi) * st, -ct, 0],
-            [0, 0, 0, 1],
-        ],
-        dtype=np.complex128,
-    )
-
-
 def vx_native(spec: LatticeSpec, e: Edge, theta: float, phi: float) -> Circuit:
     """The vx block of an x-edge: CZ, A on the physical pair, CZ.
 
@@ -687,25 +706,3 @@ def export_text(c: Circuit) -> str:
             toks += [repr(complex(v)) for v in g.matrix.reshape(-1)]
         lines.append(" ".join(toks))
     return "\n".join(lines) + "\n"
-
-
-def parse_text(text: str) -> Circuit:
-    lines = [ln for ln in (ln.strip() for ln in text.splitlines()) if ln]
-    if not lines or not lines[0].startswith("qubits "):
-        raise ValueError("missing qubits header")
-    c = Circuit(int(lines[0].split()[1]))
-    for ln in lines[1:]:
-        toks = ln.split()
-        kind = toks[0]
-        rest = toks[1:]
-        targets = []
-        while rest and rest[0].startswith("q") and rest[0][1:].isdigit():
-            targets.append(int(rest.pop(0)[1:]))
-        if kind == "matrix":
-            d = 1 << len(targets)
-            mat = np.array([complex(tok) for tok in rest], dtype=np.complex128).reshape(d, d)
-            c.add(Gate("matrix", tuple(targets), matrix=mat))
-        else:
-            params = tuple(float(tok) for tok in rest)
-            c.add(Gate(kind, tuple(targets), params=params))
-    return c

@@ -49,13 +49,13 @@ class OptimizerConfig:
     restarts: int = 1  # independent starts seeded seed, seed+1, ...; best kept
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:  # written so NaN fails too
             raise InputError("learning_rate must be positive")
         if self.max_steps < 1 or self.window < 2:
             raise InputError("max_steps >= 1 and window >= 2 required")
         if self.restarts < 1:
             raise InputError("restarts must be positive")
-        if self.seed < 0 or self.lr_decay < 0 or self.tolerance < 0:
+        if not (self.seed >= 0 and self.lr_decay >= 0 and self.tolerance >= 0):
             raise InputError("seed, lr_decay and tolerance must be non-negative")
 
 

@@ -7,7 +7,9 @@ factor in the Kronecker chain. The subspace dimension is counted a second
 way too: from the GF(2) rank of the stabilizer generators, without building
 any state. The variational blocks vx and vy are written out a second time as
 closed-form 8x8 and 16x16 `matrix` gates, the reference for their native
-circuits.
+circuits. circuit_unitary is the dense unitary of a whole small circuit,
+restrict_circuit moves a circuit onto the qubits it touches, and parse_text
+reads export_text's format back.
 """
 
 import cmath
@@ -15,7 +17,7 @@ import math
 
 import numpy as np
 
-from f2q.circuits import Gate
+from f2q.circuits import Circuit, Gate, gate_unitary
 from f2q.lattice import aux_index, edge_sites, phys_index
 
 I2 = np.eye(2, dtype=np.complex128)
@@ -138,3 +140,57 @@ def vy_gate(spec, e, theta, phi):
     r, s = edge_sites(spec, e)
     tgts = (phys_index(spec, r), phys_index(spec, s), aux_index(spec, r), aux_index(spec, s))
     return Gate("matrix", tgts, matrix=vy_unitary(theta, phi))
+
+
+def circuit_unitary(c):
+    """Dense unitary of the whole circuit (small registers only)."""
+    if c.n_qubits > 12:
+        raise ValueError("dense circuit unitary limited to 12 qubits")
+    n = c.n_qubits
+    dim = 1 << n
+    U = np.eye(dim, dtype=np.complex128)
+    for g in c.gates:
+        k = g.arity
+        axes = [n - 1 - q for q in g.targets]
+        M = gate_unitary(g).reshape([2] * (2 * k))
+        T = U.reshape([2] * n + [dim])
+        T = np.tensordot(M, T, axes=(list(range(k, 2 * k)), axes))
+        T = np.moveaxis(T, list(range(k)), axes)
+        U = np.ascontiguousarray(T).reshape(dim, dim)
+    return U
+
+
+def restrict_circuit(c, support):
+    """Remap a circuit whose gates all act within `support` onto qubits 0..k-1."""
+    pos = {q: i for i, q in enumerate(support)}
+    out = Circuit(len(support))
+    for g in c.gates:
+        try:
+            tgts = tuple(pos[q] for q in g.targets)
+        except KeyError:
+            raise ValueError("gate acts outside the given support")
+        out.add(Gate(g.kind, tgts, params=g.params, matrix=g.matrix))
+    return out
+
+
+def parse_text(text):
+    """The circuit that circuits.export_text wrote as `text`."""
+    lines = [ln for ln in (ln.strip() for ln in text.splitlines()) if ln]
+    if not lines or not lines[0].startswith("qubits "):
+        raise ValueError("missing qubits header")
+    c = Circuit(int(lines[0].split()[1]))
+    for ln in lines[1:]:
+        toks = ln.split()
+        kind = toks[0]
+        rest = toks[1:]
+        targets = []
+        while rest and rest[0].startswith("q") and rest[0][1:].isdigit():
+            targets.append(int(rest.pop(0)[1:]))
+        if kind == "matrix":
+            d = 1 << len(targets)
+            mat = np.array([complex(tok) for tok in rest], dtype=np.complex128).reshape(d, d)
+            c.add(Gate("matrix", tuple(targets), matrix=mat))
+        else:
+            params = tuple(float(tok) for tok in rest)
+            c.add(Gate(kind, tuple(targets), params=params))
+    return c

@@ -23,9 +23,7 @@ from f2q import pauli as P
 from f2q.circuits import (
     ansatz_agate,
     apply_circuit,
-    circuit_unitary,
     pair_creation,
-    restrict_circuit,
     schedule,
     stabilizer_expectations,
     trotter_blocks,
@@ -48,7 +46,8 @@ from f2q.lattice import (
 from f2q.pauli import constraint_set, number_sum, tv_hamiltonian
 from f2q.statevec import cached_basis, expval_string, restrict_sum, zero_state
 
-from dense_oracle import pauli_matrix, pauli_sum_matrix, symplectic_dimension, vx_gate, vy_gate
+from dense_oracle import (circuit_unitary, pauli_matrix, pauli_sum_matrix, restrict_circuit,
+                          symplectic_dimension, vx_gate, vy_gate)
 
 
 RESULTS = []

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
-from dense_oracle import (embed_gate, pauli_apply, pauli_matrix, pauli_sum_matrix, vx_gate, vx_unitary,
-                          vy_gate, vy_unitary)
+from dense_oracle import (circuit_unitary, embed_gate, parse_text, pauli_apply, pauli_matrix,
+                          pauli_sum_matrix, restrict_circuit, vx_gate, vx_unitary, vy_gate, vy_unitary)
 from f2q import circuits as C
 from f2q import pauli as P
 from f2q.lattice import (
@@ -32,7 +32,7 @@ def lat(Lx, Ly, rho=0):
 
 
 def dense_circuit(c):
-    return C.circuit_unitary(c)
+    return circuit_unitary(c)
 
 
 def constraint_items(spec):
@@ -66,6 +66,39 @@ def test_gate_validation():
         C.Gate("matrix", (0,), params=(0.3,), matrix=np.eye(2, dtype=complex))
     with pytest.raises(ValueError):
         C.Gate("agate", (0, 1), params=(0.3,))
+    with pytest.raises(ValueError):
+        C.Gate("matrix", (0,), matrix=np.array([[np.nan, 0], [0, 1]], dtype=complex))
+    with pytest.raises(ValueError):
+        C.Gate("rz", (0,), params=(np.nan,))
+
+
+@pytest.mark.parametrize("kind", sorted(C.GATES))
+def test_gate_table_kinds_are_unitary_and_validated(kind):
+    # the table is the only source of named-gate matrices, and apply_matrix_gate
+    # trusts what it is given, so every entry is checked here at seeded angles
+    arity, angles, _ = C.GATES[kind]
+    rng = np.random.default_rng(sorted(C.GATES).index(kind))
+    for _ in range(5):
+        params = tuple(rng.uniform(-2 * math.pi, 2 * math.pi, angles))
+        U = C.gate_unitary(C.Gate(kind, tuple(range(arity)), params=params))
+        assert U.shape == (1 << arity, 1 << arity)
+        assert np.max(np.abs(U.conj().T @ U - np.eye(1 << arity))) < 1e-12
+    for k in (arity - 1, arity + 1):
+        with pytest.raises(ValueError):
+            C.Gate(kind, tuple(range(k)), params=params)
+    for n in (angles - 1, angles + 1):
+        if n >= 0:
+            with pytest.raises(ValueError):
+                C.Gate(kind, tuple(range(arity)), params=(0.5,) * n)
+
+
+def test_matrix_gate_keeps_a_read_only_copy():
+    U = C.a_gate_unitary(0.4, -0.9)
+    g = C.Gate("matrix", (0, 1), matrix=U)
+    assert g.matrix is not U and not g.matrix.flags.writeable
+    U[0, 0] = 5.0  # the caller's array stays theirs to change
+    assert np.array_equal(g.matrix, C.a_gate_unitary(0.4, -0.9))
+    assert C.Gate("matrix", (0, 1), matrix=g.matrix).matrix is g.matrix
 
 
 def test_circuit_add_checks_register():
@@ -131,7 +164,7 @@ def test_restrict_circuit_remaps():
     e = [e for e in edges(spec) if e.direction == "x"][0]
     block = C.hop_x_evolution(spec, e, 0.31)
     support = sorted({q for g in block for q in g.targets})
-    small = C.restrict_circuit(block, support)
+    small = restrict_circuit(block, support)
     U = dense_circuit(small)
     r, s = edge_sites(spec, e)
     # compare against the generator built on the compressed register
@@ -144,7 +177,7 @@ def test_restrict_circuit_remaps():
     G = pauli_matrix(P.PauliString(3, letters_xx)) + pauli_matrix(P.PauliString(3, letters_yy))
     assert np.max(np.abs(U - expm(0.31j * G))) < 1e-12
     with pytest.raises(ValueError):
-        C.restrict_circuit(block, support[:-1])
+        restrict_circuit(block, support[:-1])
 
 
 # ---------------------------------------------------------------- W and hops
@@ -322,7 +355,7 @@ def test_conjugate_string_matches_dense(data):
 
 
 def _clifford_matrices():
-    h, s = C.FIXED_1Q["h"], C.FIXED_1Q["s"]
+    h, s = C.GATES["h"].unitary(), C.GATES["s"].unitary()
     cnot = C.gate_unitary(C.Gate("cnot", (0, 1)))
     swap = np.eye(4)[[0, 2, 1, 3]]
     return [h, s, s @ h], [cnot, C.gate_unitary(C.Gate("cz", (0, 1))), swap @ cnot]
@@ -363,7 +396,7 @@ def test_shared_memo_matches_dense_for_every_string(data):
         gates += [C.Gate("matrix", tg, matrix=mats[i]) for i in data.draw(picks)]
     for _ in range(data.draw(st.integers(0, 4))):
         kind = data.draw(st.sampled_from(["h", "s", "cnot", "cy", "cz"]))
-        gates.append(C.Gate(kind, data.draw(pair)[:C.GATE_ARITY[kind]]))
+        gates.append(C.Gate(kind, data.draw(pair)[:C.GATES[kind].arity]))
     c = C.Circuit(n, list(data.draw(st.permutations(gates))) * 2)
     letters = st.lists(st.integers(0, 3), min_size=n, max_size=n).map(bytes)
     strings = [P.PauliString(n, w) for w in data.draw(st.lists(letters, min_size=2, max_size=6))]
@@ -394,10 +427,10 @@ def test_fuse_preserves_action_property(data):
     angle = st.floats(-4, 4, allow_nan=False, allow_infinity=False)
     c = C.Circuit(n)
     for _ in range(data.draw(st.integers(0, 14))):
-        kind = data.draw(st.sampled_from(sorted(C.GATE_ARITY)))
+        kind = data.draw(st.sampled_from(sorted(C.GATES)))
         order = data.draw(st.permutations(range(n)))  # unsorted target orders
-        params = tuple(data.draw(angle) for _ in range(C.GATE_PARAMS.get(kind, 0)))
-        c.add(C.Gate(kind, tuple(order[:C.GATE_ARITY[kind]]), params=params))
+        params = tuple(data.draw(angle) for _ in range(C.GATES[kind].angles))
+        c.add(C.Gate(kind, tuple(order[:C.GATES[kind].arity]), params=params))
     fused = C.fuse(c)
     assert all(g.kind == "matrix" and g.arity <= 4 for g in fused)
     assert len(fused) <= len(c)
@@ -424,14 +457,14 @@ def test_sparse_state_matches_dense_oracle_property(data):
     angle = st.floats(-4, 4, allow_nan=False, allow_infinity=False)
     c = C.Circuit(n)
     for _ in range(data.draw(st.integers(0, 12))):
-        kind = data.draw(st.sampled_from(sorted(C.GATE_ARITY) + ["matrix"]))
+        kind = data.draw(st.sampled_from(sorted(C.GATES) + ["matrix"]))
         order = [low + q for q in data.draw(st.permutations(range(m)))]  # unsorted targets
         if kind == "matrix":
-            k = data.draw(st.integers(1, 4))
+            k = data.draw(st.integers(1, min(4, m)))
             c.add(C.Gate(kind, tuple(order[:k]), matrix=_random_unitary(k, rng)))
         else:
-            params = tuple(data.draw(angle) for _ in range(C.GATE_PARAMS.get(kind, 0)))
-            c.add(C.Gate(kind, tuple(order[:C.GATE_ARITY[kind]]), params=params))
+            params = tuple(data.draw(angle) for _ in range(C.GATES[kind].angles))
+            c.add(C.Gate(kind, tuple(order[:C.GATES[kind].arity]), params=params))
 
     support = data.draw(st.one_of(st.just(None), st.integers(1, 64)))
     if support is None:
@@ -442,7 +475,7 @@ def test_sparse_state_matches_dense_oracle_property(data):
     amps /= np.linalg.norm(amps)
     psi = np.zeros(1 << n, dtype=complex)
     psi[labels] = amps
-    small = C.circuit_unitary(C.restrict_circuit(c, range(low, low + m)))
+    small = circuit_unitary(restrict_circuit(c, range(low, low + m)))
     want = np.einsum("ij,ajb->aib", small, psi.reshape(-1, 1 << m, 1 << low)).reshape(-1)
 
     letters = st.lists(st.integers(0, 3), min_size=n, max_size=n)
@@ -538,7 +571,7 @@ def test_fuse_blocks_match_dense_oracle(c):
     for g, (union, gates) in zip(fused, blocks):
         assert not g.matrix.flags.writeable
         # restrict_circuit puts support[0] at the least significant bit, fuse union[0] at the MSB
-        want = C.circuit_unitary(C.restrict_circuit(C.Circuit(c.n_qubits, gates), list(reversed(union))))
+        want = circuit_unitary(restrict_circuit(C.Circuit(c.n_qubits, gates), list(reversed(union))))
         assert np.max(np.abs(g.matrix - want)) < 1e-12, union
 
 
@@ -858,13 +891,13 @@ def test_export_parse_round_trip_all_kinds():
     c.add(C.Gate("ccz", (0, 1, 2)))
     c.add(C.Gate("agate", (3, 7), params=(0.31, -0.77)))
     c.add(vx_gate(spec, ex, 0.31, -0.77))
-    back = C.parse_text(C.export_text(c))
+    back = parse_text(C.export_text(c))
     assert back == c
 
 
 def test_parse_rejects_bad_header():
     with pytest.raises(ValueError):
-        C.parse_text("cnot q0 q1\n")
+        parse_text("cnot q0 q1\n")
 
 
 @settings(max_examples=30, deadline=None)
@@ -889,4 +922,4 @@ def test_export_round_trip_property(data):
         else:
             theta, phi = data.draw(finite), data.draw(finite)
             c.add(C.Gate("agate", (2, 4), params=(theta, phi)))
-    assert C.parse_text(C.export_text(c)) == c
+    assert parse_text(C.export_text(c)) == c

@@ -11,9 +11,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from f2q import circuits, cli, oracle, vqe
-from f2q.circuits import parse_text, trotter_step, vacuum_circuit
+from f2q.circuits import trotter_step, vacuum_circuit
 from f2q.cli import main, parse_potentials
 from f2q.lattice import InputError, LatticeSpec, Site
+
+from dense_oracle import parse_text
 
 
 def run_cli(capsys, *argv):

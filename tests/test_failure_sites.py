@@ -1,5 +1,6 @@
 """Failures leave the library one way: every tolerance check goes through
-lattice.require, and only cli.main writes to stderr or picks an exit code."""
+lattice.require, only cli.main writes to stderr or picks an exit code, and
+gate unitarity is checked in one place, when a Gate is built."""
 
 import ast
 from pathlib import Path
@@ -55,3 +56,10 @@ def test_commands_return_no_exit_code():
         return isinstance(node, ast.Return) and node.value is not None
 
     assert not [s for s in sites(returns_value) if s[1].startswith("cmd_")]
+
+
+def test_unitarity_is_checked_only_when_a_gate_is_built():
+    def checks_unitary(node):
+        return isinstance(node, ast.Call) and _name(node.func) == "_check_unitary"
+
+    assert sites(checks_unitary) == [("circuits.py", "__post_init__")]

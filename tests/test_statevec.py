@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from f2q import statevec
+from f2q.circuits import Gate
 from f2q.lattice import LatticeSpec, Site
 from f2q.pauli import (
     I,
@@ -97,7 +98,7 @@ def test_gate_errors():
     with pytest.raises(ValueError):
         apply_matrix_gate(s, np.eye(4), [0, 0])
     with pytest.raises(ValueError):
-        apply_matrix_gate(s, np.array([[1, 1], [0, 1]], dtype=complex), [0])
+        Gate("matrix", (0,), matrix=np.array([[1, 1], [0, 1]], dtype=complex))
 
 
 @settings(max_examples=25, deadline=None)
@@ -129,7 +130,7 @@ def test_diagonal_gate_matches_dense_embedding():
         assert np.max(np.abs(s.to_dense() - expect)) < 1e-12
         assert np.array_equal(held, before)  # the old array is replaced, not overwritten
     with pytest.raises(ValueError):
-        apply_matrix_gate(random_state(2), np.diag([1.0, 2.0]), [0])
+        Gate("matrix", (0,), matrix=np.diag([1.0, 2.0]))
 
 
 def test_qubit_marginals_match_z_expectations():

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from f2q import oracle, vqe
-from f2q.circuits import apply_circuit, circuit_unitary, pair_creation
+from f2q.circuits import apply_circuit, pair_creation
 from f2q.lattice import Edge, InputError, LatticeSpec, Site, edge_sites, edges, site_index
 from f2q.pauli import constraint_set, tv_hamiltonian
 from f2q.statevec import StateVector, apply_pauli, expval, ground_in_sector
 
-from dense_oracle import pauli_matrix
+from dense_oracle import circuit_unitary, pauli_matrix
 
 
 def lat(Lx, Ly):
@@ -249,6 +249,13 @@ def test_optimizer_config_validation():
         vqe.VqeConfig(spec=lat(2, 2), t=1.0, V=1.0, n_f=3, ansatz="agate", layers=1)
     with pytest.raises(ValueError):
         vqe.VqeConfig(spec=lat(2, 2), t=1.0, V=1.0, n_f=2, ansatz="qaoa", layers=1)
+
+
+@pytest.mark.parametrize("field", ["learning_rate", "lr_decay", "tolerance"])
+def test_optimizer_config_rejects_nan(field):
+    # a NaN tolerance would never be reached, silently turning off convergence
+    with pytest.raises(InputError):
+        vqe.OptimizerConfig(**{field: float("nan")})
 
 
 @pytest.mark.parametrize("Lx,Ly", [(2, 4), (3, 3)])
