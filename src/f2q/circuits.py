@@ -133,9 +133,9 @@ class Gate:
 
     A named kind must match its GATES entry in arity and angle count, with
     finite angles. A `matrix` gate is checked for unitarity here, the one
-    place in the library that does, and keeps its matrix read-only (a copy
-    when the caller's array is writeable), so the check holds for the
-    gate's whole life.
+    place in the library that does, and keeps its matrix read-only (a copy,
+    unless the caller's array is already read-only and owns its data), so
+    the check holds for the gate's whole life.
     """
     kind: str
     targets: Tuple[int, ...]
@@ -147,8 +147,6 @@ class Gate:
         self.params = tuple(float(p) for p in self.params)
         if len(set(self.targets)) != len(self.targets):
             raise ValueError("duplicate targets")
-        if not all(math.isfinite(p) for p in self.params):
-            raise ValueError(f"{self.kind} angles must be finite")
         if self.kind == "matrix":
             if self.params:
                 raise ValueError("matrix gates take no angles")
@@ -159,7 +157,7 @@ class Gate:
             if U.shape != (d, d):
                 raise ValueError("matrix shape does not match target count")
             _check_unitary(U)
-            if U.flags.writeable:
+            if U.flags.writeable or not U.flags.owndata:  # else the caller could still write to it
                 U = U.copy()
                 U.flags.writeable = False
             self.matrix = U
@@ -171,6 +169,8 @@ class Gate:
             raise ValueError(f"{self.kind} expects {arity} targets")
         if len(self.params) != angles:
             raise ValueError(f"{self.kind} has wrong parameter count")
+        if angles and not all(map(math.isfinite, self.params)):
+            raise ValueError(f"{self.kind} angles must be finite")
         if self.matrix is not None:
             raise ValueError("only matrix gates carry an explicit matrix")
 

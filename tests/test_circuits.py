@@ -99,6 +99,10 @@ def test_matrix_gate_keeps_a_read_only_copy():
     U[0, 0] = 5.0  # the caller's array stays theirs to change
     assert np.array_equal(g.matrix, C.a_gate_unitary(0.4, -0.9))
     assert C.Gate("matrix", (0, 1), matrix=g.matrix).matrix is g.matrix
+    base = C.a_gate_unitary(0.4, -0.9)
+    view = base.view()
+    view.flags.writeable = False  # read-only, but base still writes to it
+    assert C.Gate("matrix", (0, 1), matrix=view).matrix is not view
 
 
 def test_circuit_add_checks_register():
