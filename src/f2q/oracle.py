@@ -13,7 +13,6 @@ from itertools import combinations
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse
 
 from .lattice import (LatticeSpec, Site, edge_sites, edge_wraps, edges,
                       occupation_bits, require, site_index)
@@ -57,7 +56,8 @@ def ed_hamiltonian(
     potentials: Optional[Dict[Site, float]],
     sector: BCSector,
     n_f: int,
-) -> scipy.sparse.csr_matrix:
+) -> np.ndarray:
+    """Dense float64 Hamiltonian of one particle-number sector."""
     N = spec.n_sites
     if N > MAX_SITES:
         raise ValueError(f"fermionic ED limited to {MAX_SITES} sites")
@@ -66,14 +66,12 @@ def ed_hamiltonian(
     basis = sector_basis(N, n_f)
     index = {int(m): k for k, m in enumerate(basis)}
     dim = basis.size
+    if dim > DENSE_GUARD:
+        raise ValueError(f"dense ED limited to {DENSE_GUARD} states")
 
     pot = np.zeros(N)
     for r, mu in (potentials or {}).items():
         pot[site_index(spec, Site(*r))] += mu
-
-    rows: List[int] = []
-    cols: List[int] = []
-    vals: List[float] = []
 
     edge_list = []
     for e in edges(spec):
@@ -83,6 +81,7 @@ def ed_hamiltonian(
             w = float(sector.sx if e.direction == "x" else sector.sy)
         edge_list.append((site_index(spec, r), site_index(spec, s), w))
 
+    H = np.zeros((dim, dim))
     for k, m in enumerate(map(int, basis)):
         diag = 0.0
         for i, j, w in edge_list:
@@ -90,21 +89,14 @@ def ed_hamiltonian(
             occ_j = (m >> j) & 1
             if occ_i and occ_j:
                 diag += V
-            # -t (c^+_i c_j + c^+_j c_i), boundary sign folded into w
+            # -t (c^+_i c_j + c^+_j c_i), boundary sign folded into w; two
+            # edges joining the same sites (width-2 lattices) add up
             if occ_i != occ_j:
-                m2 = m ^ (1 << i) ^ (1 << j)
-                rows.append(index[m2])
-                cols.append(k)
-                vals.append(-t * w * _hop_sign(m, i, j))
+                H[index[m ^ (1 << i) ^ (1 << j)], k] += -t * w * _hop_sign(m, i, j)
         for i in range(N):
             if (m >> i) & 1:
                 diag += pot[i]
-        if diag:
-            rows.append(k)
-            cols.append(k)
-            vals.append(diag)
-
-    H = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+        H[k, k] = diag
     return H
 
 
@@ -116,7 +108,7 @@ def ed_ground(
     sector: BCSector,
     n_f: int,
 ) -> Tuple[float, np.ndarray]:
-    H = ed_hamiltonian(spec, t, V, potentials, sector, n_f).toarray()
+    H = ed_hamiltonian(spec, t, V, potentials, sector, n_f)
     evals, evecs = np.linalg.eigh(H)
     energy, vec = float(evals[0]), evecs[:, 0]
     require("ED eigenpair residual", float(np.linalg.norm(H @ vec - energy * vec)), 1e-10)
@@ -132,25 +124,7 @@ def ed_spectrum(
     n_f: int,
 ) -> EDResult:
     H = ed_hamiltonian(spec, t, V, potentials, sector, n_f)
-    if H.shape[0] > DENSE_GUARD:
-        raise ValueError(f"dense spectrum limited to {DENSE_GUARD} states")
-    evals = np.linalg.eigvalsh(H.toarray())
-    return EDResult(eigenvalues=np.sort(evals))
-
-
-def single_particle_matrix(spec: LatticeSpec, t: float, sector: BCSector) -> np.ndarray:
-    """Hopping matrix h with H(V=0) = sum h_ij c^+_i c_j."""
-    N = spec.n_sites
-    h = np.zeros((N, N))
-    for e in edges(spec):
-        r, s = edge_sites(spec, e)
-        w = 1.0
-        if edge_wraps(spec, e):
-            w = float(sector.sx if e.direction == "x" else sector.sy)
-        i, j = site_index(spec, r), site_index(spec, s)
-        h[i, j] += -t * w
-        h[j, i] += -t * w
-    return h
+    return EDResult(eigenvalues=np.linalg.eigvalsh(H))  # ascending
 
 
 def ed_propagate(
@@ -168,7 +142,7 @@ def ed_propagate(
         raise ValueError("initial vector does not match the sector dimension")
     if abs(np.linalg.norm(initial) - 1.0) > 1e-10:
         raise ValueError("initial vector is not normalized")
-    H = ed_hamiltonian(spec, t, V, None, sector, n_f).toarray()
+    H = ed_hamiltonian(spec, t, V, None, sector, n_f)
     evals, evecs = np.linalg.eigh(H)
     coeff = evecs.conj().T @ initial.astype(np.complex128)
     occ_table = occupation_bits(basis, N)

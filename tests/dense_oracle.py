@@ -9,7 +9,9 @@ any state. The variational blocks vx and vy are written out a second time as
 closed-form 8x8 and 16x16 `matrix` gates, the reference for their native
 circuits. circuit_unitary is the dense unitary of a whole small circuit,
 restrict_circuit moves a circuit onto the qubits it touches, and parse_text
-reads export_text's format back.
+reads export_text's format back. single_particle_matrix is the hopping matrix
+whose filled levels give the free-fermion ground energy, a check of the
+fermionic ED that shares none of its many-body code.
 """
 
 import cmath
@@ -18,7 +20,7 @@ import math
 import numpy as np
 
 from f2q.circuits import Circuit, Gate, gate_unitary
-from f2q.lattice import aux_index, edge_sites, phys_index
+from f2q.lattice import aux_index, edge_sites, edge_wraps, edges, phys_index, site_index
 
 I2 = np.eye(2, dtype=np.complex128)
 SX = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -194,3 +196,18 @@ def parse_text(text):
             params = tuple(float(tok) for tok in rest)
             c.add(Gate(kind, tuple(targets), params=params))
     return c
+
+
+def single_particle_matrix(spec, t, sector):
+    """Hopping matrix h with H(V=0) = sum h_ij c^+_i c_j."""
+    N = spec.n_sites
+    h = np.zeros((N, N))
+    for e in edges(spec):
+        r, s = edge_sites(spec, e)
+        w = 1.0
+        if edge_wraps(spec, e):
+            w = float(sector.sx if e.direction == "x" else sector.sy)
+        i, j = site_index(spec, r), site_index(spec, s)
+        h[i, j] += -t * w
+        h[j, i] += -t * w
+    return h

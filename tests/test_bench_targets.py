@@ -9,7 +9,10 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 from f2q.lattice import LatticeSpec
+from f2q.oracle import ALL_SECTORS, ed_hamiltonian
 from f2q.pauli import constraint_set
 from f2q.statevec import constrained_basis
 
@@ -39,3 +42,10 @@ def test_basis_counter_reads_the_label_table():
     basis = constrained_basis(spec, cs)
     counts = load_tracer()._basis_labels((spec, cs), {}, basis)
     assert counts == {"labels": float(1 << cs.n), "kept": float(basis.labels.size)}
+
+
+def test_ed_dim_reads_the_dense_hamiltonian():
+    args = (LatticeSpec(2, 2), 1.0, 2.0, None, ALL_SECTORS[0], 2)
+    H = ed_hamiltonian(*args)
+    assert type(H) is np.ndarray
+    assert load_tracer()._ed_dim(args, {}, H) == {"dim": 6.0}

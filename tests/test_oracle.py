@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from dense_oracle import single_particle_matrix
+from f2q import oracle
 from f2q.lattice import LatticeSpec, Site, edge_sites, edges, site_index
 from f2q.oracle import (
     ALL_SECTORS,
@@ -11,7 +13,6 @@ from f2q.oracle import (
     ed_spectrum,
     match_bc_sector,
     sector_basis,
-    single_particle_matrix,
 )
 from f2q.pauli import constraint_set, tv_hamiltonian
 from f2q.statevec import cached_basis, restrict_sum
@@ -47,14 +48,14 @@ def test_hamiltonian_is_exactly_hermitian():
     spec = LatticeSpec(2, 4)
     for sector in ALL_SECTORS:
         H = ed_hamiltonian(spec, 1.0, 3.0, {Site(0, 0): -1.0}, sector, 3)
-        assert (H != H.T.conjugate()).nnz == 0
+        assert np.array_equal(H, H.T.conj())
 
 
 def test_t0_hamiltonian_is_diagonal_with_classical_energies():
     spec = LatticeSpec(2, 2)
     V = 1.3
     pots = {Site(0, 0): -0.7}
-    H = ed_hamiltonian(spec, 0.0, V, pots, PP, 2).toarray()
+    H = ed_hamiltonian(spec, 0.0, V, pots, PP, 2)
     assert np.max(np.abs(H - np.diag(np.diag(H)))) == 0.0
     expect = classical_energies(spec, 2, V, pots)
     assert np.allclose(np.sort(np.diag(H).real), expect, atol=1e-12)
@@ -91,11 +92,22 @@ def test_spectrum_invariant_under_t_sign_2x2():
     assert np.allclose(a, b, atol=1e-10)
 
 
-def test_size_guards():
+def test_size_guards(monkeypatch):
     with pytest.raises(ValueError):
         ed_hamiltonian(LatticeSpec(4, 4), 1.0, 0.0, None, PP, 2)
     with pytest.raises(ValueError):
         ed_hamiltonian(LatticeSpec(2, 2), 1.0, 0.0, None, PP, 5)
+    # the dense guard sits where the matrix is allocated, so it covers every
+    # ED entry point
+    monkeypatch.setattr(oracle, "DENSE_GUARD", 5)
+    spec = LatticeSpec(2, 2)  # n_f = 2: 6 states
+    with pytest.raises(ValueError):
+        ed_ground(spec, 1.0, 0.0, None, PP, 2)
+    with pytest.raises(ValueError):
+        ed_propagate(spec, 1.0, 0.0, np.ones(6) / np.sqrt(6), PP, 2, [0.0])
+    with pytest.raises(ValueError):
+        ed_spectrum(spec, 1.0, 0.0, None, PP, 2)
+    assert ed_ground(spec, 1.0, 0.0, None, PP, 1)[1].shape == (4,)
 
 
 def test_propagate_time_zero_returns_initial_occupations():
@@ -115,7 +127,7 @@ def test_propagate_time_zero_returns_initial_occupations():
 def test_propagate_conserves_energy():
     spec = LatticeSpec(2, 2)
     _, v = ed_ground(spec, 1.0, 0.0, {Site(0, 0): -1.0}, PP, 2)
-    H = ed_hamiltonian(spec, 1.0, 3.0, None, PP, 2).toarray()
+    H = ed_hamiltonian(spec, 1.0, 3.0, None, PP, 2)
     evals, evecs = np.linalg.eigh(H)
     psi0 = v.astype(complex)
     e0 = float(np.vdot(psi0, H @ psi0).real)

@@ -1,6 +1,10 @@
-"""Every library definition is used somewhere: in the library, a test or the benchmark."""
+"""Every library definition is used somewhere: in the library, a test or the
+benchmark; and the library runs on numpy alone."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -34,3 +38,16 @@ def test_every_library_definition_is_referenced():
                 used.add(node.value)
     unreferenced = sorted(f"{where} {name}" for name, where in defined.items() if name not in used)
     assert not unreferenced, unreferenced
+
+
+def test_library_imports_no_scipy():
+    # scipy is a test dependency only: importing it costs about half of a
+    # process's start-up, so no f2q module may load it
+    modules = sorted(p.stem for p in (ROOT / "src" / "f2q").glob("*.py") if p.stem != "__init__")
+    assert "cli" in modules and "oracle" in modules
+    code = "".join(f"import f2q.{m}\n" for m in modules) + (
+        "import sys\nprint(sorted(n for n in sys.modules if n.split('.')[0] == 'scipy'))")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]", out.stdout
