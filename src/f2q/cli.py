@@ -29,7 +29,7 @@ from . import oracle, vqe
 from .lattice import (Edge, InputError, LatticeSpec, ScientificFailure, Site, occupation_bits,
                       phys_index, require, sites)
 from .pauli import constraint_set, tv_hamiltonian
-from .statevec import _sector_ground, cached_basis, qubit_marginals, restrict_sum
+from .statevec import cached_sector, qubit_marginals, restrict_sum, sector_ground
 
 
 # ----------------------------------------------------------------- settings
@@ -206,21 +206,17 @@ def quench_trajectories(spec: LatticeSpec, t: float, V: float, n_f: int,
     if abs(n_steps * dt - tmax) > 1e-9 or n_steps < 1:
         raise InputError("tmax must be a positive multiple of dt")
     times = dt * np.arange(n_steps + 1)
-    cs = constraint_set(spec)
-    basis = cached_basis(spec, cs)
-    cols = np.flatnonzero(basis.phys_occ == n_f)
+    basis = cached_sector(spec, constraint_set(spec), n_f)
 
     h_pre = tv_hamiltonian(spec, t, 0.0, pre_potentials)
-    pre_evals, psi0 = _sector_ground(basis, h_pre, n_f)
+    pre_evals, sec0 = sector_ground(basis, h_pre)
     if pre_evals.size > 1 and pre_evals[1] - pre_evals[0] < 1e-8:
         raise ScientificFailure("pre-quench ground state is degenerate; "
                                 "references are ill-defined")
-    sec0 = basis.project(psi0)[cols]
 
     # exact encoded evolution by spectral decomposition in the sector
-    h_post = restrict_sum(basis, tv_hamiltonian(spec, t, V), cols)
-    evals, evecs = np.linalg.eigh(h_post)
-    occ_table = occupation_bits(basis.occ_masks[cols], spec.n_sites)
+    evals, evecs = np.linalg.eigh(restrict_sum(basis, tv_hamiltonian(spec, t, V)))
+    occ_table = occupation_bits(basis.occ_masks, spec.n_sites)
     coeff = evecs.conj().T @ sec0
     occ_encoded = np.empty((times.size, spec.n_sites))
     for k, tau in enumerate(times):
@@ -237,7 +233,7 @@ def quench_trajectories(spec: LatticeSpec, t: float, V: float, n_f: int,
     # Trotterized circuit evolution on the full register
     step = circ.fuse(circ.trotter_step(spec, t, V, dt))
     phys = [phys_index(spec, r) for r in sites(spec)]
-    state = psi0
+    state = basis.expand(sec0)
     occ_trotter = np.empty((times.size, spec.n_sites))
     occ_trotter[0] = qubit_marginals(state, phys)
     for k in range(1, times.size):
@@ -423,22 +419,14 @@ def cmd_spectrum_match(args: argparse.Namespace) -> None:
     for n_f in args.n_f or ():
         if not 0 <= n_f <= spec.n_sites:
             raise InputError(f"n-f {n_f} lies outside [0, {spec.n_sites}]")
-    basis = cached_basis(spec, constraint_set(spec))
-    if args.n_f:
-        sectors = sorted(set(args.n_f))
-    else:
-        if basis.dim > 4096:
-            raise InputError("full-spectrum match is too large here; pass --n-f")
-        sectors = sorted(basis.occ_counts)
+    cs = constraint_set(spec)
     H = tv_hamiltonian(spec, t, V)
-    encoded = {}
-    for n_f in sectors:
-        cols = np.flatnonzero(basis.phys_occ == n_f)
-        if cols.size == 0:
-            # an absent sector can never match the fermionic one
-            encoded[n_f] = np.array([])
-            continue
-        encoded[n_f] = np.linalg.eigvalsh(restrict_sum(basis, H, cols))
+    # every sector is built (and size-checked) before any is diagonalised; an
+    # absent sector never matches the fermionic one, and by default is left out
+    sectors = {n_f: cached_sector(spec, cs, n_f)
+               for n_f in (sorted(set(args.n_f)) if args.n_f else range(spec.n_sites + 1))}
+    encoded = {n_f: np.linalg.eigvalsh(restrict_sum(b, H)) if b.dim else np.array([])
+               for n_f, b in sectors.items() if b.dim or args.n_f}
     matches = oracle.matching_bc_sectors(spec, t, V, encoded)
     if not matches:
         text = "no fermionic boundary sector matches within 1e-08"
@@ -452,7 +440,7 @@ def cmd_spectrum_match(args: argparse.Namespace) -> None:
     names = ", ".join(f"sx={m.sx:+d} sy={m.sy:+d}" for m in matches)
     head = "matched sector" if len(matches) == 1 else f"matched {len(matches)} sectors:"
     _write_text(out, f"{head} {names} "
-                f"max_deviation={dev:.3e} sectors={','.join(str(n) for n in sectors)}\n")
+                f"max_deviation={dev:.3e} sectors={','.join(str(n) for n in encoded)}\n")
     require("encoded spectra deviate from fermionic ED by", dev, 1e-8)
 
 

@@ -14,7 +14,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .lattice import (LatticeSpec, Site, edge_sites, edge_wraps, edges,
+from .lattice import (InputError, LatticeSpec, Site, edge_sites, edge_wraps, edges,
                       occupation_bits, require, site_index)
 
 MAX_SITES = 12
@@ -60,7 +60,7 @@ def ed_hamiltonian(
     """Dense float64 Hamiltonian of one particle-number sector."""
     N = spec.n_sites
     if N > MAX_SITES:
-        raise ValueError(f"fermionic ED limited to {MAX_SITES} sites")
+        raise InputError(f"fermionic ED limited to {MAX_SITES} sites")
     if not 0 <= n_f <= N:
         raise ValueError("particle number outside [0, N]")
     basis = sector_basis(N, n_f)

@@ -20,18 +20,19 @@ replace a state's arrays and never write into them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import oracle
 from .lattice import InputError, LatticeSpec, require
-from .pauli import ConstraintSet, PauliString, PauliSum, identity as pauli_identity
+from .pauli import ConstraintSet, PauliString, PauliSum
 
 MAX_REGISTER_QUBITS = 62  # int64 labels
 MAX_QUBITS = 24  # support guard: no state or gate output holds more than 2^MAX_QUBITS labels
-MAX_SUBSPACE_QUBITS = 18  # guard for subspace construction
 MAX_GATE_QUBITS = 4  # widest gate apply_matrix_gate takes
 DROP_CUT = 1e-14  # a gate output amplitude with |a| <= DROP_CUT leaves the support
 
@@ -234,11 +235,15 @@ def qubit_marginals(state: StateVector, qubits: Sequence[int]) -> np.ndarray:
 class SubspaceBasis:
     """Orthonormal constraint-satisfying basis, stored as one label table.
 
-    Columns have pairwise disjoint label supports (orbit structure), so each
-    label belongs to exactly one column: column cols[i] has amplitude amps[i]
-    on label labels[i]. Every column has a definite physical occupation (the
-    constraint flips touch only auxiliary qubits): its site bitmask is
-    occ_masks, its particle count phys_occ.
+    Each column is a stabilizer state (Aaronson & Gottesman,
+    arXiv:quant-ph/0406196): its smallest label reps[j] XOR the 2^rank flips
+    of the constraint products, with amplitudes of modulus 2^(-rank/2).
+    Columns are ordered by smallest label and have pairwise disjoint label
+    supports, so each label belongs to exactly one column: column cols[i] has
+    amplitude amps[i] on label labels[i]. Every column has a definite
+    physical occupation (the constraint flips touch only auxiliary qubits):
+    its site bitmask is occ_masks, its particle count phys_occ. stab_flip and
+    stab_sign are the constraints' binary x|z masks.
     """
 
     register_size: int
@@ -246,21 +251,12 @@ class SubspaceBasis:
     labels: np.ndarray    # int64, ascending
     cols: np.ndarray      # int64, the column of each label
     amps: np.ndarray      # complex128, aligned with labels
+    reps: np.ndarray      # int64 per column, its smallest label
     occ_masks: np.ndarray  # int64 per column, bit i = occupation of site i
     phys_occ: np.ndarray  # int64 per column
     occ_counts: Dict[int, int]
-
-    def column_state(self, j: int) -> StateVector:
-        mine = self.cols == j
-        return StateVector(self.labels[mine], self.amps[mine], self.register_size)
-
-    def project(self, state: StateVector) -> np.ndarray:
-        """coefficients B^dagger psi."""
-        coeffs = np.zeros(self.dim, dtype=np.complex128)
-        pos, hit = _find(self.labels, state.labels)
-        pos = pos[hit]
-        np.add.at(coeffs, self.cols[pos], np.conj(self.amps[pos]) * state.amps[hit])
-        return coeffs
+    stab_flip: np.ndarray  # uint64 per constraint
+    stab_sign: np.ndarray  # uint64 per constraint
 
     def expand(self, coeffs: np.ndarray) -> StateVector:
         """B coeffs, on the labels of the columns with a nonzero coefficient."""
@@ -269,79 +265,91 @@ class SubspaceBasis:
         return StateVector(self.labels[keep], amps[keep], self.register_size)
 
 
-def constrained_basis(spec: LatticeSpec, cs: ConstraintSet) -> SubspaceBasis:
-    n = cs.n
-    if n > MAX_SUBSPACE_QUBITS:
-        raise InputError(f"subspace construction limited to {MAX_SUBSPACE_QUBITS} qubits")
-    flip_gens = [(s, t) for s, t in cs if s.masks()[0] != 0]
-    diag_gens = [(t, s) for s, t in cs if s.masks()[0] == 0]
-    for _, s in diag_gens:
-        if s.masks()[2] or s.phase_k not in (0, 2):
-            raise ValueError("diagonal stabilizers must be pure Z strings")
+@lru_cache(maxsize=8)
+def _solve(cs: ConstraintSet):
+    """The target-signed constraints t*S reduced over GF(2), once per set.
 
-    m = len(flip_gens)
-    # all 2^m target-signed subset products t*S, built incrementally
-    prods: List[Tuple[int, PauliString]] = [(1, pauli_identity(n))]
-    for i, (g, t) in enumerate(flip_gens):
-        for sidx in range(1 << i, 1 << (i + 1)):
-            tp, p = prods[sidx ^ (1 << i)]
-            prods.append((tp * t, p.mul(g)))
-    flips, sgns, consts = pauli_table(prods)
-    uniq_flips, ginv = np.unique(flips, return_inverse=True)
-    # t*S|b> = |b> for a diagonal generator iff its signed coefficient is +1
-    _, diag_sgns, diag_consts = pauli_table(diag_gens)
+    The generators whose flips are independent span each column's orbit. Each
+    dependent one, times the independent products that cancel its flip, is
+    diagonal, so t*S = +1 is one more condition parity(label & z) = bit. In
+    echelon form on their highest bit, a condition 0 = 1 means no column at
+    all; a row whose highest bit is a physical one checks the occupation;
+    every other row fixes its auxiliary pivot bit from the bits below it.
+    Returns the constraints' x|z masks, those checks, the pivot rows
+    (ascending), the independent flips (leading bits descending) and the
+    pauli_table form of all 2^rank independent products.
+    """
+    if cs.n > MAX_REGISTER_QUBITS:
+        raise InputError(f"{cs.n} qubits exceed the {MAX_REGISTER_QUBITS}-qubit label range")
+    N = cs.n // 2
+    stab_flip, stab_sign, coeff = pauli_table((t, s) for s, t in cs)
+    if np.any(stab_flip & np.uint64((1 << N) - 1)):
+        raise ValueError("constraint flips must act on auxiliary qubits only")
+    flips, conds = {}, []  # flips: leading bit -> independent product (flip, sign, coeff)
+    for g in zip(stab_flip.tolist(), stab_sign.tolist(), coeff.tolist()):
+        while g[0] and g[0].bit_length() - 1 in flips:
+            h = flips[g[0].bit_length() - 1]  # g <- g h in x|z form
+            g = g[0] ^ h[0], g[1] ^ h[1], g[2] * h[2] * (-1) ** (g[1] & h[0]).bit_count()
+        if g[0]:
+            flips[g[0].bit_length() - 1] = g
+        else:
+            conds.append((g[1], int(g[2].real < 0)))
+    rows = {}  # leading bit -> (z, bit)
+    for z, bit in conds:
+        while z and z.bit_length() - 1 in rows:
+            z2, b2 = rows[z.bit_length() - 1]
+            z, bit = z ^ z2, bit ^ b2
+        if z:
+            rows[z.bit_length() - 1] = (z, bit)
+        elif bit:
+            raise ValueError("empty constrained subspace: inconsistent targets")
+    pivots = sorted((p, z, b) for p, (z, b) in rows.items() if p >= N)
+    if len(pivots) + len(flips) != N:
+        raise ValueError("the constraints do not fix one state per occupation")
+    fl, sg, cf = np.zeros(1, np.int64), np.zeros(1, np.int64), np.ones(1, np.complex128)
+    for f, s, c in flips.values():
+        fl, sg, cf = (np.concatenate([fl, fl ^ f]), np.concatenate([sg, sg ^ s]),
+                      np.concatenate([cf, _signed(sg, f, cf * c)]))
+    return ((stab_flip, stab_sign), [zb for p, zb in rows.items() if p < N], pivots,
+            [g[0] for _, g in sorted(flips.items(), reverse=True)], (fl, sg, cf))
 
-    phys_mask = np.uint64((1 << (n // 2)) - 1)
-    dim_full = 1 << n
-    scale = float(1 << m)
-    null_cut = 0.5 / scale
 
-    # the diagonal generators commute with the flips, so an orbit passes them
-    # or fails them as a whole: visit only the labels that pass
-    all_labels = np.arange(dim_full, dtype=np.uint64)
-    passes = np.ones(dim_full, dtype=bool)
-    for z, c in zip(diag_sgns, diag_consts):
-        passes &= (np.bitwise_count(all_labels & z) & 1).astype(bool) == (c.real < 0)
+def _check_size(cs: ConstraintSet, columns: int) -> None:
+    """InputError unless the columns fit the dense guard and their labels the support guard."""
+    r = len(_solve(cs)[3])
+    if columns > oracle.DENSE_GUARD or columns << r > 1 << MAX_QUBITS:
+        raise InputError(f"a basis of up to {columns} columns of 2^{r} labels exceeds the "
+                         f"{oracle.DENSE_GUARD}-column or the 2^{MAX_QUBITS}-label guard")
 
-    visited = np.zeros(dim_full, dtype=bool)
-    labels_out: List[np.ndarray] = []
-    amps_out: List[np.ndarray] = []
-    occ_out: List[int] = []
-    for b in np.flatnonzero(passes):
-        if visited[b]:
-            continue
-        bu = np.uint64(b)
-        orbit = (bu ^ uniq_flips).astype(np.int64)
-        visited[orbit] = True
-        sums = np.zeros(uniq_flips.size, dtype=np.complex128)
-        np.add.at(sums, ginv, _signed(bu, sgns, consts))
-        nrm2 = float(np.vdot(sums, sums).real) / (scale * scale)
-        if nrm2 < null_cut:
-            continue
-        keep = np.abs(sums) > 1e-9
-        amps = sums[keep] / (scale * np.sqrt(nrm2))
-        labels_out.append(orbit[keep])
-        amps_out.append(amps)
-        occ_out.append(int(bu & phys_mask))
 
-    if not labels_out:
-        raise ValueError("empty constrained subspace: inconsistent targets")
-    labels = np.concatenate(labels_out)
-    cols = np.repeat(np.arange(len(labels_out)), [len(a) for a in labels_out])
-    order = np.argsort(labels)
-    occ_masks = np.array(occ_out, dtype=np.int64)
+def _build(cs: ConstraintSet, occ) -> SubspaceBasis:
+    """The columns of the occupation masks in occ that pass the checks."""
+    (stab_flip, stab_sign), checks, pivots, flips, (flip, sign, coeff) = _solve(cs)
+    labels = np.array(occ, dtype=np.int64)
+    for z, bit in checks:
+        labels = labels[np.bitwise_count(labels & z) & 1 == bit]
+    for p, z, bit in pivots:  # free bits stay 0
+        labels |= ((np.bitwise_count(labels & z) & 1) ^ bit).astype(np.int64) << p
+    for f in flips:  # clear each leading bit: the smallest label of the orbit
+        labels ^= np.where(labels >> (f.bit_length() - 1) & 1, f, 0)
+    reps, r = np.sort(labels), len(flips)
+    table = (reps[:, None] ^ flip).reshape(-1)
+    # + 0 turns signed zeros into +0, as the sum over all constraint products gave
+    amps = (_signed(reps[:, None], sign, coeff).reshape(-1) + 0) / (2.0 ** r * np.sqrt(2.0 ** -r))
+    order = np.argsort(table)
+    occ_masks = reps & (1 << cs.n // 2) - 1
     phys_occ = np.bitwise_count(occ_masks).astype(np.int64)
-    occ_counts = {int(k): int(v) for k, v in zip(*np.unique(phys_occ, return_counts=True))}
     return SubspaceBasis(
-        register_size=n,
-        dim=len(labels_out),
-        labels=labels[order],
-        cols=cols[order],
-        amps=np.concatenate(amps_out)[order],
-        occ_masks=occ_masks,
-        phys_occ=phys_occ,
-        occ_counts=occ_counts,
-    )
+        register_size=cs.n, dim=reps.size, labels=table[order], cols=order >> r, amps=amps[order],
+        reps=reps, occ_masks=occ_masks, phys_occ=phys_occ,
+        occ_counts={int(k): int(v) for k, v in zip(*np.unique(phys_occ, return_counts=True))},
+        stab_flip=stab_flip, stab_sign=stab_sign)
+
+
+def constrained_basis(spec: LatticeSpec, cs: ConstraintSet) -> SubspaceBasis:
+    """Every column: all particle-number sectors merged in smallest-label order."""
+    _check_size(cs, 1 << cs.n // 2)
+    return _build(cs, np.arange(1 << cs.n // 2))
 
 
 @lru_cache(maxsize=8)
@@ -349,49 +357,59 @@ def cached_basis(spec: LatticeSpec, cs: ConstraintSet) -> SubspaceBasis:
     return constrained_basis(spec, cs)
 
 
+@lru_cache(maxsize=32)
+def cached_sector(spec: LatticeSpec, cs: ConstraintSet, n_f: int) -> SubspaceBasis:
+    """The columns of constrained_basis(spec, cs) with n_f particles, in the
+    same order, built on their own; empty where no column has n_f particles."""
+    count = math.comb(cs.n // 2, n_f) if 0 <= n_f <= cs.n // 2 else 0
+    _check_size(cs, count)
+    return _build(cs, oracle.sector_basis(cs.n // 2, n_f) if count else [])
+
+
 def restrict_sum(basis: SubspaceBasis, H: PauliSum, cols: Optional[np.ndarray] = None) -> np.ndarray:
     """Dense matrix of H restricted to the selected basis columns."""
-    if cols is None:
-        cols = np.arange(basis.dim)
-    cols = np.asarray(cols, dtype=np.int64)
-    sel = -np.ones(basis.dim, dtype=np.int64)
-    sel[cols] = np.arange(cols.size)
-    in_sel = sel[basis.cols] >= 0
-    labels = basis.labels[in_sel].astype(np.uint64)
-    amps = basis.amps[in_sel]
-    src_cols = sel[basis.cols[in_sel]]
+    mat = restrict_between(basis, basis, H)
+    return mat if cols is None else mat[np.ix_(cols, cols)]
+
+
+def restrict_between(dest: SubspaceBasis, src: SubspaceBasis, H: PauliSum) -> np.ndarray:
+    """<dest_i|H|src_j> for every column i of dest and j of src, two bases of
+    one constraint set (two particle-number sectors, say).
+
+    A term P that commutes with every constraint maps column j to a multiple
+    c of the one column i that holds b ^ flip, b being j's smallest label, so
+    one label per column gives c = sign * coeff * amp_j(b) / amp_i(b ^ flip).
+    A term that anticommutes with a constraint maps the constrained space
+    onto its complement and restricts to zero.
+    """
     flip, sign, coeff = pauli_table(H)
-    # one row per term: each source label b goes to b ^ flip
-    dest = (labels ^ flip[:, None]).astype(np.int64)
-    pos, hit = _find(basis.labels, dest)
-    rows = np.where(hit, sel[basis.cols[pos]], -1)
-    k, i = np.nonzero(rows >= 0)  # (term, source label) pairs that land in the selection
-    contrib = _signed(labels[i], sign[k], coeff[k]) * amps[i] * np.conj(basis.amps[pos[k, i]])
-    mat = np.zeros((cols.size, cols.size), dtype=np.complex128)
-    np.add.at(mat, (rows[k, i], src_cols[i]), contrib)
+    anti = (np.bitwise_count(flip[:, None] & dest.stab_sign)
+            + np.bitwise_count(sign[:, None] & dest.stab_flip)) & 1
+    keep = ~anti.any(axis=1)
+    flip, sign, coeff = flip[keep], sign[keep], coeff[keep]
+    reps = src.reps.view(np.uint64)
+    pos, hit = _find(dest.labels, (reps ^ flip[:, None]).view(np.int64))
+    k, j = np.nonzero(hit)  # (term, source column) pairs that land in dest
+    rep_amps = src.amps[_find(src.labels, src.reps)[0]]
+    mat = np.zeros((dest.dim, src.dim), dtype=np.complex128)
+    np.add.at(mat, (dest.cols[pos[k, j]], j),
+              _signed(reps[j], sign[k], coeff[k]) * rep_amps[j] / dest.amps[pos[k, j]])
     return mat
 
 
-def ground_in_sector(
-    H: PauliSum,
-    spec: LatticeSpec,
-    cs: ConstraintSet,
-    n_f: int,
-) -> Tuple[float, StateVector]:
-    evals, state = _sector_ground(cached_basis(spec, cs), H, n_f)
-    return float(evals[0]), state
-
-
-def _sector_ground(basis: SubspaceBasis, H: PauliSum, n_f: int) -> Tuple[np.ndarray, StateVector]:
-    """Every eigenvalue of H restricted to the n_f columns, ascending, and the
-    checked ground state on the register: ground_in_sector with the spectrum."""
-    cols = np.flatnonzero(basis.phys_occ == n_f)
-    if cols.size == 0:
-        raise InputError(f"no constrained basis vectors with particle number {n_f}")
-    Hs = restrict_sum(basis, H, cols)
+def sector_ground(sector: SubspaceBasis, H: PauliSum) -> Tuple[np.ndarray, np.ndarray]:
+    """Every eigenvalue of H restricted to the sector, ascending, and the
+    checked ground vector in the sector's columns."""
+    if sector.dim == 0:
+        raise InputError("no constrained basis vectors with the requested particle number")
+    Hs = restrict_sum(sector, H)
     evals, evecs = np.linalg.eigh(Hs)
     energy, vec = float(evals[0]), evecs[:, 0]
     require("sector eigenpair residual", float(np.linalg.norm(Hs @ vec - energy * vec)), 1e-8)
-    full = np.zeros(basis.dim, dtype=np.complex128)
-    full[cols] = vec
-    return evals, basis.expand(full)
+    return evals, vec
+
+
+def ground_in_sector(H: PauliSum, spec: LatticeSpec, cs: ConstraintSet, n_f: int) -> Tuple[float, StateVector]:
+    sector = cached_sector(spec, cs, n_f)
+    evals, vec = sector_ground(sector, H)
+    return float(evals[0]), sector.expand(vec)

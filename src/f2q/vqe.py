@@ -21,15 +21,8 @@ from . import oracle
 from .lattice import (Edge, InputError, LatticeSpec, aux_index, edge_sites, edges, phys_index,
                       require, site_index)
 from .pauli import PauliString, PauliSum, X, Y, Z, constraint_set, number_sum, tv_hamiltonian
-from .statevec import (
-    StateVector,
-    cached_basis,
-    expval,
-    expval_string,
-    ground_in_sector,
-    restrict_sum,
-    zero_state,
-)
+from .statevec import (StateVector, cached_sector, expval, expval_string, ground_in_sector,
+                       restrict_between, restrict_sum, sector_ground, zero_state)
 
 
 # Adam moment decay rates and denominator guard
@@ -134,6 +127,10 @@ def pairing_string(spec: LatticeSpec, e: Edge) -> PauliString:
     return PauliString(spec.n_qubits, letters)
 
 
+def pairing_sum(spec: LatticeSpec, e: Edge) -> PauliSum:
+    return PauliSum(spec.n_qubits, [(1, pairing_string(spec, e))])
+
+
 # Every plan entry acts on its sector positions R as
 #     psi[R] <- diag * psi[R] + off * psi[P],
 # P holding each position's partner. A rotation on edge (r, s) pairs the
@@ -162,19 +159,14 @@ class SectorModel:
         self.config = config
         spec = config.spec
         self.cs = constraint_set(spec)
-        self.basis = cached_basis(spec, self.cs)
-        self.cols = np.flatnonzero(self.basis.phys_occ == config.n_f)
-        if self.cols.size == 0:
+        self.basis = cached_sector(spec, self.cs, config.n_f)
+        if self.basis.dim == 0:
             raise InputError(f"no constrained states with particle number {config.n_f}")
-        self.h_sector = restrict_sum(self.basis, tv_hamiltonian(spec, config.t, config.V), self.cols)
+        self.h_sector = restrict_sum(self.basis, tv_hamiltonian(spec, config.t, config.V))
         self._build_gate_table()
         self._init_vec: Optional[np.ndarray] = None
 
     # ---------------------------------------------------------- construction
-
-    def _pairing_matrix(self, e: Edge, cols: Optional[np.ndarray] = None) -> np.ndarray:
-        spec = self.config.spec
-        return restrict_sum(self.basis, PauliSum(spec.n_qubits, [(1, pairing_string(spec, e))]), cols)
 
     def _edge_table(self, e: Edge):
         """Sector positions J (site s occupied, r empty), K and c with T|J> = c|K>
@@ -182,11 +174,11 @@ class SectorModel:
         occupied."""
         spec = self.config.spec
         r, s = edge_sites(spec, e)
-        occ = self.basis.occ_masks[self.cols]
+        occ = self.basis.occ_masks
         has_r = (occ >> site_index(spec, r)) & 1 == 1
         has_s = (occ >> site_index(spec, s)) & 1 == 1
         J = np.flatnonzero(has_s & ~has_r)
-        M = self._pairing_matrix(e, self.cols)[:, J]
+        M = restrict_sum(self.basis, pairing_sum(spec, e))[:, J]
         K = np.argmax(np.abs(M), axis=0)
         c = M[K, np.arange(J.size)]
         require("pairing coefficient modulus differs from 1 by",
@@ -242,17 +234,13 @@ class SectorModel:
     def _build_initial_vector(self) -> np.ndarray:
         cfg = self.config
         if cfg.ansatz == "agate":
-            # the vacuum column, then each pair creation over the whole basis
-            vec = (self.basis.phys_occ == 0).astype(np.complex128)
-            for e in cfg.pair_edges:
-                vec = self._pairing_matrix(e) @ vec
-            return vec[self.cols]
-        h0 = tv_hamiltonian(cfg.spec, cfg.t, 0.0)
-        _, state = ground_in_sector(h0, cfg.spec, self.cs, cfg.n_f)
-        coeffs = self.basis.project(state)[self.cols]
-        norm = np.linalg.norm(coeffs)
-        require("free-fermion state norm in the sector differs from 1 by", abs(norm - 1.0), 1e-9)
-        return coeffs / norm
+            # the vacuum column, then each pair creation from one sector into the next
+            vec, src = np.ones(1, dtype=np.complex128), cached_sector(cfg.spec, self.cs, 0)
+            for k, e in enumerate(cfg.pair_edges):
+                dest = cached_sector(cfg.spec, self.cs, 2 * k + 2)
+                vec, src = restrict_between(dest, src, pairing_sum(cfg.spec, e)) @ vec, dest
+            return vec
+        return sector_ground(self.basis, tv_hamiltonian(cfg.spec, cfg.t, 0.0))[1]
 
     # ---------------------------------------------------------- ansatz action
 
@@ -308,7 +296,7 @@ class SectorModel:
         reads p."""
         p = np.asarray(params, dtype=float)[None, :]
         coeffs = self._coefficients(p)
-        states = np.empty((len(self._runs), self.cols.size, 1), dtype=np.complex128)
+        states = np.empty((len(self._runs), self.basis.dim, 1), dtype=np.complex128)
         psi = self.apply_ansatz(self.initial_vector()[:, None], p, states, coeffs[:2])[:, 0]
         states = states[:, :, 0]
         lam = self.h_sector @ psi
@@ -322,13 +310,6 @@ class SectorModel:
         by_phase = (bra * 1j * self._sig * off * y).real
         n = p.shape[1]
         return energy, 2.0 * (np.bincount(self._slot0, by_angle, n) + np.bincount(self._slot1, by_phase, n))
-
-    def sector_state(self, params: Sequence[float]) -> StateVector:
-        vec = self.initial_vector()[:, None]
-        self.apply_ansatz(vec, np.asarray(params, dtype=float)[None, :])
-        full = np.zeros(self.basis.dim, dtype=np.complex128)
-        full[self.cols] = vec[:, 0]
-        return self.basis.expand(full)
 
 
 # ------------------------------------------------------------- public routes

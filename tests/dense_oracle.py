@@ -11,7 +11,9 @@ circuits. circuit_unitary is the dense unitary of a whole small circuit,
 restrict_circuit moves a circuit onto the qubits it touches, and parse_text
 reads export_text's format back. single_particle_matrix is the hopping matrix
 whose filled levels give the free-fermion ground energy, a check of the
-fermionic ED that shares none of its many-body code.
+fermionic ED that shares none of its many-body code. column_state, project
+and sector_state read a SubspaceBasis (or a SectorModel's vector) back onto
+the register.
 """
 
 import cmath
@@ -21,6 +23,7 @@ import numpy as np
 
 from f2q.circuits import Circuit, Gate, gate_unitary
 from f2q.lattice import aux_index, edge_sites, edge_wraps, edges, phys_index, site_index
+from f2q.statevec import StateVector
 
 I2 = np.eye(2, dtype=np.complex128)
 SX = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -211,3 +214,25 @@ def single_particle_matrix(spec, t, sector):
         h[i, j] += -t * w
         h[j, i] += -t * w
     return h
+
+
+def column_state(basis, j):
+    """Column j of a SubspaceBasis as a register state."""
+    mine = basis.cols == j
+    return StateVector(basis.labels[mine], basis.amps[mine], basis.register_size)
+
+
+def project(basis, state):
+    """B^dagger psi: a register state's coefficients on the basis columns."""
+    coeffs = np.zeros(basis.dim, dtype=np.complex128)
+    pos = np.minimum(np.searchsorted(basis.labels, state.labels), basis.labels.size - 1)
+    hit = basis.labels[pos] == state.labels
+    np.add.at(coeffs, basis.cols[pos[hit]], np.conj(basis.amps[pos[hit]]) * state.amps[hit])
+    return coeffs
+
+
+def sector_state(model, params):
+    """A SectorModel's ansatz state at params, on the register."""
+    vec = model.initial_vector()[:, None]
+    model.apply_ansatz(vec, np.asarray(params, dtype=float)[None, :])
+    return model.basis.expand(vec[:, 0])

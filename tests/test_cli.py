@@ -281,6 +281,11 @@ def test_non_finite_numbers_are_rejected(tmp_path, capsys):
     ("vqe", "--lx", "2", "--ly", "2", "--v", "2", "--max-steps", "3", "--tolerance", "-1"),
     # the uniform start draw needs a finite range 2 * init_scale
     ("vqe", "--lx", "2", "--ly", "2", "--v", "2", "--max-steps", "5", "--init-scale", "1e308"),
+    # 4x4 sectors build; the fermionic ED reference stops at its site limit
+    ("vqe", "--lx", "4", "--ly", "4", "--v", "3", "--max-steps", "2"),
+    ("quench", "--lx", "4", "--ly", "4", "--v", "3", "--dt", "0.1", "--tmax", "0.1"),
+    # 12870 columns at n_f = 8 exceed the dense guard
+    ("quench", "--lx", "4", "--ly", "4", "--v", "3", "--n-f", "8", "--dt", "0.1", "--tmax", "0.1"),
 ])
 def test_out_of_range_input_is_usage_error(capsys, argv):
     code, _, err = run_cli(capsys, *argv)

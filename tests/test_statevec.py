@@ -23,19 +23,23 @@ from f2q.statevec import (
     apply_matrix_gate,
     apply_pauli,
     cached_basis,
+    cached_sector,
     constrained_basis,
     expval,
     expval_string,
     ground_in_sector,
     qubit_marginals,
+    restrict_between,
     restrict_sum,
     zero_state,
 )
 
 from dense_oracle import (
+    column_state,
     embed_gate,
     pauli_matrix,
     pauli_sum_matrix,
+    project,
     symplectic_dimension,
 )
 
@@ -220,7 +224,7 @@ def test_circuit_then_adjoint_returns_input():
 # The signed product of all loop stabilizers equals the physical parity
 # operator with forced eigenvalue +1, so only even occupations survive and
 # the joint eigenspace has dimension 2^(N-1).
-FROZEN_DIMS = {(2, 2): 8, (2, 4): 128, (3, 3): 256}
+FROZEN_DIMS = {(2, 2): 8, (2, 4): 128, (3, 3): 256, (4, 2): 128}
 
 
 @pytest.mark.parametrize("shape", sorted(FROZEN_DIMS))
@@ -236,9 +240,9 @@ def test_constrained_basis_dimension(shape):
 def test_project_and_expand_match_dense_basis_2x2():
     # a full-support state has weight outside the subspace; project ignores it
     basis = cached_basis(LatticeSpec(2, 2), constraint_set(LatticeSpec(2, 2)))
-    B = np.column_stack([basis.column_state(j).to_dense() for j in range(basis.dim)])
+    B = np.column_stack([column_state(basis, j).to_dense() for j in range(basis.dim)])
     s = random_state(8, seed=6)
-    assert np.max(np.abs(basis.project(s) - B.conj().T @ s.to_dense())) < 1e-14
+    assert np.max(np.abs(project(basis, s) - B.conj().T @ s.to_dense())) < 1e-14
     coeffs = np.zeros(basis.dim, dtype=complex)
     coeffs[[1, 4]] = [0.6, 0.8j]
     v = basis.expand(coeffs)
@@ -250,17 +254,14 @@ def test_basis_orthonormal_and_stabilized_dense_2x2():
     spec = LatticeSpec(2, 2)
     cs = constraint_set(spec)
     basis = cached_basis(spec, cs)
-    B = np.column_stack([basis.column_state(j).to_dense() for j in range(basis.dim)])
+    B = np.column_stack([column_state(basis, j).to_dense() for j in range(basis.dim)])
     assert np.max(np.abs(B.conj().T @ B - np.eye(basis.dim))) < 1e-12
     for s, t in cs:
         assert np.max(np.abs(pauli_matrix(s) @ B - t * B)) < 1e-12
 
 
-@pytest.mark.parametrize("shape", sorted(FROZEN_DIMS))
-def test_every_column_satisfies_every_stabilizer(shape):
-    spec = LatticeSpec(*shape)
-    cs = constraint_set(spec)
-    basis = cached_basis(spec, cs)
+def assert_columns_stabilized(basis, cs):
+    """Every column is a +1 eigenvector of each t*S, checked label by label."""
     assert np.all(np.diff(basis.labels) > 0)  # one ascending table, each label once
     labels = basis.labels.astype(np.uint64)
     for s, t in cs:
@@ -272,6 +273,39 @@ def test_every_column_satisfies_every_stabilizer(shape):
         assert np.all(basis.labels[pos] == dest)
         assert np.array_equal(basis.cols[pos], basis.cols)  # same column
         assert np.max(np.abs(basis.amps[pos] * t - coeff)) < 1e-12
+
+
+@pytest.mark.parametrize("shape", sorted(FROZEN_DIMS))
+def test_every_column_satisfies_every_stabilizer(shape):
+    spec = LatticeSpec(*shape)
+    cs = constraint_set(spec)
+    assert_columns_stabilized(cached_basis(spec, cs), cs)
+
+
+@pytest.mark.parametrize("n_f,dim", [(2, 120), (4, 1820)])
+def test_4x4_sector_columns_satisfy_every_stabilizer(n_f, dim):
+    spec = LatticeSpec(4, 4)
+    cs = constraint_set(spec)
+    sector = cached_sector(spec, cs, n_f)
+    assert sector.dim == dim and np.all(sector.phys_occ == n_f)
+    assert_columns_stabilized(sector, cs)
+
+
+@pytest.mark.parametrize("shape", sorted(FROZEN_DIMS))
+def test_sector_bases_are_the_merged_columns(shape):
+    spec = LatticeSpec(*shape)
+    cs = constraint_set(spec)
+    merged = cached_basis(spec, cs)
+    for n_f in range(spec.n_sites + 1):
+        sector = cached_sector(spec, cs, n_f)
+        sel = np.flatnonzero(merged.phys_occ == n_f)
+        mine = np.isin(merged.cols, sel)
+        assert sector.dim == sel.size
+        assert np.array_equal(sector.reps, merged.reps[sel])
+        assert np.array_equal(sector.occ_masks, merged.occ_masks[sel])
+        assert np.array_equal(sector.labels, merged.labels[mine])
+        assert np.array_equal(sector.cols, np.searchsorted(sel, merged.cols[mine]))
+        assert sector.amps.tobytes() == merged.amps[mine].tobytes()
 
 
 @pytest.mark.parametrize("shape", sorted(FROZEN_DIMS))
@@ -289,7 +323,7 @@ def test_columns_have_definite_occupation():
         basis = cached_basis(spec, constraint_set(spec))
         N = number_sum(spec)
         for j in range(basis.dim):
-            v = basis.column_state(j)
+            v = column_state(basis, j)
             assert expval(v, N) == pytest.approx(float(basis.phys_occ[j]), abs=1e-10)
 
 
@@ -324,12 +358,39 @@ def test_cached_basis_identity():
     assert cached_basis(spec, cs) is cached_basis(spec, cs)
 
 
+def test_anticommuting_term_restricts_to_zero_2x2():
+    spec = LatticeSpec(2, 2)
+    cs = constraint_set(spec)
+    basis = cached_basis(spec, cs)
+    B = np.column_stack([column_state(basis, j).to_dense() for j in range(basis.dim)])
+    z_aux = PauliString(8, {4: Z})  # Z on an auxiliary qubit that Gauss strings flip
+    assert not all(z_aux.commutes(s) for s, _ in cs)
+    assert np.max(np.abs(B.conj().T @ pauli_matrix(z_aux) @ B)) < 1e-12
+    assert not np.any(restrict_sum(basis, PauliSum(8, [(0.7, z_aux)])))
+    H = tv_hamiltonian(spec, t=1.0, V=2.0)
+    mixed = PauliSum(8, list(H) + [(0.7, z_aux)])
+    assert np.array_equal(restrict_sum(basis, mixed), restrict_sum(basis, H))
+    assert np.max(np.abs(restrict_sum(basis, mixed) - B.conj().T @ pauli_sum_matrix(mixed) @ B)) < 1e-11
+
+
+def test_restrict_between_sectors_matches_dense_2x2():
+    spec = LatticeSpec(2, 2)
+    cs = constraint_set(spec)
+    T = PauliSum(8, [(1, PauliString(8, {0: X, 1: X, 5: Z}))])  # the pairing string of edge (0,0),x
+    for n_src, n_dest in ((0, 2), (2, 4), (2, 2), (4, 2)):
+        src, dest = cached_sector(spec, cs, n_src), cached_sector(spec, cs, n_dest)
+        Bs = np.column_stack([column_state(src, j).to_dense() for j in range(src.dim)])
+        Bd = np.column_stack([column_state(dest, j).to_dense() for j in range(dest.dim)])
+        want = Bd.conj().T @ pauli_sum_matrix(T) @ Bs
+        assert np.max(np.abs(restrict_between(dest, src, T) - want)) < 1e-12
+
+
 def test_restrict_sum_matches_dense_2x2():
     spec = LatticeSpec(2, 2)
     cs = constraint_set(spec)
     basis = cached_basis(spec, cs)
     H = tv_hamiltonian(spec, t=1.0, V=2.0, potentials={Site(1, 1): 0.5})
-    B = np.column_stack([basis.column_state(j).to_dense() for j in range(basis.dim)])
+    B = np.column_stack([column_state(basis, j).to_dense() for j in range(basis.dim)])
     dense = B.conj().T @ pauli_sum_matrix(H) @ B
     assert np.max(np.abs(restrict_sum(basis, H) - dense)) < 1e-11
     cols = np.array([1, 3, 4, 7])
@@ -380,7 +441,7 @@ def test_restrict_sum_sharing_flip_masks_matches_dense_2x2(terms):
     spec = LatticeSpec(2, 2)
     basis = cached_basis(spec, constraint_set(spec))
     H = PauliSum(8, terms)
-    B = np.column_stack([basis.column_state(j).to_dense() for j in range(basis.dim)])
+    B = np.column_stack([column_state(basis, j).to_dense() for j in range(basis.dim)])
     dense = B.conj().T @ pauli_sum_matrix(H) @ B
     assert np.max(np.abs(restrict_sum(basis, H) - dense)) < 1e-11
     cols = np.array([0, 2, 5, 6])
@@ -462,3 +523,18 @@ def test_ground_empty_sector_raises():
     cs = constraint_set(spec)
     with pytest.raises(ValueError):
         ground_in_sector(tv_hamiltonian(spec, 1.0, 0.0), spec, cs, 9)
+
+
+def test_4x4_sector_spectrum_matches_ed(monkeypatch):
+    from f2q import oracle
+
+    monkeypatch.setattr(oracle, "MAX_SITES", 16)
+    spec = LatticeSpec(4, 4)
+    sector = cached_sector(spec, constraint_set(spec), 2)
+    for V in (0.0, 3.0):
+        enc = np.linalg.eigvalsh(restrict_sum(sector, tv_hamiltonian(spec, 1.0, V)))
+        matches = oracle.matching_bc_sectors(spec, 1.0, V, {2: enc})
+        assert matches
+        for bc in matches:
+            ref = oracle.ed_spectrum(spec, 1.0, V, None, bc, 2).eigenvalues
+            assert np.max(np.abs(ref - enc)) < 1e-8

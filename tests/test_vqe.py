@@ -9,7 +9,7 @@ from f2q.lattice import Edge, InputError, LatticeSpec, Site, edge_sites, edges, 
 from f2q.pauli import constraint_set, tv_hamiltonian
 from f2q.statevec import StateVector, apply_pauli, expval, ground_in_sector
 
-from dense_oracle import circuit_unitary, pauli_matrix
+from dense_oracle import circuit_unitary, pauli_matrix, sector_state
 
 
 def lat(Lx, Ly):
@@ -92,7 +92,7 @@ def test_agate_sector_state_matches_full_state():
     rng = np.random.default_rng(5)
     p = rng.uniform(-0.7, 0.7, cfg.n_params)
     model = vqe.SectorModel(cfg)
-    sec = model.sector_state(p)
+    sec = sector_state(model, p)
     full = vqe.initial_state_full(cfg)
     apply_circuit(full, vqe.ansatz_circuit(cfg, p))
     overlap = np.vdot(full.to_dense(), sec.to_dense())
