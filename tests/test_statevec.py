@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from f2q import statevec
+from f2q import oracle, statevec
 from f2q.circuits import Gate
 from f2q.lattice import LatticeSpec, Site
 from f2q.pauli import (
@@ -526,8 +526,6 @@ def test_ground_empty_sector_raises():
 
 
 def test_4x4_sector_spectrum_matches_ed(monkeypatch):
-    from f2q import oracle
-
     monkeypatch.setattr(oracle, "MAX_SITES", 16)
     spec = LatticeSpec(4, 4)
     sector = cached_sector(spec, constraint_set(spec), 2)
