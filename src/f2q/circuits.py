@@ -651,7 +651,12 @@ def hv_layout(spec: LatticeSpec, layers: int, granularity: str) -> List[Tuple[st
     raise InputError("granularity must be per_group or per_edge")
 
 
+MAX_LAYERS = 10 ** 3  # ansatz layers; the parameter vector and layout grow with it
+
+
 def hv_param_count(spec: LatticeSpec, layers: int, granularity: str) -> int:
+    if not 1 <= layers <= MAX_LAYERS:
+        raise InputError(f"layers must lie in [1, {MAX_LAYERS}], got {layers}")
     if granularity == "per_group":
         return 3 * layers
     if granularity == "per_edge":

@@ -26,10 +26,10 @@ import numpy as np
 
 from . import circuits as circ
 from . import oracle, vqe
-from .lattice import (Edge, InputError, LatticeSpec, ScientificFailure, Site, occupation_bits,
-                      phys_index, require, sites)
+from .lattice import Edge, InputError, LatticeSpec, ScientificFailure, Site, require, sites
 from .pauli import constraint_set, tv_hamiltonian
-from .statevec import cached_sector, qubit_marginals, restrict_sum, sector_ground
+from .quench import quench_trajectories
+from .statevec import cached_sector, restrict_sum
 
 
 # ----------------------------------------------------------------- settings
@@ -189,59 +189,6 @@ def cmd_check_constraints(args: argparse.Namespace) -> None:
 
 # ------------------------------------------------------------------ quench
 
-MAX_QUENCH_STEPS = 10 ** 5  # Trotter steps per trajectory
-
-
-def quench_trajectories(spec: LatticeSpec, t: float, V: float, n_f: int,
-                        pre_potentials: Dict[Site, float], dt: float, tmax: float):
-    """Trotter circuit vs exact encoded vs exact fermionic occupations.
-
-    Returns (times, occ_trotter, occ_encoded, occ_fermionic), each occupation
-    array shaped (n_times, n_sites). Raises ScientificFailure when the two exact
-    references differ by more than 1e-8.
-    """
-    if not tmax / dt <= MAX_QUENCH_STEPS:
-        raise InputError(f"tmax/dt exceeds the limit of {MAX_QUENCH_STEPS} Trotter steps")
-    n_steps = int(round(tmax / dt))
-    if abs(n_steps * dt - tmax) > 1e-9 or n_steps < 1:
-        raise InputError("tmax must be a positive multiple of dt")
-    times = dt * np.arange(n_steps + 1)
-    basis = cached_sector(spec, constraint_set(spec), n_f)
-
-    h_pre = tv_hamiltonian(spec, t, 0.0, pre_potentials)
-    pre_evals, sec0 = sector_ground(basis, h_pre)
-    if pre_evals.size > 1 and pre_evals[1] - pre_evals[0] < 1e-8:
-        raise ScientificFailure("pre-quench ground state is degenerate; "
-                                "references are ill-defined")
-
-    # exact encoded evolution by spectral decomposition in the sector
-    evals, evecs = np.linalg.eigh(restrict_sum(basis, tv_hamiltonian(spec, t, V)))
-    occ_table = occupation_bits(basis.occ_masks, spec.n_sites)
-    coeff = evecs.conj().T @ sec0
-    occ_encoded = np.empty((times.size, spec.n_sites))
-    for k, tau in enumerate(times):
-        psi = evecs @ (np.exp(-1j * evals * tau) * coeff)
-        occ_encoded[k] = (np.abs(psi) ** 2) @ occ_table
-
-    # independent fermionic reference in the matched boundary sector
-    sector = oracle.match_bc_sector(spec, t, V, {n_f: evals})
-    _, ferm0 = oracle.ed_ground(spec, t, 0.0, pre_potentials, sector, n_f)
-    ferm = oracle.ed_propagate(spec, t, V, ferm0, sector, n_f, times)
-    occ_fermionic = ferm.occupations
-    require("exact references disagree by", np.max(np.abs(occ_encoded - occ_fermionic)), 1e-8)
-
-    # Trotterized circuit evolution on the full register
-    step = circ.fuse(circ.trotter_step(spec, t, V, dt))
-    phys = [phys_index(spec, r) for r in sites(spec)]
-    state = basis.expand(sec0)
-    occ_trotter = np.empty((times.size, spec.n_sites))
-    occ_trotter[0] = qubit_marginals(state, phys)
-    for k in range(1, times.size):
-        circ.apply_circuit(state, step)
-        occ_trotter[k] = qubit_marginals(state, phys)
-    return times, occ_trotter, occ_encoded, occ_fermionic
-
-
 def cmd_quench(args: argparse.Namespace) -> None:
     s = Settings(args)
     out = s.output_path()
@@ -387,13 +334,11 @@ def cmd_export_circuit(args: argparse.Namespace) -> None:
         layers = s.get("layers", "vqe", "layers", int, default=2)
         granularity = s.get("granularity", "vqe", "granularity", str, default="per_edge")
         seed = s.get("seed", "vqe", "seed", int)
-        if layers < 1:
-            raise InputError("layers must be positive")
         if seed is not None and seed < 0:
             raise InputError("seed must be non-negative")
         if ansatz not in ("agate", "hv"):
             raise InputError(f"unknown ansatz {ansatz!r}")
-        hv_params = circ.hv_param_count(spec, layers, granularity)  # checks granularity for either ansatz
+        hv_params = circ.hv_param_count(spec, layers, granularity)  # checks layers and granularity for either ansatz
         n_params = circ.agate_param_count(spec, layers) if ansatz == "agate" else hv_params
         if seed is None:
             params = np.zeros(n_params)

@@ -27,6 +27,7 @@ class BCSector(NamedTuple):
 
 
 ALL_SECTORS = [BCSector(sx, sy) for sx in (+1, -1) for sy in (+1, -1)]
+PERIODIC = BCSector(+1, +1)  # hopping sign +1 across both boundaries
 
 
 @dataclass

@@ -214,7 +214,14 @@ def plaquette_string(spec: LatticeSpec, r: Site) -> PauliString:
 
 
 def constraint_set(spec: LatticeSpec) -> ConstraintSet:
-    """All Gauss stabilizers (target +1) plus the folded Wilson-loop targets."""
+    """All Gauss stabilizers (target +1) plus the folded Wilson-loop targets.
+
+    The loop targets fix the fermionic boundary sector that the encoded model
+    reproduces: the column loops (along y) set sy, the row loops sx. These
+    targets select oracle.PERIODIC, and no other sector, for every
+    0 < n_f < N; negating the column (row) targets gives sy = -1 (sx = -1).
+    So the exact references run fermionic ED in oracle.PERIODIC alone.
+    """
     stabs: List[Tuple[PauliString, int]] = []
     for r in sites(spec):
         stabs.append((gauss_string(spec, r), 1))

@@ -21,8 +21,8 @@ from . import oracle
 from .lattice import (Edge, InputError, LatticeSpec, aux_index, edge_sites, edges, phys_index,
                       require, site_index)
 from .pauli import PauliString, PauliSum, X, Y, Z, constraint_set, number_sum, tv_hamiltonian
-from .statevec import (StateVector, cached_sector, expval, expval_string, ground_in_sector,
-                       restrict_between, restrict_sum, sector_ground, zero_state)
+from .statevec import (StateVector, cached_sector, expval, expval_string, restrict_between,
+                       restrict_sum, sector_ground, zero_state)
 
 
 # Adam moment decay rates and denominator guard
@@ -80,9 +80,7 @@ class VqeConfig:
             raise InputError("ansatz must be agate or hv")
         if self.n_f % 2 != 0 or self.n_f < 0:
             raise InputError("n_f must be even and non-negative")
-        if self.layers < 1:
-            raise InputError("layers must be positive")
-        circ.hv_param_count(self.spec, self.layers, self.granularity)  # checks granularity for either ansatz
+        circ.hv_param_count(self.spec, self.layers, self.granularity)  # checks layers and granularity for either ansatz
         if not 0 <= 2 * self.init_scale < math.inf:  # the uniform draw spans 2 * init_scale
             raise InputError("init_scale must be non-negative, with 2 * init_scale finite")
         if self.pair_edges is None:
@@ -315,25 +313,26 @@ class SectorModel:
 # ------------------------------------------------------------- public routes
 
 def _exact_reference(config: VqeConfig, model: SectorModel) -> Tuple[float, oracle.BCSector]:
-    """Exact reference energy from fermionic ED in the matched BC sector."""
-    enc = np.linalg.eigvalsh(model.h_sector)
-    sector = oracle.match_bc_sector(config.spec, config.t, config.V, {config.n_f: enc})
-    e_fermi, _ = oracle.ed_ground(config.spec, config.t, config.V, None, sector, config.n_f)
-    require("encoded and fermionic ground energies differ by", abs(e_fermi - enc[0]), 1e-8)
-    return float(e_fermi), sector
+    """(Ground energy, sector) from fermionic ED in oracle.PERIODIC, the
+    boundary sector that the loop targets fix. Fails unless the whole ED
+    spectrum matches the encoded sector's to 1e-8."""
+    sector = oracle.PERIODIC
+    ref = oracle.ed_spectrum(config.spec, config.t, config.V, None, sector, config.n_f).eigenvalues
+    require("encoded and fermionic spectra differ by",
+            float(np.max(np.abs(ref - np.linalg.eigvalsh(model.h_sector)))), 1e-8)
+    return float(ref[0]), sector
 
 
-def initial_state_full(config: VqeConfig) -> StateVector:
-    spec = config.spec
+def initial_state_full(model: SectorModel) -> StateVector:
+    """The ansatz's start on the full register: the A-gate preparation circuit,
+    or the HV start vector of the sector route, expanded."""
+    config, spec = model.config, model.config.spec
     if config.ansatz == "agate":
         prep = circ.vacuum_circuit(spec)
         for e in config.pair_edges:
             prep.extend(circ.pair_creation(spec, e))
         return circ.apply_circuit(zero_state(spec.n_qubits), circ.fuse(prep))
-    _, state = ground_in_sector(
-        tv_hamiltonian(spec, config.t, 0.0), spec, constraint_set(spec), config.n_f
-    )
-    return state
+    return model.basis.expand(model.initial_vector())
 
 
 def ansatz_circuit(config: VqeConfig, params: Sequence[float]) -> "circ.Circuit":
@@ -349,7 +348,7 @@ def energy(config: VqeConfig, params: Sequence[float], route: str = "sector") ->
     if route == "sector":
         return SectorModel(config).energy(params)
     if route == "full":
-        state = initial_state_full(config)
+        state = initial_state_full(SectorModel(config))
         circ.apply_circuit(state, circ.fuse(ansatz_circuit(config, params)))
         return expval(state, tv_hamiltonian(config.spec, config.t, config.V))
     raise ValueError("route must be sector or full")
@@ -357,7 +356,7 @@ def energy(config: VqeConfig, params: Sequence[float], route: str = "sector") ->
 
 def _spot_check(config: VqeConfig, model: SectorModel, params: np.ndarray) -> Tuple[float, float]:
     """Full-route constraint/number deviation and route energy disagreement."""
-    state = initial_state_full(config)
+    state = initial_state_full(model)
     circ.apply_circuit(state, circ.fuse(ansatz_circuit(config, params)))
     devs = [abs(expval_string(state, s) - target) for s, target in model.cs]
     devs.append(abs(expval(state, number_sum(config.spec)) - config.n_f))

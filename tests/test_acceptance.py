@@ -227,7 +227,7 @@ def test_criterion_4_spectrum_equivalence():
 # --------------------------------------------------------------- criterion 5
 
 def test_criterion_5_trotter_convergence():
-    from f2q.cli import quench_trajectories
+    from f2q.quench import quench_trajectories
     spec = LatticeSpec(2, 4)
     pots = {Site(0, 0): -1.0, Site(0, 1): -1.0}
     errs = {}

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from f2q import circuits, cli, oracle, vqe
+from f2q import circuits, cli, oracle, quench, vqe
 from f2q.circuits import trotter_step, vacuum_circuit
 from f2q.cli import main, parse_potentials
 from f2q.lattice import InputError, LatticeSpec, Site
@@ -286,12 +286,27 @@ def test_non_finite_numbers_are_rejected(tmp_path, capsys):
     ("quench", "--lx", "4", "--ly", "4", "--v", "3", "--dt", "0.1", "--tmax", "0.1"),
     # 12870 columns at n_f = 8 exceed the dense guard
     ("quench", "--lx", "4", "--ly", "4", "--v", "3", "--n-f", "8", "--dt", "0.1", "--tmax", "0.1"),
+    # more layers than circuits.MAX_LAYERS, refused before any array is sized
+    ("export-circuit", "--lx", "2", "--ly", "2", "--kind", "ansatz", "--layers", "1000000000000"),
+    ("vqe", "--lx", "2", "--ly", "2", "--v", "2", "--layers", "1000000000000"),
 ])
 def test_out_of_range_input_is_usage_error(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert err.startswith(("input error:", "config error:"))
     assert issubclass(InputError, ValueError)
+
+
+@pytest.mark.parametrize("argv", [
+    ("vqe", "--max-steps", "5"),
+    ("quench", "--dt", "0.1", "--tmax", "0.2"),
+])
+def test_wrong_boundary_sector_is_scientific_failure(capsys, monkeypatch, argv):
+    # both exact references read oracle.PERIODIC when they run
+    monkeypatch.setattr(oracle, "PERIODIC", oracle.BCSector(-1, +1))
+    code, out, err = run_cli(capsys, *argv, "--lx", "2", "--ly", "4", "--v", "3", "--n-f", "2")
+    assert code == 1 and out == ""
+    assert err.startswith("failure:") and "spectra differ" in err and "Traceback" not in err
 
 
 def test_missing_output_directory_fails_before_computing(tmp_path, capsys, monkeypatch):
@@ -323,7 +338,7 @@ def test_quench_step_count_is_bounded(capsys):
     code, out, err = run_cli(capsys, "quench", "--lx", "2", "--ly", "2", "--v", "3",
                              "--dt", "1e-12", "--tmax", "1")
     assert code == 2 and out == ""
-    assert f"limit of {cli.MAX_QUENCH_STEPS} Trotter steps" in err
+    assert f"limit of {quench.MAX_QUENCH_STEPS} Trotter steps" in err
 
 
 def test_vqe_empty_sector_reports_absolute_error(capsys):

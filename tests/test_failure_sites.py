@@ -9,7 +9,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "f2q"
 
 # failures that compare no value against an upper bound
 NAMED_SITES = [
-    ("cli.py", "quench_trajectories"),  # the pre-quench gap is a lower bound
+    ("quench.py", "quench_trajectories"),  # the pre-quench gap is a lower bound
     ("cli.py", "cmd_spectrum_match"),  # "no sector matches" has no value to compare
 ]
 

@@ -15,7 +15,7 @@ from f2q.oracle import (
     sector_basis,
 )
 from f2q.pauli import constraint_set, tv_hamiltonian
-from f2q.statevec import cached_basis, restrict_sum
+from f2q.statevec import cached_basis, cached_sector, restrict_sum
 
 PP = BCSector(+1, +1)
 
@@ -165,3 +165,22 @@ def test_match_bc_sector_rejects_garbage():
     spec = LatticeSpec(2, 2)
     with pytest.raises(ValueError):
         match_bc_sector(spec, 1.0, 0.0, {2: np.arange(6.0)})
+
+
+@pytest.mark.parametrize("rho", [1, -1])
+@pytest.mark.parametrize("shape", [(2, 2), (2, 4), (4, 2), (3, 3)])
+def test_loop_targets_select_only_the_periodic_sector(shape, rho):
+    # the exact references run ED in oracle.PERIODIC alone, so no other
+    # boundary sector may share its spectrum in any sector 0 < n_f < N
+    spec = LatticeSpec(*shape, rho)
+    cs = constraint_set(spec)
+    checked = 0
+    for n_f in range(1, spec.n_sites):
+        basis = cached_sector(spec, cs, n_f)
+        if not basis.dim:  # the loops fix the occupation parity (odd on 3x3 at rho = +1)
+            continue
+        for V in (0.0, 1.7):
+            enc = np.linalg.eigvalsh(restrict_sum(basis, tv_hamiltonian(spec, 1.3, V)))
+            assert oracle.matching_bc_sectors(spec, 1.3, V, {n_f: enc}) == [oracle.PERIODIC]
+        checked += 1
+    assert checked == (spec.n_sites - 1) // 2

@@ -69,7 +69,7 @@ def test_agate_zero_params_energy_is_initial_expectation():
     # theta = 0 A-gates only dress occupied columns with signs
     cfg = config(lat(2, 4), "agate", layers=2)
     e0 = vqe.energy(cfg, np.zeros(cfg.n_params), route="sector")
-    state = vqe.initial_state_full(cfg)
+    state = vqe.initial_state_full(vqe.SectorModel(cfg))
     want = expval(state, tv_hamiltonian(cfg.spec, cfg.t, cfg.V))
     assert abs(e0 - want) < 1e-12
 
@@ -93,7 +93,7 @@ def test_agate_sector_state_matches_full_state():
     p = rng.uniform(-0.7, 0.7, cfg.n_params)
     model = vqe.SectorModel(cfg)
     sec = sector_state(model, p)
-    full = vqe.initial_state_full(cfg)
+    full = vqe.initial_state_full(model)
     apply_circuit(full, vqe.ansatz_circuit(cfg, p))
     overlap = np.vdot(full.to_dense(), sec.to_dense())
     assert abs(abs(overlap) - 1.0) < 1e-12
