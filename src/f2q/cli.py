@@ -338,7 +338,8 @@ def cmd_export_circuit(args: argparse.Namespace) -> None:
             raise InputError("seed must be non-negative")
         if ansatz not in ("agate", "hv"):
             raise InputError(f"unknown ansatz {ansatz!r}")
-        hv_params = circ.hv_param_count(spec, layers, granularity)  # checks layers and granularity for either ansatz
+        # checks layers and granularity for either ansatz
+        hv_params = circ.hv_param_count(spec, layers, granularity)
         n_params = circ.agate_param_count(spec, layers) if ansatz == "agate" else hv_params
         if seed is None:
             params = np.zeros(n_params)

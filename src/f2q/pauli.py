@@ -218,8 +218,9 @@ def constraint_set(spec: LatticeSpec) -> ConstraintSet:
 
     The loop targets fix the fermionic boundary sector that the encoded model
     reproduces: the column loops (along y) set sy, the row loops sx. These
-    targets select oracle.PERIODIC, and no other sector, for every
-    0 < n_f < N; negating the column (row) targets gives sy = -1 (sx = -1).
+    targets select oracle.PERIODIC, and no other sector, in every non-empty
+    sector 0 < n_f < N; negating the column (row) targets gives sy = -1
+    (sx = -1).
     So the exact references run fermionic ED in oracle.PERIODIC alone.
     """
     stabs: List[Tuple[PauliString, int]] = []

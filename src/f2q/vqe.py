@@ -80,7 +80,8 @@ class VqeConfig:
             raise InputError("ansatz must be agate or hv")
         if self.n_f % 2 != 0 or self.n_f < 0:
             raise InputError("n_f must be even and non-negative")
-        circ.hv_param_count(self.spec, self.layers, self.granularity)  # checks layers and granularity for either ansatz
+        # checks layers and granularity for either ansatz
+        circ.hv_param_count(self.spec, self.layers, self.granularity)
         if not 0 <= 2 * self.init_scale < math.inf:  # the uniform draw spans 2 * init_scale
             raise InputError("init_scale must be non-negative, with 2 * init_scale finite")
         if self.pair_edges is None:
