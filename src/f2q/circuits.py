@@ -605,19 +605,10 @@ def vy_native(spec: LatticeSpec, e: Edge, theta: float, phi: float) -> Circuit:
 
 
 def agate_layout(spec: LatticeSpec, layers: int) -> List[Tuple[str, Edge, Tuple[int, int]]]:
-    """Per layer: vy on every y-edge, then vx on every x-edge, row-major."""
-    ys = [e for e in edges(spec) if e.direction == "y"]
-    xs = [e for e in edges(spec) if e.direction == "x"]
-    out = []
-    slot = 0
-    for _ in range(layers):
-        for e in ys:
-            out.append(("vy", e, (slot, slot + 1)))
-            slot += 2
-        for e in xs:
-            out.append(("vx", e, (slot, slot + 1)))
-            slot += 2
-    return out
+    """Per layer: vy on every y-edge, then vx on every x-edge, row-major; each
+    gate takes the next two slots."""
+    layer = [("v" + d, e) for d in "yx" for e in edges(spec) if e.direction == d]
+    return [(kind, e, (2 * k, 2 * k + 1)) for k, (kind, e) in enumerate(layer * layers)]
 
 
 def agate_param_count(spec: LatticeSpec, layers: int) -> int:
@@ -625,12 +616,11 @@ def agate_param_count(spec: LatticeSpec, layers: int) -> int:
 
 
 def ansatz_agate(spec: LatticeSpec, layers: int, params: Sequence[float]) -> Circuit:
-    layout = agate_layout(spec, layers)
     expect = agate_param_count(spec, layers)
     if len(params) != expect:
         raise ValueError(f"expected {expect} parameters, got {len(params)}")
     c = Circuit(spec.n_qubits)
-    for kind, e, (i, j) in layout:
+    for kind, e, (i, j) in agate_layout(spec, layers):
         native = vy_native if kind == "vy" else vx_native
         c.extend(native(spec, e, params[i], params[j]))
     return c
@@ -672,6 +662,35 @@ def ansatz_hv(spec: LatticeSpec, layers: int, params: Sequence[float], granulari
     for kind, e, (slot,) in hv_layout(spec, layers, granularity):
         c.extend(evolution_block(spec, kind, e, params[slot]))
     return c
+
+
+@dataclass(frozen=True)
+class Ansatz:
+    """A variational family checked once here (the name, and the layers and
+    granularity for either family); the one dispatch to its size, layout and circuit."""
+
+    spec: LatticeSpec
+    name: str
+    layers: int
+    granularity: str
+
+    def __post_init__(self):
+        if self.name not in ("agate", "hv"):
+            raise InputError("ansatz must be agate or hv")
+        hv_param_count(self.spec, self.layers, self.granularity)
+
+    @property
+    def n_params(self) -> int:
+        return (agate_param_count(self.spec, self.layers) if self.name == "agate"
+                else hv_param_count(self.spec, self.layers, self.granularity))
+
+    def layout(self) -> List[Tuple[str, Edge, Tuple[int, ...]]]:
+        return (agate_layout(self.spec, self.layers) if self.name == "agate"
+                else hv_layout(self.spec, self.layers, self.granularity))
+
+    def circuit(self, params: Sequence[float]) -> Circuit:
+        return (ansatz_agate(self.spec, self.layers, params) if self.name == "agate"
+                else ansatz_hv(self.spec, self.layers, params, self.granularity))
 
 
 # ------------------------------------------------- scheduling and export

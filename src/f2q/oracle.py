@@ -156,29 +156,39 @@ def ed_propagate(
     return EDResult(eigenvalues=evals, times=times_arr, occupations=occs)
 
 
-def matching_bc_sectors(
+def bc_sector_search(
     spec: LatticeSpec,
     t: float,
     V: float,
     encoded: Dict[int, np.ndarray],
     tol: float = 1e-8,
-) -> List[BCSector]:
-    """Every BC sector whose per-n_f ED spectra match the encoded ones.
+) -> Tuple[List[BCSector], float]:
+    """Every BC sector whose per-n_f ED spectra match the encoded ones, and the
+    largest deviation over those matches (0.0 when none match).
 
     encoded maps n_f to the ascending eigenvalues of the bosonized Hamiltonian
-    restricted to that occupation sector of the constrained subspace.
+    restricted to that occupation sector of the constrained subspace. A sector
+    is diagonalised once per n_f up to its first mismatch; NaN never matches.
     """
-    matches = []
+    matches, largest = [], 0.0
     for sector in ALL_SECTORS:
-        ok = True
+        devs = []
         for n_f, vals in encoded.items():
             ref = ed_spectrum(spec, t, V, None, sector, n_f).eigenvalues
-            if ref.size != len(vals) or np.max(np.abs(ref - np.asarray(vals))) > tol:
-                ok = False
+            devs.append(float(np.max(np.abs(ref - np.asarray(vals))))
+                        if ref.size == len(vals) else np.inf)
+            if not devs[-1] <= tol:
                 break
-        if ok:
+        else:
             matches.append(sector)
-    return matches
+            largest = max([largest] + devs)
+    return matches, largest
+
+
+def matching_bc_sectors(spec: LatticeSpec, t: float, V: float, encoded: Dict[int, np.ndarray],
+                        tol: float = 1e-8) -> List[BCSector]:
+    """The matching sectors of bc_sector_search, without their deviation."""
+    return bc_sector_search(spec, t, V, encoded, tol)[0]
 
 
 def match_bc_sector(

@@ -8,7 +8,7 @@ bosonized t-V Hamiltonian, and the total number operator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .lattice import (
@@ -177,6 +177,7 @@ class PauliSum:
 class ConstraintSet:
     n: int
     stabilizers: Tuple[Tuple[PauliString, int], ...]
+    labels: Tuple[str, ...] = field(default=(), compare=False)  # one per stabilizer, if named
 
     def __iter__(self):
         return iter(self.stabilizers)
@@ -223,21 +224,21 @@ def constraint_set(spec: LatticeSpec) -> ConstraintSet:
     (sx = -1).
     So the exact references run fermionic ED in oracle.PERIODIC alone.
     """
-    stabs: List[Tuple[PauliString, int]] = []
+    stabs: Dict[str, Tuple[PauliString, int]] = {}  # by label
     for r in sites(spec):
-        stabs.append((gauss_string(spec, r), 1))
+        stabs[f"gauss {r.rx},{r.ry}"] = (gauss_string(spec, r), 1)
     col_target = -((-1) ** spec.Ly)
     for rx in range(spec.Lx):
         letters = {aux_index(spec, Site(rx, ry)): Z for ry in range(spec.Ly)}
-        stabs.append((PauliString(spec.n_qubits, letters), col_target))
+        stabs[f"loop_column {rx}"] = (PauliString(spec.n_qubits, letters), col_target)
     row_target = -(spec.rho ** spec.Lx)
     for ry in range(spec.Ly):
         letters = {}
         for rx in range(spec.Lx):
             letters[phys_index(spec, Site(rx, ry))] = Z
             letters[aux_index(spec, Site(rx, ry))] = Z
-        stabs.append((PauliString(spec.n_qubits, letters), row_target))
-    return ConstraintSet(spec.n_qubits, tuple(stabs))
+        stabs[f"loop_row {ry}"] = (PauliString(spec.n_qubits, letters), row_target)
+    return ConstraintSet(spec.n_qubits, tuple(stabs.values()), tuple(stabs))
 
 
 def hopping_terms(spec: LatticeSpec, e: Edge) -> PauliSum:

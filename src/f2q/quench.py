@@ -28,6 +28,8 @@ def quench_trajectories(spec: LatticeSpec, t: float, V: float, n_f: int,
     oracle.PERIODIC. Raises ScientificFailure when its post-quench spectrum or
     its occupations differ from the encoded ones by more than 1e-8.
     """
+    if not (dt > 0 and tmax > 0):  # written so NaN fails too
+        raise InputError("dt and tmax must be positive")
     if not tmax / dt <= MAX_QUENCH_STEPS:
         raise InputError(f"tmax/dt exceeds the limit of {MAX_QUENCH_STEPS} Trotter steps")
     n_steps = int(round(tmax / dt))

@@ -11,7 +11,7 @@ than 1e-10, so they can never drift apart silently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -74,14 +74,12 @@ class VqeConfig:
     granularity: str = "per_edge"
     pair_edges: Optional[Tuple[Edge, ...]] = None
     init_scale: float = 0.1
+    family: circ.Ansatz = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.ansatz not in ("agate", "hv"):
-            raise InputError("ansatz must be agate or hv")
+        self.family = circ.Ansatz(self.spec, self.ansatz, self.layers, self.granularity)
         if self.n_f % 2 != 0 or self.n_f < 0:
             raise InputError("n_f must be even and non-negative")
-        # checks layers and granularity for either ansatz
-        circ.hv_param_count(self.spec, self.layers, self.granularity)
         if not 0 <= 2 * self.init_scale < math.inf:  # the uniform draw spans 2 * init_scale
             raise InputError("init_scale must be non-negative, with 2 * init_scale finite")
         if self.pair_edges is None:
@@ -94,9 +92,7 @@ class VqeConfig:
 
     @property
     def n_params(self) -> int:
-        if self.ansatz == "agate":
-            return circ.agate_param_count(self.spec, self.layers)
-        return circ.hv_param_count(self.spec, self.layers, self.granularity)
+        return self.family.n_params
 
 
 @dataclass
@@ -192,8 +188,7 @@ class SectorModel:
         applies as one update, and the state before a run is, on each of its
         entries' positions, the state before that entry."""
         cfg = self.config
-        plan = (circ.agate_layout(cfg.spec, cfg.layers) if cfg.ansatz == "agate"
-                else circ.hv_layout(cfg.spec, cfg.layers, cfg.granularity))
+        plan = cfg.family.layout()
         tables = {e: self._edge_table(e) for e in dict.fromkeys(e for _, e, _ in plan)}
         parts, runs, touched, size = [], [], set(), 0
         for kind, e, slots in plan:
@@ -337,9 +332,7 @@ def initial_state_full(model: SectorModel) -> StateVector:
 
 
 def ansatz_circuit(config: VqeConfig, params: Sequence[float]) -> "circ.Circuit":
-    if config.ansatz == "agate":
-        return circ.ansatz_agate(config.spec, config.layers, list(params))
-    return circ.ansatz_hv(config.spec, config.layers, list(params), config.granularity)
+    return config.family.circuit(list(params))
 
 
 def energy(config: VqeConfig, params: Sequence[float], route: str = "sector") -> float:

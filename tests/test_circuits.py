@@ -13,6 +13,7 @@ from f2q import circuits as C
 from f2q import pauli as P
 from f2q.lattice import (
     Edge,
+    InputError,
     LatticeSpec,
     Site,
     aux_index,
@@ -780,6 +781,33 @@ def test_hv_parameter_counts():
         C.hv_param_count(spec, 3, "per_site")
     with pytest.raises(ValueError):
         C.ansatz_hv(spec, 2, [0.0] * 5, "per_group")
+
+
+@pytest.mark.parametrize("name", ["agate", "hv"])
+def test_ansatz_checks_every_setting_for_either_family(name):
+    spec = lat(2, 4)
+    with pytest.raises(InputError, match="ansatz must be agate or hv"):
+        C.Ansatz(spec, "qaoa", 2, "per_edge")
+    with pytest.raises(InputError, match="layers"):
+        C.Ansatz(spec, name, 0, "per_edge")
+    with pytest.raises(InputError, match="granularity"):
+        C.Ansatz(spec, name, 2, "per_site")  # the A-gate family ignores it, but it is checked
+
+
+@pytest.mark.parametrize("name, gran", [("agate", "per_edge"), ("hv", "per_group"),
+                                        ("hv", "per_edge")])
+def test_ansatz_dispatches_to_its_family(name, gran):
+    spec = lat(2, 2)
+    ansatz = C.Ansatz(spec, name, 2, gran)
+    params = RNG.uniform(-0.5, 0.5, ansatz.n_params)
+    if name == "agate":
+        assert ansatz.n_params == C.agate_param_count(spec, 2)
+        assert ansatz.layout() == C.agate_layout(spec, 2)
+        assert ansatz.circuit(params) == C.ansatz_agate(spec, 2, params)
+    else:
+        assert ansatz.n_params == C.hv_param_count(spec, 2, gran)
+        assert ansatz.layout() == C.hv_layout(spec, 2, gran)
+        assert ansatz.circuit(params) == C.ansatz_hv(spec, 2, params, gran)
 
 
 def test_hv_zero_parameters_is_identity():

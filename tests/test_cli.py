@@ -1,6 +1,7 @@
 """Command-line contract: flags, config files, outputs, exit codes."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -104,6 +105,14 @@ def test_quench_rejects_bad_step(capsys):
     assert "multiple of dt" in err
 
 
+@pytest.mark.parametrize("dt, tmax", [(0.0, 0.2), (-0.1, 0.2), (float("nan"), 0.2),
+                                     (0.1, 0.0), (0.1, float("nan"))])
+def test_quench_library_rejects_non_positive_step(dt, tmax):
+    # a zero dt used to reach tmax / dt and raise ZeroDivisionError
+    with pytest.raises(InputError, match="dt and tmax must be positive"):
+        quench.quench_trajectories(LatticeSpec(2, 2), 1.0, 3.0, 2, {}, dt, tmax)
+
+
 def test_vqe_json_document_and_determinism(tmp_path, capsys):
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
     for p in paths:
@@ -142,6 +151,27 @@ def test_config_file_layering(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["config"]["layers"] == 2  # flag overrides file
     assert doc["optimizer"]["max_steps"] == 60
+
+
+def test_vqe_defaults_are_the_dataclass_defaults(capsys):
+    # a setting no flag or INI key gives is left to VqeConfig and OptimizerConfig
+    code, out, _ = run_cli(capsys, "vqe", "--lx", "2", "--ly", "2", "--v", "2", "--max-steps", "3")
+    assert code == 0
+    doc = json.loads(out)
+    opt = dataclasses.asdict(vqe.OptimizerConfig())
+    assert {key: doc["optimizer"][key] for key in opt} == dict(opt, max_steps=3)
+    defaults = {f.name: f.default for f in dataclasses.fields(vqe.VqeConfig)}
+    for key in ("ansatz", "layers", "granularity"):
+        assert doc["config"][key] == defaults[key]
+
+
+@pytest.mark.parametrize("command", [("vqe", "--v", "2"), ("export-circuit", "--kind", "ansatz")])
+def test_ini_unknown_ansatz_has_one_message(tmp_path, capsys, command):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[lattice]\nlx = 2\nly = 2\n[vqe]\nansatz = qaoa\n")
+    code, out, err = run_cli(capsys, *command, "--config", str(ini))
+    assert code == 2 and out == ""
+    assert err == "config error: ansatz must be agate or hv\n"
 
 
 def test_config_file_rejects_unknown_keys(tmp_path, capsys):
@@ -238,6 +268,24 @@ def test_spectrum_match_wrong_rho_fails(capsys):
     assert code == 1
     assert "no fermionic boundary sector" in out
     assert err == "failure: no fermionic boundary sector matches within 1e-08\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("--lx", "2", "--ly", "2"),
+    ("--lx", "3", "--ly", "3", "--n-f", "2", "--n-f", "4"),
+])
+def test_spectrum_match_diagonalises_each_sector_once(capsys, monkeypatch, argv):
+    # the matches and their deviation come from one pass over the BC sectors
+    real, calls = oracle.ed_spectrum, []
+
+    def recorded(spec, t, V, potentials, sector, n_f):
+        calls.append((sector, n_f))
+        return real(spec, t, V, potentials, sector, n_f)
+
+    monkeypatch.setattr(oracle, "ed_spectrum", recorded)
+    code, out, _ = run_cli(capsys, "spectrum-match", "--v", "2", *argv)
+    assert code == 0 and out.startswith("matched sector sx=+1 sy=+1 max_deviation=")
+    assert calls and len(calls) == len(set(calls))
 
 
 def test_parse_potentials():

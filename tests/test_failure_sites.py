@@ -1,6 +1,7 @@
 """Failures leave the library one way: every tolerance check goes through
 lattice.require, only cli.main writes to stderr or picks an exit code, and
-gate unitarity is checked in one place, when a Gate is built."""
+gate unitarity is checked in one place, when a Gate is built. cli.py leaves
+the ansatz dispatch and the fermionic ED to the library."""
 
 import ast
 from pathlib import Path
@@ -63,3 +64,14 @@ def test_unitarity_is_checked_only_when_a_gate_is_built():
         return isinstance(node, ast.Call) and _name(node.func) == "_check_unitary"
 
     assert sites(checks_unitary) == [("circuits.py", "__post_init__")]
+
+
+def test_cli_leaves_ansatz_dispatch_and_ed_to_the_library():
+    # the ansatz check and dispatch live in circuits.Ansatz, the BC-sector
+    # deviation in oracle.bc_sector_search; cli.py names neither's parts
+    banned = {"hv_param_count", "agate_param_count", "agate_layout", "hv_layout",
+              "ansatz_agate", "ansatz_hv", "ed_spectrum"}
+    # names, attributes, imports and definitions alike
+    named = {_name(node) or getattr(node, "name", None)
+             for node in ast.walk(ast.parse((SRC / "cli.py").read_text()))}
+    assert not named & banned, sorted(named & banned)

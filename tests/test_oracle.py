@@ -167,6 +167,22 @@ def test_match_bc_sector_rejects_garbage():
         match_bc_sector(spec, 1.0, 0.0, {2: np.arange(6.0)})
 
 
+def test_bc_sector_search_reports_the_largest_matched_deviation():
+    spec = LatticeSpec(2, 2)
+    enc = encoded_sector_spectra(spec, 1.0, 2.0, (0, 2, 4))
+    matches, dev = oracle.bc_sector_search(spec, 1.0, 2.0, enc)
+    assert matches == [PP] == oracle.matching_bc_sectors(spec, 1.0, 2.0, enc)
+    want = max(np.max(np.abs(ed_spectrum(spec, 1.0, 2.0, None, PP, n_f).eigenvalues - vals))
+               for n_f, vals in enc.items())
+    assert dev == want <= 1e-8
+    shifted = dict(enc)
+    shifted[2] = enc[2] + 1e-9  # still within tol, and now the largest deviation
+    matches, dev = oracle.bc_sector_search(spec, 1.0, 2.0, shifted)
+    assert matches == [PP] and abs(dev - 1e-9) < 1e-12
+    assert oracle.bc_sector_search(spec, 1.0, 2.0, {2: enc[2] + 1.0}) == ([], 0.0)
+    assert oracle.bc_sector_search(spec, 1.0, 2.0, {2: enc[2] * np.nan}) == ([], 0.0)
+
+
 @pytest.mark.parametrize("rho", [1, -1])
 @pytest.mark.parametrize("shape", [(2, 2), (2, 4), (4, 2), (3, 3)])
 def test_loop_targets_select_only_the_periodic_sector(shape, rho):

@@ -109,6 +109,21 @@ def test_constraint_targets():
             assert len(s.support) == 2 * spec.Lx
 
 
+def test_constraint_labels_follow_the_stabilizers():
+    spec = LatticeSpec(3, 3)
+    cs = constraint_set(spec)
+    assert cs.labels == tuple([f"gauss {r.rx},{r.ry}" for r in sites(spec)]
+                              + [f"loop_column {rx}" for rx in range(3)]
+                              + [f"loop_row {ry}" for ry in range(3)])
+    for label, (s, _) in zip(cs.labels, cs):
+        if label.startswith("gauss"):
+            rx, ry = map(int, label.split()[1].split(","))
+            assert s == gauss_string(spec, Site(rx, ry))
+    # labels name the stabilizers; they take no part in equality or hashing
+    unnamed = type(cs)(cs.n, cs.stabilizers)
+    assert unnamed == cs and hash(unnamed) == hash(cs)
+
+
 def test_constraint_strings_mutually_commute():
     for spec in (LatticeSpec(3, 3), LatticeSpec(2, 4)):
         stab = list(constraint_set(spec))
