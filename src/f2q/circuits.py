@@ -217,11 +217,6 @@ class Circuit:
     def __len__(self):
         return len(self.gates)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Circuit):
-            return NotImplemented
-        return self.n_qubits == other.n_qubits and self.gates == other.gates
-
 
 @lru_cache(maxsize=128)
 def _block_index(m: int, axes: Tuple[int, ...]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -448,6 +443,14 @@ def pair_creation(spec: LatticeSpec, e: Edge) -> Circuit:
     return c
 
 
+def preparation_circuit(spec: LatticeSpec, pair_edges: Sequence[Edge]) -> Circuit:
+    """The vacuum, then one pair creation per edge."""
+    c = vacuum_circuit(spec)
+    for e in pair_edges:
+        c.extend(pair_creation(spec, e))
+    return c
+
+
 def w_circuit(n_qubits: int, a: int, b: int) -> Circuit:
     """Hermitian two-qubit W with W (Z_a - Z_b) W = XX + YY."""
     if a == b:
@@ -546,30 +549,6 @@ def block_plan(spec: LatticeSpec) -> List[Tuple[str, Edge]]:
             + [("hop_y", e) for e in y_slices])
 
 
-def evolution_block(spec: LatticeSpec, kind: str, e: Edge, angle: float) -> Circuit:
-    """One block_plan entry at the given angle; hop_x carries the rho sign."""
-    if kind == "interaction":
-        return interaction_evolution(spec, e, angle)
-    if kind == "hop_x":
-        return hop_x_evolution(spec, e, spec.rho * angle)
-    if kind == "hop_y":
-        return hop_y_evolution(spec, e, angle)
-    raise ValueError(f"unknown block kind {kind!r}")
-
-
-def trotter_blocks(spec: LatticeSpec, t: float, V: float, dt: float) -> List[Tuple[str, Edge, Circuit]]:
-    """First-order Trotter step as labeled per-edge blocks, in applied order."""
-    angle = {"interaction": V * dt, "hop_x": t * dt / 2, "hop_y": t * dt / 2}
-    return [(kind, e, evolution_block(spec, kind, e, angle[kind])) for kind, e in block_plan(spec)]
-
-
-def trotter_step(spec: LatticeSpec, t: float, V: float, dt: float) -> Circuit:
-    c = Circuit(spec.n_qubits)
-    for _, _, block in trotter_blocks(spec, t, V, dt):
-        c.extend(block)
-    return c
-
-
 # ------------------------------------------------- variational gates
 
 def vx_native(spec: LatticeSpec, e: Edge, theta: float, phi: float) -> Circuit:
@@ -604,6 +583,31 @@ def vy_native(spec: LatticeSpec, e: Edge, theta: float, phi: float) -> Circuit:
     return c
 
 
+# The block of each layout kind, taking its slots' angles; hop_x carries the
+# rho sign. vqe._GATE_FORMS holds the same kinds' actions on the sector.
+BLOCKS: Dict[str, Callable[..., Circuit]] = {
+    "interaction": interaction_evolution,
+    "hop_x": lambda spec, e, theta: hop_x_evolution(spec, e, spec.rho * theta),
+    "hop_y": hop_y_evolution,
+    "vx": vx_native,
+    "vy": vy_native,
+}
+
+
+def layout_circuit(spec: LatticeSpec, layout: Sequence[Tuple[str, Edge, Tuple[int, ...]]],
+                   params: Sequence[float]) -> Circuit:
+    """Each (kind, edge, slots) entry's block in order, at the params of its slots."""
+    c = Circuit(spec.n_qubits)
+    for kind, e, slots in layout:
+        c.extend(BLOCKS[kind](spec, e, *(params[k] for k in slots)))
+    return c
+
+
+def _check_count(expect: int, params: Sequence[float]) -> None:
+    if len(params) != expect:
+        raise ValueError(f"expected {expect} parameters, got {len(params)}")
+
+
 def agate_layout(spec: LatticeSpec, layers: int) -> List[Tuple[str, Edge, Tuple[int, int]]]:
     """Per layer: vy on every y-edge, then vx on every x-edge, row-major; each
     gate takes the next two slots."""
@@ -616,14 +620,8 @@ def agate_param_count(spec: LatticeSpec, layers: int) -> int:
 
 
 def ansatz_agate(spec: LatticeSpec, layers: int, params: Sequence[float]) -> Circuit:
-    expect = agate_param_count(spec, layers)
-    if len(params) != expect:
-        raise ValueError(f"expected {expect} parameters, got {len(params)}")
-    c = Circuit(spec.n_qubits)
-    for kind, e, (i, j) in agate_layout(spec, layers):
-        native = vy_native if kind == "vy" else vx_native
-        c.extend(native(spec, e, params[i], params[j]))
-    return c
+    _check_count(agate_param_count(spec, layers), params)
+    return layout_circuit(spec, agate_layout(spec, layers), params)
 
 
 def hv_layout(spec: LatticeSpec, layers: int, granularity: str) -> List[Tuple[str, Edge, Tuple[int]]]:
@@ -655,13 +653,14 @@ def hv_param_count(spec: LatticeSpec, layers: int, granularity: str) -> int:
 
 
 def ansatz_hv(spec: LatticeSpec, layers: int, params: Sequence[float], granularity: str) -> Circuit:
-    expect = hv_param_count(spec, layers, granularity)
-    if len(params) != expect:
-        raise ValueError(f"expected {expect} parameters, got {len(params)}")
-    c = Circuit(spec.n_qubits)
-    for kind, e, (slot,) in hv_layout(spec, layers, granularity):
-        c.extend(evolution_block(spec, kind, e, params[slot]))
-    return c
+    _check_count(hv_param_count(spec, layers, granularity), params)
+    return layout_circuit(spec, hv_layout(spec, layers, granularity), params)
+
+
+def trotter_step(spec: LatticeSpec, t: float, V: float, dt: float) -> Circuit:
+    """First-order Trotter step: the one-layer per_group HV circuit at the
+    angles (V dt, t dt / 2, t dt / 2)."""
+    return layout_circuit(spec, hv_layout(spec, 1, "per_group"), (V * dt, t * dt / 2, t * dt / 2))
 
 
 @dataclass(frozen=True)

@@ -185,12 +185,6 @@ def bc_sector_search(
     return matches, largest
 
 
-def matching_bc_sectors(spec: LatticeSpec, t: float, V: float, encoded: Dict[int, np.ndarray],
-                        tol: float = 1e-8) -> List[BCSector]:
-    """The matching sectors of bc_sector_search, without their deviation."""
-    return bc_sector_search(spec, t, V, encoded, tol)[0]
-
-
 def match_bc_sector(
     spec: LatticeSpec,
     t: float,
@@ -198,8 +192,8 @@ def match_bc_sector(
     encoded: Dict[int, np.ndarray],
     tol: float = 1e-8,
 ) -> BCSector:
-    """First of matching_bc_sectors, in ALL_SECTORS order; raises if none."""
-    matches = matching_bc_sectors(spec, t, V, encoded, tol)
+    """First of bc_sector_search's matches, in ALL_SECTORS order; raises if none."""
+    matches = bc_sector_search(spec, t, V, encoded, tol)[0]
     if not matches:
         raise ValueError("no fermionic BC sector matches the encoded spectra")
     return matches[0]

@@ -2,10 +2,10 @@
 
 Two evaluation routes exist on purpose. The default "sector" route applies
 every number-conserving gate as an exact 2x2 update on the occupation-number
-basis of the constrained subspace; the "full" route simulates the actual
-circuits on the complete register. run() cross-checks the routes at the
-first and best parameter points and fails if their energies differ by more
-than 1e-10, so they can never drift apart silently.
+basis of the constrained subspace; the "full" route (full_state) simulates
+the actual circuits on the complete register. run() cross-checks the routes
+at the first and best parameter points and fails if their energies differ by
+more than 1e-10, so they can never drift apart silently.
 """
 
 from __future__ import annotations
@@ -241,6 +241,8 @@ class SectorModel:
     def _coefficients(self, params: np.ndarray):
         """diag and off of every gate-table row for params (B, n_params), each
         (rows, B), and their derivatives in the slot-0 angle."""
+        if params.shape[1] != self.config.n_params:
+            raise ValueError(f"expected {self.config.n_params} parameters, got {params.shape[1]}")
         p = params.T
         th = self._scale[:, None] * p[self._slot0]
         phase = np.exp(1j * self._sig[:, None] * p[self._slot1])
@@ -324,34 +326,20 @@ def initial_state_full(model: SectorModel) -> StateVector:
     or the HV start vector of the sector route, expanded."""
     config, spec = model.config, model.config.spec
     if config.ansatz == "agate":
-        prep = circ.vacuum_circuit(spec)
-        for e in config.pair_edges:
-            prep.extend(circ.pair_creation(spec, e))
+        prep = circ.preparation_circuit(spec, config.pair_edges)
         return circ.apply_circuit(zero_state(spec.n_qubits), circ.fuse(prep))
     return model.basis.expand(model.initial_vector())
 
 
-def ansatz_circuit(config: VqeConfig, params: Sequence[float]) -> "circ.Circuit":
-    return config.family.circuit(list(params))
-
-
-def energy(config: VqeConfig, params: Sequence[float], route: str = "sector") -> float:
-    params = np.asarray(params, dtype=float)
-    if params.size != config.n_params:
-        raise ValueError(f"expected {config.n_params} parameters, got {params.size}")
-    if route == "sector":
-        return SectorModel(config).energy(params)
-    if route == "full":
-        state = initial_state_full(SectorModel(config))
-        circ.apply_circuit(state, circ.fuse(ansatz_circuit(config, params)))
-        return expval(state, tv_hamiltonian(config.spec, config.t, config.V))
-    raise ValueError("route must be sector or full")
+def full_state(model: SectorModel, params: Sequence[float]) -> StateVector:
+    """The full-register route: initial_state_full, then the fused ansatz circuit."""
+    state = initial_state_full(model)
+    return circ.apply_circuit(state, circ.fuse(model.config.family.circuit(params)))
 
 
 def _spot_check(config: VqeConfig, model: SectorModel, params: np.ndarray) -> Tuple[float, float]:
     """Full-route constraint/number deviation and route energy disagreement."""
-    state = initial_state_full(model)
-    circ.apply_circuit(state, circ.fuse(ansatz_circuit(config, params)))
+    state = full_state(model, params)
     devs = [abs(expval_string(state, s) - target) for s, target in model.cs]
     devs.append(abs(expval(state, number_sum(config.spec)) - config.n_f))
     e_full = expval(state, tv_hamiltonian(config.spec, config.t, config.V))

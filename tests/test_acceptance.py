@@ -26,7 +26,6 @@ from f2q.circuits import (
     pair_creation,
     schedule,
     stabilizer_expectations,
-    trotter_blocks,
     trotter_step,
     vacuum_circuit,
     vx_native,
@@ -100,8 +99,9 @@ def _check_tracked_4x4(t, V, dt, seed) -> float:
         assert _block_commutes_with_stabilizers(block, cs)
         ansatz.extend(block)
     assert ansatz == ansatz_agate(spec, 1, params)
-    for _, _, block in trotter_blocks(spec, t, V, dt):
-        assert _block_commutes_with_stabilizers(block, cs)
+    angles = (V * dt, t * dt / 2, t * dt / 2)
+    for kind, e, (slot,) in C.hv_layout(spec, 1, "per_group"):
+        assert _block_commutes_with_stabilizers(C.BLOCKS[kind](spec, e, angles[slot]), cs)
     return dev
 
 

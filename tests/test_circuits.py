@@ -631,7 +631,8 @@ def test_trotter_preserves_constraints_and_number():
 
 def test_trotter_blocks_partition_the_step():
     spec = lat(2, 4)
-    blocks = C.trotter_blocks(spec, 1.0, 3.0, 0.05)
+    angle = {"interaction": 3.0 * 0.05, "hop_x": 1.0 * 0.05 / 2, "hop_y": 1.0 * 0.05 / 2}
+    blocks = [(kind, e, C.BLOCKS[kind](spec, e, angle[kind])) for kind, e in C.block_plan(spec)]
     kinds = [k for k, _, _ in blocks]
     n_edges = len(edges(spec))
     assert kinds.count("interaction") == n_edges
@@ -839,7 +840,6 @@ def test_hv_slot_table_per_group():
     plan = C.block_plan(spec)
     n_edges = len(edges(spec))
     assert len(plan) == 2 * n_edges  # one interaction and one hop per edge
-    assert [(k, e) for k, e, _ in C.trotter_blocks(spec, 1.0, 2.0, 0.1)] == plan
     layout = C.hv_layout(spec, 2, "per_group")
     assert [(k, e) for k, e, _ in layout] == plan * 2
     slot_of = {}

@@ -321,6 +321,9 @@ def test_non_finite_numbers_are_rejected(tmp_path, capsys):
     # n_f outside [0, N] is a bad request, not an unmatched spectrum
     ("spectrum-match", "--lx", "2", "--ly", "2", "--v", "2", "--n-f", "2", "--n-f", "7"),
     ("spectrum-match", "--lx", "2", "--ly", "2", "--v", "2", "--n-f", "-1"),
+    # a requested sector without constrained states (odd n_f on 2x2)
+    ("spectrum-match", "--lx", "2", "--ly", "2", "--v", "2", "--n-f", "1"),
+    ("spectrum-match", "--lx", "2", "--ly", "2", "--v", "2", "--n-f", "1", "--n-f", "2"),
     # numpy rejects a negative seed, and a negative lr_decay divides by zero
     ("vqe", "--lx", "2", "--ly", "2", "--v", "2", "--seed", "-1"),
     ("vqe", "--lx", "2", "--ly", "2", "--v", "2", "--lr-decay", "-1"),
@@ -377,7 +380,7 @@ def test_spectrum_match_names_every_matching_sector(capsys):
     for sector in oracle.ALL_SECTORS:
         assert f"sx={sector.sx:+d} sy={sector.sy:+d}" in out
     spec = LatticeSpec(2, 4)
-    assert oracle.matching_bc_sectors(spec, 1.0, 2.0, {0: [0.0]}) == oracle.ALL_SECTORS
+    assert oracle.bc_sector_search(spec, 1.0, 2.0, {0: [0.0]})[0] == oracle.ALL_SECTORS
     assert oracle.match_bc_sector(spec, 1.0, 2.0, {0: [0.0]}) == oracle.ALL_SECTORS[0]
 
 

@@ -171,7 +171,7 @@ def test_bc_sector_search_reports_the_largest_matched_deviation():
     spec = LatticeSpec(2, 2)
     enc = encoded_sector_spectra(spec, 1.0, 2.0, (0, 2, 4))
     matches, dev = oracle.bc_sector_search(spec, 1.0, 2.0, enc)
-    assert matches == [PP] == oracle.matching_bc_sectors(spec, 1.0, 2.0, enc)
+    assert matches == [PP] == oracle.bc_sector_search(spec, 1.0, 2.0, enc)[0]
     want = max(np.max(np.abs(ed_spectrum(spec, 1.0, 2.0, None, PP, n_f).eigenvalues - vals))
                for n_f, vals in enc.items())
     assert dev == want <= 1e-8
@@ -197,6 +197,6 @@ def test_loop_targets_select_only_the_periodic_sector(shape, rho):
             continue
         for V in (0.0, 1.7):
             enc = np.linalg.eigvalsh(restrict_sum(basis, tv_hamiltonian(spec, 1.3, V)))
-            assert oracle.matching_bc_sectors(spec, 1.3, V, {n_f: enc}) == [oracle.PERIODIC]
+            assert oracle.bc_sector_search(spec, 1.3, V, {n_f: enc})[0] == [oracle.PERIODIC]
         checked += 1
     assert checked == (spec.n_sites - 1) // 2

@@ -531,7 +531,7 @@ def test_4x4_sector_spectrum_matches_ed(monkeypatch):
     sector = cached_sector(spec, constraint_set(spec), 2)
     for V in (0.0, 3.0):
         enc = np.linalg.eigvalsh(restrict_sum(sector, tv_hamiltonian(spec, 1.0, V)))
-        matches = oracle.matching_bc_sectors(spec, 1.0, V, {2: enc})
+        matches = oracle.bc_sector_search(spec, 1.0, V, {2: enc})[0]
         assert matches
         for bc in matches:
             ref = oracle.ed_spectrum(spec, 1.0, V, None, bc, 2).eigenvalues

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from f2q import circuits as C
 from f2q import oracle, vqe
 from f2q.circuits import apply_circuit, pair_creation
 from f2q.lattice import Edge, InputError, LatticeSpec, Site, edge_sites, edges, site_index
@@ -19,6 +20,17 @@ def lat(Lx, Ly):
 def config(spec, ansatz, layers, granularity="per_edge", V=2.0, n_f=2):
     return vqe.VqeConfig(spec=spec, t=1.0, V=V, n_f=n_f, ansatz=ansatz,
                          layers=layers, granularity=granularity)
+
+
+def test_circuit_blocks_and_sector_forms_share_their_kinds():
+    # the full route builds each layout entry from circuits.BLOCKS, the sector
+    # route from _GATE_FORMS; every kind a layout emits must be in both
+    assert set(C.BLOCKS) == set(vqe._GATE_FORMS)
+    spec = lat(2, 2)
+    layouts = [C.agate_layout(spec, 1), C.hv_layout(spec, 1, "per_group"),
+               C.hv_layout(spec, 1, "per_edge")]
+    emitted = {kind for layout in layouts for kind, _, _ in layout}
+    assert emitted == set(C.BLOCKS)
 
 
 def test_pairing_string_equals_pair_creation_unitary():
@@ -60,15 +72,16 @@ def test_sector_route_matches_full_route(Lx, Ly, n_f, ansatz, granularity):
     rng = np.random.default_rng(17 + Lx + Ly)
     for _ in range(3):
         p = rng.uniform(-0.6, 0.6, cfg.n_params)
-        es = vqe.energy(cfg, p, route="sector")
-        ef = vqe.energy(cfg, p, route="full")
+        model = vqe.SectorModel(cfg)
+        es = model.energy(p)
+        ef = expval(vqe.full_state(model, p), tv_hamiltonian(cfg.spec, cfg.t, cfg.V))
         assert abs(es - ef) < 1e-11
 
 
 def test_agate_zero_params_energy_is_initial_expectation():
     # theta = 0 A-gates only dress occupied columns with signs
     cfg = config(lat(2, 4), "agate", layers=2)
-    e0 = vqe.energy(cfg, np.zeros(cfg.n_params), route="sector")
+    e0 = vqe.SectorModel(cfg).energy(np.zeros(cfg.n_params))
     state = vqe.initial_state_full(vqe.SectorModel(cfg))
     want = expval(state, tv_hamiltonian(cfg.spec, cfg.t, cfg.V))
     assert abs(e0 - want) < 1e-12
@@ -77,14 +90,14 @@ def test_agate_zero_params_energy_is_initial_expectation():
 def test_hv_zero_params_reproduces_free_fermion_ground():
     spec = lat(2, 4)
     cfg = config(spec, "hv", layers=2, granularity="per_group", V=0.0)
-    e0 = vqe.energy(cfg, np.zeros(cfg.n_params), route="sector")
+    e0 = vqe.SectorModel(cfg).energy(np.zeros(cfg.n_params))
     e_ff, _ = ground_in_sector(tv_hamiltonian(spec, 1.0, 0.0), spec, constraint_set(spec), 2)
     assert abs(e0 - e_ff) < 1e-11
 
     cfg_v = config(spec, "hv", layers=2, granularity="per_group", V=2.0)
     _, state = ground_in_sector(tv_hamiltonian(spec, 1.0, 0.0), spec, constraint_set(spec), 2)
     want = expval(state, tv_hamiltonian(spec, 1.0, 2.0))
-    assert abs(vqe.energy(cfg_v, np.zeros(cfg_v.n_params), route="sector") - want) < 1e-11
+    assert abs(vqe.SectorModel(cfg_v).energy(np.zeros(cfg_v.n_params)) - want) < 1e-11
 
 
 def test_agate_sector_state_matches_full_state():
@@ -93,8 +106,7 @@ def test_agate_sector_state_matches_full_state():
     p = rng.uniform(-0.7, 0.7, cfg.n_params)
     model = vqe.SectorModel(cfg)
     sec = sector_state(model, p)
-    full = vqe.initial_state_full(model)
-    apply_circuit(full, vqe.ansatz_circuit(cfg, p))
+    full = vqe.full_state(model, p)
     overlap = np.vdot(full.to_dense(), sec.to_dense())
     assert abs(abs(overlap) - 1.0) < 1e-12
 
@@ -177,7 +189,20 @@ def test_gradient_builds_one_coefficient_table(monkeypatch):
 def test_energy_rejects_wrong_param_count():
     cfg = config(lat(2, 2), "agate", layers=1)
     with pytest.raises(ValueError):
-        vqe.energy(cfg, np.zeros(cfg.n_params + 1))
+        vqe.SectorModel(cfg).energy(np.zeros(cfg.n_params + 1))
+
+
+@pytest.mark.parametrize("ansatz,granularity", [("agate", "per_edge"), ("hv", "per_group")])
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_sector_model_rejects_wrong_param_count(ansatz, granularity, extra):
+    # energies and gradient share _coefficients, which checks the count
+    cfg = config(lat(2, 2), ansatz, layers=1, granularity=granularity)
+    model = vqe.SectorModel(cfg)
+    p = np.zeros(cfg.n_params + extra)
+    with pytest.raises(ValueError, match=f"expected {cfg.n_params} parameters"):
+        model.energy(p)
+    with pytest.raises(ValueError, match=f"expected {cfg.n_params} parameters"):
+        model.gradient(p)
 
 
 def test_pair_edges_must_not_overlap():
