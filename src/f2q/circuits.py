@@ -27,7 +27,6 @@ from .lattice import (
     phys_index,
     plaquette_sites,
     require,
-    sites,
     vacuum_plaquette_set,
 )
 from .pauli import ConstraintSet, PauliString
@@ -318,12 +317,15 @@ def _snap_to_pauli(M: np.ndarray, k: int) -> Tuple[List[int], complex]:
     raise ValueError("non-Clifford conjugation phase")
 
 
-def _conjugate(c: Circuit, s: PauliString, memo: Dict) -> Tuple[PauliString, complex]:
-    """conjugate_string, reusing the local images already stored in `memo`.
+def conjugate_string(c: Circuit, s: PauliString, memo: Dict) -> Tuple[PauliString, complex]:
+    """U^dagger S U, tracked exactly as a Pauli.
 
-    A gate's image of a local Pauli word depends only on the gate's kind,
-    parameters and matrix, so the memo is keyed on those and the word.
-    Failures are raised each time and never stored.
+    Every gate, Clifford or not, must map the word it meets to a single Pauli
+    with a phase in {±1, ±i}; otherwise ValueError. A gate's image of a local
+    Pauli word depends only on the gate's kind, parameters and matrix, so
+    `memo` stores each image keyed on those and the word, for reuse by later
+    calls that pass the same dict. Failures are raised each time and never
+    stored.
     """
     letters = bytearray(s.letters)
     phase = complex(s.phase)
@@ -344,15 +346,6 @@ def _conjugate(c: Circuit, s: PauliString, memo: Dict) -> Tuple[PauliString, com
     return PauliString(s.n, bytes(letters)), phase
 
 
-def conjugate_string(c: Circuit, s: PauliString) -> Tuple[PauliString, complex]:
-    """U^dagger S U, tracked exactly as a Pauli.
-
-    Every gate, Clifford or not, must map the word it meets to a single Pauli
-    with a phase in {±1, ±i}; otherwise ValueError.
-    """
-    return _conjugate(c, s, {})
-
-
 def stabilizer_expectations(c: Circuit, cs: ConstraintSet) -> List[complex]:
     """<0...0| U^dagger S U |0...0> for each stabilizer, exactly.
 
@@ -362,7 +355,7 @@ def stabilizer_expectations(c: Circuit, cs: ConstraintSet) -> List[complex]:
     memo: Dict = {}
     out = []
     for s, _ in cs:
-        conj, phase = _conjugate(c, s, memo)
+        conj, phase = conjugate_string(c, s, memo)
         flip, _, _ = conj.masks()
         if flip:
             out.append(0j)

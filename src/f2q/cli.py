@@ -346,18 +346,13 @@ def cmd_spectrum_match(args: argparse.Namespace) -> None:
             raise InputError(f"n-f {n_f} lies outside [0, {spec.n_sites}]")
     cs = constraint_set(spec)
     H = tv_hamiltonian(spec, t, V)
-    # every sector is built (and size-checked) before any is diagonalised. An
-    # absent sector is left out by default. A requested one that no rho holds
-    # (odd n_f on even sides) is a bad request; one that only the other rho
-    # holds stays in, empty, and matches no fermionic sector
+    # every sector is built (and size-checked) before any is diagonalised; an
+    # absent sector is left out by default, and a requested one is a bad request
     sectors = {n_f: cached_sector(spec, cs, n_f)
                for n_f in (sorted(set(args.n_f)) if args.n_f else range(spec.n_sites + 1))}
-    other = LatticeSpec(spec.Lx, spec.Ly, -spec.rho)
-    if args.n_f and any(not b.dim and not cached_sector(other, constraint_set(other), n_f).dim
-                        for n_f, b in sectors.items()):
+    if args.n_f and not all(b.dim for b in sectors.values()):
         raise InputError("no constrained basis vectors with the requested particle number")
-    encoded = {n_f: np.linalg.eigvalsh(restrict_sum(b, H)) if b.dim else np.array([])
-               for n_f, b in sectors.items() if b.dim or args.n_f}
+    encoded = {n_f: np.linalg.eigvalsh(restrict_sum(b, H)) for n_f, b in sectors.items() if b.dim}
     matches, dev = oracle.bc_sector_search(spec, t, V, encoded)
     if not matches:
         text = "no fermionic boundary sector matches within 1e-08"

@@ -104,15 +104,6 @@ class PauliString:
 
     __mul__ = mul
 
-    def commutes(self, other: "PauliString") -> bool:
-        if self.n != other.n:
-            raise ValueError("register size mismatch")
-        anti = 0
-        for a, b in zip(self.letters, other.letters):
-            if a != I and b != I and a != b:
-                anti += 1
-        return anti % 2 == 0
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, PauliString)
@@ -196,19 +187,6 @@ def gauss_string(spec: LatticeSpec, r: Site) -> PauliString:
             aux_index(spec, b): X,
             aux_index(spec, c): Y,
             phys_index(spec, d): Z,
-            aux_index(spec, d): X,
-        },
-    )
-
-
-def plaquette_string(spec: LatticeSpec, r: Site) -> PauliString:
-    a, b, c, d = plaquette_sites(spec, r)
-    return PauliString(
-        spec.n_qubits,
-        {
-            aux_index(spec, a): Y,
-            aux_index(spec, b): X,
-            aux_index(spec, c): Y,
             aux_index(spec, d): X,
         },
     )

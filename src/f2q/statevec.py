@@ -64,20 +64,6 @@ class StateVector:
         if labels.size and (labels[0] < 0 or labels[-1] >> n or np.any(np.diff(labels) <= 0)):
             raise ValueError("labels must be distinct, ascending and inside the register")
 
-    @classmethod
-    def from_dense(cls, amps: np.ndarray, n_qubits: int) -> "StateVector":
-        """The full-support state with amplitude vector amps (2^n entries)."""
-        if np.shape(amps) != (1 << n_qubits,):
-            raise ValueError("a dense state needs 2^n amplitudes")
-        return cls(np.arange(1 << n_qubits, dtype=np.int64), amps, n_qubits)
-
-    def to_dense(self) -> np.ndarray:
-        """The 2^n amplitude vector."""
-        _check_support(1 << self.register_size)
-        psi = np.zeros(1 << self.register_size, dtype=np.complex128)
-        psi[self.labels] = self.amps
-        return psi
-
     def copy(self) -> "StateVector":
         return StateVector(self.labels.copy(), self.amps.copy(), self.register_size, self.dropped)
 
@@ -170,17 +156,6 @@ def pauli_table(terms: Iterable[Tuple[complex, PauliString]]) -> Tuple[np.ndarra
 def _signed(labels: np.ndarray, sign, coeff) -> np.ndarray:
     """coeff * (-1)^|labels & sign|, broadcast."""
     return np.where(np.bitwise_count(labels & sign) & 1, -coeff, coeff)
-
-
-def apply_pauli(state: StateVector, p: PauliString) -> StateVector:
-    if p.n != state.register_size:
-        raise ValueError("register size mismatch")
-    (flip,), (sign,), (coeff,) = pauli_table([(1, p)])
-    src = state.labels.view(np.uint64)
-    dest = (src ^ flip).view(np.int64)
-    order = np.argsort(dest)
-    state.labels, state.amps = dest[order], (_signed(src, sign, coeff) * state.amps)[order]
-    return state
 
 
 def _find(labels: np.ndarray, wanted: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

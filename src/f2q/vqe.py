@@ -63,7 +63,7 @@ def _disjoint_edges(spec: LatticeSpec, count: int) -> Tuple[Edge, ...]:
     return tuple(chosen)
 
 
-@dataclass
+@dataclass(frozen=True)
 class VqeConfig:
     spec: LatticeSpec
     t: float
@@ -72,23 +72,22 @@ class VqeConfig:
     ansatz: str = "agate"
     layers: int = 2
     granularity: str = "per_edge"
-    pair_edges: Optional[Tuple[Edge, ...]] = None
     init_scale: float = 0.1
     family: circ.Ansatz = field(init=False, repr=False)
+    pair_edges: Tuple[Edge, ...] = field(init=False)
 
     def __post_init__(self):
-        self.family = circ.Ansatz(self.spec, self.ansatz, self.layers, self.granularity)
+        object.__setattr__(self, "family",
+                           circ.Ansatz(self.spec, self.ansatz, self.layers, self.granularity))
         if self.n_f % 2 != 0 or self.n_f < 0:
             raise InputError("n_f must be even and non-negative")
         if not 0 <= 2 * self.init_scale < math.inf:  # the uniform draw spans 2 * init_scale
             raise InputError("init_scale must be non-negative, with 2 * init_scale finite")
-        if self.pair_edges is None:
-            self.pair_edges = _disjoint_edges(self.spec, self.n_f // 2)
-        self.pair_edges = tuple(self.pair_edges)
-        ends = {r for e in self.pair_edges for r in edge_sites(self.spec, e)}
-        if 2 * len(self.pair_edges) != self.n_f or len(ends) != self.n_f:
+        object.__setattr__(self, "pair_edges", _disjoint_edges(self.spec, self.n_f // 2))
+        if 2 * len(self.pair_edges) != self.n_f:
             raise InputError(f"n_f = {self.n_f} needs {self.n_f // 2} site-disjoint pair-creation "
-                             f"edges; have {len(self.pair_edges)} covering {len(ends)} sites")
+                             f"edges; have {len(self.pair_edges)} covering {2 * len(self.pair_edges)} "
+                             "sites")
 
     @property
     def n_params(self) -> int:
@@ -156,7 +155,7 @@ class SectorModel:
         self.cs = constraint_set(spec)
         self.basis = cached_sector(spec, self.cs, config.n_f)
         if self.basis.dim == 0:
-            raise InputError(f"no constrained states with particle number {config.n_f}")
+            raise InputError("no constrained basis vectors with the requested particle number")
         self.h_sector = restrict_sum(self.basis, tv_hamiltonian(spec, config.t, config.V))
         self._build_gate_table()
         self._init_vec: Optional[np.ndarray] = None
@@ -337,8 +336,9 @@ def full_state(model: SectorModel, params: Sequence[float]) -> StateVector:
     return circ.apply_circuit(state, circ.fuse(model.config.family.circuit(params)))
 
 
-def _spot_check(config: VqeConfig, model: SectorModel, params: np.ndarray) -> Tuple[float, float]:
+def _spot_check(model: SectorModel, params: np.ndarray) -> Tuple[float, float]:
     """Full-route constraint/number deviation and route energy disagreement."""
+    config = model.config
     state = full_state(model, params)
     devs = [abs(expval_string(state, s) - target) for s, target in model.cs]
     devs.append(abs(expval(state, number_sum(config.spec)) - config.n_f))
@@ -400,7 +400,7 @@ def run(config: VqeConfig, opt: Optional[OptimizerConfig] = None) -> RunTrace:
     energies, best_e, best_p, first_p, step, converged = best
 
     # np.max, unlike max(), passes a NaN deviation on to require
-    spots = [_spot_check(config, model, p) for p in (first_p, best_p)]
+    spots = [_spot_check(model, p) for p in (first_p, best_p)]
     check_dev, route_dev = np.max(spots, axis=0).tolist()
     require("ansatz state violates constraints by", check_dev, 1e-10)
     require("sector and full-register energies differ by", route_dev, 1e-10)

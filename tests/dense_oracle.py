@@ -13,7 +13,9 @@ reads export_text's format back. single_particle_matrix is the hopping matrix
 whose filled levels give the free-fermion ground energy, a check of the
 fermionic ED that shares none of its many-body code. column_state, project
 and sector_state read a SubspaceBasis (or a SectorModel's vector) back onto
-the register.
+the register; from_dense and to_dense convert a StateVector to and from its
+2^n vector. commutes reads commutation off the x|z masks, and
+plaquette_string is the aux-only plaquette word of a Gauss string.
 """
 
 import cmath
@@ -22,7 +24,9 @@ import math
 import numpy as np
 
 from f2q.circuits import Circuit, Gate, gate_unitary
-from f2q.lattice import aux_index, edge_sites, edge_wraps, edges, phys_index, site_index
+from f2q.lattice import (aux_index, edge_sites, edge_wraps, edges, phys_index, plaquette_sites,
+                         site_index)
+from f2q.pauli import X, Y, PauliString
 from f2q.statevec import StateVector
 
 I2 = np.eye(2, dtype=np.complex128)
@@ -50,6 +54,33 @@ def pauli_apply(p, psi):
             out = np.moveaxis(np.tensordot(LETTER_MATS[p.letters[q]], out, axes=([1], [axis])),
                               0, axis)
     return p.phase * out.reshape(-1)
+
+
+def commutes(a, b):
+    """Whether two PauliStrings commute: the x|z masks' symplectic product is even."""
+    (xa, za, _), (xb, zb, _) = a.masks(), b.masks()
+    return bin(xa & zb ^ za & xb).count("1") % 2 == 0
+
+
+def plaquette_string(spec, r):
+    """Y X Y X on the aux qubits of the plaquette at r (corners r, r+x, r+x+y, r+y)."""
+    a, b, c, d = plaquette_sites(spec, r)
+    return PauliString(spec.n_qubits, {aux_index(spec, a): Y, aux_index(spec, b): X,
+                                       aux_index(spec, c): Y, aux_index(spec, d): X})
+
+
+def from_dense(amps, n):
+    """The full-support StateVector with amplitude vector amps (2^n entries)."""
+    if np.shape(amps) != (1 << n,):
+        raise ValueError("a dense state needs 2^n amplitudes")
+    return StateVector(np.arange(1 << n, dtype=np.int64), amps, n)
+
+
+def to_dense(state):
+    """The 2^n amplitude vector of a StateVector."""
+    psi = np.zeros(1 << state.register_size, dtype=np.complex128)
+    psi[state.labels] = state.amps
+    return psi
 
 
 def pauli_sum_matrix(s):

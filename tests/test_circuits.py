@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
-from dense_oracle import (circuit_unitary, embed_gate, parse_text, pauli_apply, pauli_matrix,
-                          pauli_sum_matrix, restrict_circuit, vx_gate, vx_unitary, vy_gate, vy_unitary)
+from dense_oracle import (circuit_unitary, embed_gate, from_dense, parse_text, pauli_apply,
+                          pauli_matrix, pauli_sum_matrix, restrict_circuit, to_dense, vx_gate,
+                          vx_unitary, vy_gate, vy_unitary)
 from f2q import circuits as C
 from f2q import pauli as P
 from f2q.lattice import (
@@ -159,9 +160,9 @@ def test_apply_and_unitary_match_embedding_oracle():
     rng = np.random.default_rng(3)
     amps = rng.normal(size=16) + 1j * rng.normal(size=16)
     amps /= np.linalg.norm(amps)
-    sv = StateVector.from_dense(amps.copy(), n)
+    sv = from_dense(amps.copy(), n)
     C.apply_circuit(sv, c)
-    assert np.max(np.abs(sv.to_dense() - want @ amps)) < 1e-13
+    assert np.max(np.abs(to_dense(sv) - want @ amps)) < 1e-13
 
 
 def test_restrict_circuit_remaps():
@@ -353,7 +354,7 @@ def test_conjugate_string_matches_dense(data):
             c.add(C.Gate(data.draw(st.sampled_from(kinds2)), (a, b)))
     letters = bytes(data.draw(st.integers(0, 3)) for _ in range(n))
     s = P.PauliString(n, letters)
-    conj, phase = C.conjugate_string(c, s)
+    conj, phase = C.conjugate_string(c, s, {})
     U = dense_circuit(c)
     want = U.conj().T @ pauli_matrix(s) @ U
     assert np.max(np.abs(want - phase * pauli_matrix(conj))) < 1e-12
@@ -372,7 +373,7 @@ def _check_shared_memo(c, strings):
     memo = {}
     wants = []
     for s in strings:
-        conj, phase = C._conjugate(c, s, memo)
+        conj, phase = C.conjugate_string(c, s, memo)
         want = U.conj().T @ pauli_matrix(s) @ U
         assert np.max(np.abs(want - phase * pauli_matrix(conj))) < 1e-12
         wants.append(want[0, 0])
@@ -440,8 +441,8 @@ def test_fuse_preserves_action_property(data):
     assert all(g.kind == "matrix" and g.arity <= 4 for g in fused)
     assert len(fused) <= len(c)
     amps = random_amplitudes(n, data.draw(st.integers(0, 2**31 - 1)))
-    want = C.apply_circuit(StateVector.from_dense(amps.copy(), n), c).to_dense()
-    got = C.apply_circuit(StateVector.from_dense(amps.copy(), n), fused).to_dense()
+    want = to_dense(C.apply_circuit(from_dense(amps.copy(), n), c))
+    got = to_dense(C.apply_circuit(from_dense(amps.copy(), n), fused))
     assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -491,7 +492,7 @@ def test_sparse_state_matches_dense_oracle_property(data):
     for circuit in (c, C.fuse(c)):
         state = C.apply_circuit(StateVector(labels, amps, n), circuit)
         assert state.dropped <= 1e-12
-        assert np.max(np.abs(state.to_dense() - want)) < 1e-12
+        assert np.max(np.abs(to_dense(state) - want)) < 1e-12
         dense_h = sum(x * np.vdot(want, pauli_apply(s, want)) for x, s in H)
         assert abs(expval(state, H) - dense_h.real) < 1e-12
         dense_s = np.vdot(want, pauli_apply(strings[0], want))
@@ -534,8 +535,8 @@ def test_fuse_trotter_step_blocks_and_action():
         step = C.trotter_step(spec, 1.0, 3.0, 0.1)
         fused = C.fuse(step)
         amps = random_amplitudes(spec.n_qubits, seed=dims[1])
-        want = C.apply_circuit(StateVector.from_dense(amps.copy(), spec.n_qubits), step).to_dense()
-        got = C.apply_circuit(StateVector.from_dense(amps.copy(), spec.n_qubits), fused).to_dense()
+        want = to_dense(C.apply_circuit(from_dense(amps.copy(), spec.n_qubits), step))
+        got = to_dense(C.apply_circuit(from_dense(amps.copy(), spec.n_qubits), fused))
         assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -595,7 +596,7 @@ def test_pair_creation_preserves_constraints_and_adds_two(dims):
         occ = 0.0
         for r in sites(spec):
             zs = P.PauliString(spec.n_qubits, {phys_index(spec, r): P.Z})
-            conj, ph = C.conjugate_string(full, zs)
+            conj, ph = C.conjugate_string(full, zs, {})
             flip, _, _ = conj.masks()
             occ += (1 - (0 if flip else ph).real) / 2
         assert abs(occ - 2.0) < 1e-12

@@ -262,12 +262,40 @@ def test_spectrum_match_sector_3x3(capsys):
     assert "sx=+1 sy=+1" in out
 
 
-def test_spectrum_match_wrong_rho_fails(capsys):
+ABSENT_SECTOR = "config error: no constrained basis vectors with the requested particle number\n"
+
+
+def test_spectrum_match_sector_absent_at_this_rho_is_usage_error(capsys):
+    # rho = +1 on 3x3 holds the odd sectors only, and those match
+    code, out, _ = run_cli(capsys, "spectrum-match", "--lx", "3", "--ly", "3", "--rho", "1",
+                           "--v", "2")
+    assert code == 0
+    assert out.startswith("matched sector sx=+1 sy=+1 ") and out.endswith(" sectors=1,3,5,7,9\n")
     code, out, err = run_cli(capsys, "spectrum-match", "--lx", "3", "--ly", "3",
                              "--rho", "1", "--v", "2", "--n-f", "2")
+    assert (code, out, err) == (2, "", ABSENT_SECTOR)
+
+
+def test_spectrum_match_without_a_matching_sector_fails(capsys, monkeypatch):
+    # an encoded Hamiltonian at another V matches no fermionic sector
+    real = cli.tv_hamiltonian
+    monkeypatch.setattr(cli, "tv_hamiltonian", lambda spec, t, V: real(spec, t, V + 0.5))
+    code, out, err = run_cli(capsys, "spectrum-match", "--lx", "2", "--ly", "2", "--v", "2")
     assert code == 1
-    assert "no fermionic boundary sector" in out
+    assert out == "no fermionic boundary sector matches within 1e-08\n"
     assert err == "failure: no fermionic boundary sector matches within 1e-08\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("quench", "--dt", "0.1", "--tmax", "0.1"),
+    ("vqe", "--max-steps", "2"),
+    ("spectrum-match",),
+])
+def test_absent_requested_sector_is_one_usage_error(capsys, argv):
+    # every even sector of 3x3 at rho = +1 is empty; each command says so alike
+    code, out, err = run_cli(capsys, *argv, "--lx", "3", "--ly", "3", "--rho", "1", "--v", "2",
+                             "--n-f", "2")
+    assert (code, out, err) == (2, "", ABSENT_SECTOR)
 
 
 @pytest.mark.parametrize("argv", [
@@ -434,7 +462,7 @@ def test_pairs_off_lattice_are_usage_errors(tmp_path, capsys, pairs):
 
 
 def test_library_check_failure_exits_one_with_deviation(capsys, monkeypatch):
-    monkeypatch.setattr(vqe, "_spot_check", lambda config, model, params: (1e-3, 0.0))
+    monkeypatch.setattr(vqe, "_spot_check", lambda model, params: (1e-3, 0.0))
     code, out, err = run_cli(capsys, "vqe", "--lx", "2", "--ly", "2", "--v", "2",
                              "--max-steps", "5")
     assert code == 1 and out == ""
@@ -463,7 +491,7 @@ def test_check_constraints_12x12_tracks_exactly(capsys):
 
 
 def test_route_disagreement_exits_one(capsys, monkeypatch):
-    monkeypatch.setattr(vqe, "_spot_check", lambda config, model, params: (0.0, 1e-3))
+    monkeypatch.setattr(vqe, "_spot_check", lambda model, params: (0.0, 1e-3))
     code, out, err = run_cli(capsys, "vqe", "--lx", "2", "--ly", "2", "--v", "2",
                              "--max-steps", "5")
     assert code == 1 and out == ""

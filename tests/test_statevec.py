@@ -19,9 +19,7 @@ from f2q.pauli import (
     tv_hamiltonian,
 )
 from f2q.statevec import (
-    StateVector,
     apply_matrix_gate,
-    apply_pauli,
     cached_basis,
     cached_sector,
     constrained_basis,
@@ -36,11 +34,15 @@ from f2q.statevec import (
 
 from dense_oracle import (
     column_state,
+    commutes,
     embed_gate,
+    from_dense,
+    pauli_apply,
     pauli_matrix,
     pauli_sum_matrix,
     project,
     symplectic_dimension,
+    to_dense,
 )
 
 H_GATE = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
@@ -51,7 +53,7 @@ def random_state(n, seed=0):
     rng = np.random.default_rng(seed)
     amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
     amps /= np.linalg.norm(amps)
-    return StateVector.from_dense(amps, n)
+    return from_dense(amps, n)
 
 
 def random_unitary(dim, seed=0):
@@ -65,7 +67,7 @@ def random_unitary(dim, seed=0):
 
 def test_zero_state_basics():
     s = zero_state(8)
-    assert s.to_dense().size == 256  # 2x2 register
+    assert to_dense(s).size == 256  # 2x2 register
     assert s.norm() == pytest.approx(1.0)
     for q in range(8):
         zq = PauliSum(8, [(1.0, PauliString(8, {q: Z}))])
@@ -88,13 +90,13 @@ def test_apply_x_twice_is_identity():
     s = zero_state(3)
     apply_matrix_gate(s, X_GATE, [1])
     apply_matrix_gate(s, X_GATE, [1])
-    assert abs(s.to_dense()[0] - 1.0) < 1e-14
+    assert abs(to_dense(s)[0] - 1.0) < 1e-14
 
 
 def test_hadamard_on_zero():
     s = zero_state(1)
     apply_matrix_gate(s, H_GATE, [0])
-    assert np.allclose(s.to_dense(), [1 / np.sqrt(2), 1 / np.sqrt(2)])
+    assert np.allclose(to_dense(s), [1 / np.sqrt(2), 1 / np.sqrt(2)])
 
 
 def test_gate_errors():
@@ -118,9 +120,9 @@ def test_matrix_gate_matches_dense_embedding():
     for targets in ([2, 0], [0, 2], [1], [0, 1, 2]):
         U = random_unitary(1 << len(targets), seed=len(targets) + 10 * targets[0])
         s = random_state(3, seed=5)
-        expect = embed_gate(U, targets, 3) @ s.to_dense()
+        expect = embed_gate(U, targets, 3) @ to_dense(s)
         apply_matrix_gate(s, U, targets)
-        assert np.max(np.abs(s.to_dense() - expect)) < 1e-12
+        assert np.max(np.abs(to_dense(s) - expect)) < 1e-12
 
 
 def test_diagonal_gate_matches_dense_embedding():
@@ -128,10 +130,10 @@ def test_diagonal_gate_matches_dense_embedding():
     for targets in ([2, 0], [0, 2], [1], [3, 0, 2], [1, 3, 0, 2]):
         U = np.diag(np.exp(1j * rng.uniform(-np.pi, np.pi, 1 << len(targets))))
         s = random_state(4, seed=len(targets))
-        expect = embed_gate(U, targets, 4) @ s.to_dense()
+        expect = embed_gate(U, targets, 4) @ to_dense(s)
         held, before = s.amps, s.amps.copy()
         apply_matrix_gate(s, U, targets)
-        assert np.max(np.abs(s.to_dense() - expect)) < 1e-12
+        assert np.max(np.abs(to_dense(s) - expect)) < 1e-12
         assert np.array_equal(held, before)  # the old array is replaced, not overwritten
     with pytest.raises(ValueError):
         Gate("matrix", (0,), matrix=np.diag([1.0, 2.0]))
@@ -154,21 +156,7 @@ def test_cnot_written_as_matrix():
     s = zero_state(2)
     apply_matrix_gate(s, X_GATE, [1])  # set control
     apply_matrix_gate(s, cnot, [1, 0])
-    assert abs(s.to_dense()[0b11] - 1.0) < 1e-14
-
-
-def test_apply_pauli_examples():
-    s = zero_state(1)
-    apply_matrix_gate(s, X_GATE, [0])
-    apply_pauli(s, PauliString(1, {0: Z}))
-    assert abs(s.to_dense()[1] + 1.0) < 1e-14  # Z|1> = -|1>
-
-    s = zero_state(1)
-    apply_pauli(s, PauliString(1, {0: Y}))
-    assert abs(s.to_dense()[1] - 1j) < 1e-14  # Y|0> = i|1>
-
-    with pytest.raises(ValueError):
-        apply_pauli(zero_state(2), PauliString(3, {0: X}))
+    assert abs(to_dense(s)[0b11] - 1.0) < 1e-14
 
 
 @settings(max_examples=40, deadline=None)
@@ -178,11 +166,10 @@ def test_apply_pauli_examples():
     st.integers(0, 2**31 - 1),
 )
 def test_apply_pauli_matches_dense(letters, phase_k, seed):
+    # pauli_apply, the tests' oracle for P|psi>, against the Kronecker product
     p = PauliString(3, bytes(letters), phase_k)
-    s = random_state(3, seed)
-    expect = pauli_matrix(p) @ s.to_dense()
-    apply_pauli(s, p)
-    assert np.max(np.abs(s.to_dense() - expect)) < 1e-12
+    psi = to_dense(random_state(3, seed))
+    assert np.max(np.abs(pauli_apply(p, psi) - pauli_matrix(p) @ psi)) < 1e-12
 
 
 def test_expval_examples():
@@ -200,14 +187,14 @@ def test_expval_matches_dense_2x2():
     s = random_state(8, 11)
     dense = pauli_sum_matrix(H)
     assert expval(s, H) == pytest.approx(
-        float(np.vdot(s.to_dense(), dense @ s.to_dense()).real), abs=1e-11
+        float(np.vdot(to_dense(s), dense @ to_dense(s)).real), abs=1e-11
     )
 
 
 def test_circuit_then_adjoint_returns_input():
     rng = np.random.default_rng(4)
     s = random_state(4, 42)
-    start = s.to_dense().copy()
+    start = to_dense(s).copy()
     gates = []
     for k in range(6):
         tgts = list(rng.choice(4, size=2, replace=False))
@@ -216,7 +203,7 @@ def test_circuit_then_adjoint_returns_input():
         apply_matrix_gate(s, U, tgts)
     for U, tgts in reversed(gates):
         apply_matrix_gate(s, U.conj().T, tgts)
-    assert np.max(np.abs(s.to_dense() - start)) < 1e-10
+    assert np.max(np.abs(to_dense(s) - start)) < 1e-10
 
 
 # ------------------------------------------------------------- subspace
@@ -240,13 +227,13 @@ def test_constrained_basis_dimension(shape):
 def test_project_and_expand_match_dense_basis_2x2():
     # a full-support state has weight outside the subspace; project ignores it
     basis = cached_basis(LatticeSpec(2, 2), constraint_set(LatticeSpec(2, 2)))
-    B = np.column_stack([column_state(basis, j).to_dense() for j in range(basis.dim)])
+    B = np.column_stack([to_dense(column_state(basis, j)) for j in range(basis.dim)])
     s = random_state(8, seed=6)
-    assert np.max(np.abs(project(basis, s) - B.conj().T @ s.to_dense())) < 1e-14
+    assert np.max(np.abs(project(basis, s) - B.conj().T @ to_dense(s))) < 1e-14
     coeffs = np.zeros(basis.dim, dtype=complex)
     coeffs[[1, 4]] = [0.6, 0.8j]
     v = basis.expand(coeffs)
-    assert np.max(np.abs(v.to_dense() - B @ coeffs)) < 1e-14
+    assert np.max(np.abs(to_dense(v) - B @ coeffs)) < 1e-14
     assert v.labels.size == np.count_nonzero(B[:, [1, 4]])
 
 
@@ -254,7 +241,7 @@ def test_basis_orthonormal_and_stabilized_dense_2x2():
     spec = LatticeSpec(2, 2)
     cs = constraint_set(spec)
     basis = cached_basis(spec, cs)
-    B = np.column_stack([column_state(basis, j).to_dense() for j in range(basis.dim)])
+    B = np.column_stack([to_dense(column_state(basis, j)) for j in range(basis.dim)])
     assert np.max(np.abs(B.conj().T @ B - np.eye(basis.dim))) < 1e-12
     for s, t in cs:
         assert np.max(np.abs(pauli_matrix(s) @ B - t * B)) < 1e-12
@@ -362,9 +349,9 @@ def test_anticommuting_term_restricts_to_zero_2x2():
     spec = LatticeSpec(2, 2)
     cs = constraint_set(spec)
     basis = cached_basis(spec, cs)
-    B = np.column_stack([column_state(basis, j).to_dense() for j in range(basis.dim)])
+    B = np.column_stack([to_dense(column_state(basis, j)) for j in range(basis.dim)])
     z_aux = PauliString(8, {4: Z})  # Z on an auxiliary qubit that Gauss strings flip
-    assert not all(z_aux.commutes(s) for s, _ in cs)
+    assert not all(commutes(z_aux, s) for s, _ in cs)
     assert np.max(np.abs(B.conj().T @ pauli_matrix(z_aux) @ B)) < 1e-12
     assert not np.any(restrict_sum(basis, PauliSum(8, [(0.7, z_aux)])))
     H = tv_hamiltonian(spec, t=1.0, V=2.0)
@@ -379,8 +366,8 @@ def test_restrict_between_sectors_matches_dense_2x2():
     T = PauliSum(8, [(1, PauliString(8, {0: X, 1: X, 5: Z}))])  # the pairing string of edge (0,0),x
     for n_src, n_dest in ((0, 2), (2, 4), (2, 2), (4, 2)):
         src, dest = cached_sector(spec, cs, n_src), cached_sector(spec, cs, n_dest)
-        Bs = np.column_stack([column_state(src, j).to_dense() for j in range(src.dim)])
-        Bd = np.column_stack([column_state(dest, j).to_dense() for j in range(dest.dim)])
+        Bs = np.column_stack([to_dense(column_state(src, j)) for j in range(src.dim)])
+        Bd = np.column_stack([to_dense(column_state(dest, j)) for j in range(dest.dim)])
         want = Bd.conj().T @ pauli_sum_matrix(T) @ Bs
         assert np.max(np.abs(restrict_between(dest, src, T) - want)) < 1e-12
 
@@ -390,7 +377,7 @@ def test_restrict_sum_matches_dense_2x2():
     cs = constraint_set(spec)
     basis = cached_basis(spec, cs)
     H = tv_hamiltonian(spec, t=1.0, V=2.0, potentials={Site(1, 1): 0.5})
-    B = np.column_stack([column_state(basis, j).to_dense() for j in range(basis.dim)])
+    B = np.column_stack([to_dense(column_state(basis, j)) for j in range(basis.dim)])
     dense = B.conj().T @ pauli_sum_matrix(H) @ B
     assert np.max(np.abs(restrict_sum(basis, H) - dense)) < 1e-11
     cols = np.array([1, 3, 4, 7])
@@ -421,13 +408,13 @@ def colliding_sums(n, masks):
 @given(colliding_sums(5, (0, 0b00011, 0b01110, 0b10011)), st.integers(0, 2**31 - 1))
 def test_sums_sharing_flip_masks_match_dense(terms, seed):
     s = random_state(5, seed)
-    psi = s.to_dense()
+    psi = to_dense(s)
     dense = pauli_sum_matrix(PauliSum(5, terms))
     want = np.vdot(psi, dense @ psi)
     hermitian_part = PauliSum(5, [(c.real, p) for c, p in PauliSum(5, terms)])
     assert abs(expval(s, hermitian_part) - want.real) < 1e-10
     assert abs(sum(c * expval_string(s, p) for c, p in terms) - want) < 1e-10
-    applied = sum(c * apply_pauli(s.copy(), p).to_dense() for c, p in terms)
+    applied = sum(c * pauli_apply(p, psi) for c, p in terms)
     assert np.max(np.abs(applied - dense @ psi)) < 1e-10
 
 
@@ -441,7 +428,7 @@ def test_restrict_sum_sharing_flip_masks_matches_dense_2x2(terms):
     spec = LatticeSpec(2, 2)
     basis = cached_basis(spec, constraint_set(spec))
     H = PauliSum(8, terms)
-    B = np.column_stack([column_state(basis, j).to_dense() for j in range(basis.dim)])
+    B = np.column_stack([to_dense(column_state(basis, j)) for j in range(basis.dim)])
     dense = B.conj().T @ pauli_sum_matrix(H) @ B
     assert np.max(np.abs(restrict_sum(basis, H) - dense)) < 1e-11
     cols = np.array([0, 2, 5, 6])
@@ -499,9 +486,8 @@ def test_ground_state_satisfies_constraints_and_number():
     H = tv_hamiltonian(spec, t=1.0, V=2.0)
     e, v = ground_in_sector(H, spec, cs, 2)
     for s, t in cs:
-        w = v.copy()
-        apply_pauli(w, s)
-        assert np.max(np.abs(w.to_dense() - t * v.to_dense())) < 1e-10
+        psi = to_dense(v)
+        assert np.max(np.abs(pauli_apply(s, psi) - t * psi)) < 1e-10
     assert expval(v, number_sum(spec)) == pytest.approx(2.0, abs=1e-10)
     assert e == pytest.approx(expval(v, H), abs=1e-10)
 

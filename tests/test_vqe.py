@@ -1,16 +1,18 @@
 """Variational solver: route agreement, gradients, optimizer behavior."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from f2q import circuits as C
 from f2q import oracle, vqe
 from f2q.circuits import apply_circuit, pair_creation
-from f2q.lattice import Edge, InputError, LatticeSpec, Site, edge_sites, edges, site_index
+from f2q.lattice import InputError, LatticeSpec, edge_sites, edges, site_index
 from f2q.pauli import constraint_set, tv_hamiltonian
-from f2q.statevec import StateVector, apply_pauli, expval, ground_in_sector
+from f2q.statevec import StateVector, expval, ground_in_sector
 
-from dense_oracle import circuit_unitary, pauli_matrix, sector_state
+from dense_oracle import circuit_unitary, pauli_apply, pauli_matrix, sector_state, to_dense
 
 
 def lat(Lx, Ly):
@@ -50,14 +52,13 @@ def test_pairing_string_action_on_basis_states(Lx, Ly):
         T = vqe.pairing_string(spec, e)
         circuit = pair_creation(spec, e)
         for y in rng.integers(0, 1 << spec.n_qubits, size=4):
-            image = StateVector([int(y)], [1.0], spec.n_qubits)
-            apply_pauli(image, T)
-            z = int(np.flatnonzero(image.to_dense())[0])
-            coeff = image.to_dense()[z]
+            image = pauli_apply(T, to_dense(StateVector([int(y)], [1.0], spec.n_qubits)))
+            z = int(np.flatnonzero(image)[0])
+            coeff = image[z]
             state = StateVector([int(y)], [1.0], spec.n_qubits)
             apply_circuit(state, circuit)
-            assert abs(state.to_dense()[z] - coeff) < 1e-12
-            assert abs(np.linalg.norm(state.to_dense()) - 1.0) < 1e-12
+            assert abs(to_dense(state)[z] - coeff) < 1e-12
+            assert abs(np.linalg.norm(to_dense(state)) - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("Lx,Ly,n_f", [
@@ -107,7 +108,7 @@ def test_agate_sector_state_matches_full_state():
     model = vqe.SectorModel(cfg)
     sec = sector_state(model, p)
     full = vqe.full_state(model, p)
-    overlap = np.vdot(full.to_dense(), sec.to_dense())
+    overlap = np.vdot(to_dense(full), to_dense(sec))
     assert abs(abs(overlap) - 1.0) < 1e-12
 
 
@@ -205,30 +206,22 @@ def test_sector_model_rejects_wrong_param_count(ansatz, granularity, extra):
         model.gradient(p)
 
 
-def test_pair_edges_must_not_overlap():
-    spec = lat(2, 2)
-    # both wrap x-edges in row 0 connect the same two sites
-    clashing = (Edge(Site(0, 0), "x"), Edge(Site(1, 0), "x"))
-    with pytest.raises(ValueError):
-        cfg = vqe.VqeConfig(spec=spec, t=1.0, V=1.0, n_f=4, ansatz="agate",
-                            layers=1, pair_edges=clashing)
-        vqe.SectorModel(cfg).initial_vector()
-
-    disjoint = (Edge(Site(0, 0), "x"), Edge(Site(0, 1), "x"))
-    cfg = vqe.VqeConfig(spec=spec, t=1.0, V=1.0, n_f=4, ansatz="agate",
-                        layers=1, pair_edges=disjoint)
-    vec = vqe.SectorModel(cfg).initial_vector()
-    assert abs(np.linalg.norm(vec) - 1.0) < 1e-12
-
-
 def test_pair_edge_count_must_match_n_f():
     spec = lat(2, 2)
-    with pytest.raises(ValueError):
-        vqe.VqeConfig(spec=spec, t=1.0, V=1.0, n_f=4, ansatz="agate", layers=1,
-                      pair_edges=(Edge(Site(0, 0), "x"),))
     # 2x2 has four sites, so the default cannot find three disjoint edges
     with pytest.raises(InputError):
         vqe.VqeConfig(spec=spec, t=1.0, V=1.0, n_f=6, ansatz="agate", layers=1)
+
+
+def test_config_is_frozen_with_derived_fields():
+    # family and pair_edges derive from the other fields once, so none may change after
+    cfg = config(lat(2, 2), "agate", layers=1)
+    assert cfg.family == C.Ansatz(cfg.spec, "agate", 1, "per_edge")
+    assert cfg.pair_edges == vqe._disjoint_edges(cfg.spec, 1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.layers = 2
+    with pytest.raises(TypeError):
+        vqe.VqeConfig(spec=cfg.spec, t=1.0, V=1.0, n_f=2, pair_edges=cfg.pair_edges)
 
 
 def test_run_small_lattice_converges_to_exact():
