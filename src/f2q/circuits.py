@@ -126,7 +126,7 @@ def _check_unitary(U: np.ndarray) -> None:
         raise ValueError("gate matrix is not unitary")
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Gate:
     """One gate of a circuit, validated once here.
 
@@ -134,12 +134,14 @@ class Gate:
     finite angles. A `matrix` gate is checked for unitarity here, the one
     place in the library that does, and keeps its matrix read-only (a copy,
     unless the caller's array is already read-only and owns its data), so
-    the check holds for the gate's whole life.
+    the check holds for the gate's whole life. `mask`, the targets as one
+    bitmask, is set by the first stabilizer walk that meets the gate.
     """
     kind: str
     targets: Tuple[int, ...]
     params: Tuple[float, ...] = ()
     matrix: Optional[np.ndarray] = None
+    mask: Optional[int] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.targets = tuple(int(q) for q in self.targets)
@@ -196,18 +198,26 @@ def gate_unitary(g: Gate) -> np.ndarray:
 
 @dataclass
 class Circuit:
+    """Gates in applied order; each is checked against the register as it joins."""
     n_qubits: int
     gates: List[Gate] = field(default_factory=list)
 
-    def add(self, gate: Gate) -> "Circuit":
-        if any(not 0 <= q < self.n_qubits for q in gate.targets):
+    def __post_init__(self):
+        self._check(self.gates)
+
+    def _check(self, gates: Sequence[Gate]) -> None:
+        if any(not 0 <= q < self.n_qubits for g in gates for q in g.targets):
             raise ValueError("gate target outside register")
+
+    def add(self, gate: Gate) -> "Circuit":
+        self._check([gate])
         self.gates.append(gate)
         return self
 
     def extend(self, other: "Circuit") -> "Circuit":
-        for g in other.gates:
-            self.add(g)
+        if other.n_qubits != self.n_qubits:  # else other's gates were checked on this register size
+            self._check(other.gates)
+        self.gates.extend(other.gates)
         return self
 
     def __iter__(self):
@@ -297,20 +307,24 @@ def _local_pauli(letters: Sequence[int]) -> np.ndarray:
     return out
 
 
+_XZ_LETTER = (0, 1, 3, 2)  # a qubit's letter from its x and z bits, indexed x + 2 z
+
+
 def _snap_to_pauli(M: np.ndarray, k: int) -> Tuple[List[int], complex]:
-    """Write M = phase * (Pauli tensor) or fail."""
-    best = None
-    for code in range(4 ** k):
-        letters = [(code >> (2 * (k - 1 - i))) & 3 for i in range(k)]
-        P = _local_pauli(letters)
-        coeff = complex(np.trace(P.conj().T @ M)) / (1 << k)
-        if abs(coeff) > 0.5:
-            best = (letters, coeff)
-        elif abs(coeff) > 1e-12:
-            raise ValueError("operator is not a single Pauli after conjugation")
-    if best is None:
+    """Write M = phase * (Pauli word) or fail, reading the word off M in O(4^k).
+
+    A word i^#Y X^x Z^z (local qubit 0 the MSB) has row 0's entry in column x
+    and P[b, b ^ x] / P[0, x] = (-1)^(z & b) for each bit b. The one candidate
+    must match M to 1e-12 in every entry, with a phase ±1 or ±i; else ValueError.
+    """
+    x = int(np.argmax(np.abs(M[0])))
+    ref = M[0, x].conjugate()
+    z = sum(1 << j for j in range(k) if (M[1 << j, (1 << j) ^ x] * ref).real < 0)
+    letters = [_XZ_LETTER[(x >> j & 1) | (z >> j & 1) << 1] for j in reversed(range(k))]
+    P = _local_pauli(letters)
+    coeff = complex(M[0, x] * P[0, x].conjugate())
+    if not np.max(np.abs(M - coeff * P)) <= 1e-12:  # written so NaN fails too
         raise ValueError("operator is not a single Pauli after conjugation")
-    letters, coeff = best
     for phase in (1, -1, 1j, -1j):
         if abs(coeff - phase) < 1e-12:
             return letters, phase
@@ -320,20 +334,27 @@ def _snap_to_pauli(M: np.ndarray, k: int) -> Tuple[List[int], complex]:
 def conjugate_string(c: Circuit, s: PauliString, memo: Dict) -> Tuple[PauliString, complex]:
     """U^dagger S U, tracked exactly as a Pauli.
 
-    Every gate, Clifford or not, must map the word it meets to a single Pauli
-    with a phase in {±1, ±i}; otherwise ValueError. A gate's image of a local
-    Pauli word depends only on the gate's kind, parameters and matrix, so
-    `memo` stores each image keyed on those and the word, for reuse by later
-    calls that pass the same dict. Failures are raised each time and never
-    stored.
+    The walk runs from the last gate to the first, keeping the word's support
+    as one bitmask, so a gate outside the word's light cone costs one bit
+    test. Every gate inside it, Clifford or not, must map the word it meets
+    to a single Pauli with a phase in {±1, ±i}; otherwise ValueError. A gate's
+    image of a local Pauli word depends only on the gate's kind, parameters
+    and matrix, so `memo` stores each image keyed on those and the word, for
+    reuse by later calls that pass the same dict. Failures are raised each
+    time and never stored.
     """
     letters = bytearray(s.letters)
+    flip, sign, _ = s.masks()
+    support = flip | sign
     phase = complex(s.phase)
     for g in reversed(c.gates):
+        mask = g.mask
+        if mask is None:
+            mask = g.mask = sum(1 << q for q in g.targets)
+        if not support & mask:
+            continue
         sup = g.targets
         local = tuple(letters[q] for q in sup)
-        if not any(local):
-            continue
         key = (g.kind, g.params, None if g.matrix is None else g.matrix.tobytes(), local)
         image = memo.get(key)
         if image is None:
@@ -342,6 +363,7 @@ def conjugate_string(c: Circuit, s: PauliString, memo: Dict) -> Tuple[PauliStrin
         new_letters, ph = image
         for q, l in zip(sup, new_letters):
             letters[q] = l
+            support = support | 1 << q if l else support & ~(1 << q)
         phase *= ph
     return PauliString(s.n, bytes(letters)), phase
 
@@ -353,15 +375,9 @@ def stabilizer_expectations(c: Circuit, cs: ConstraintSet) -> List[complex]:
     computed once per call and shared by all strings.
     """
     memo: Dict = {}
-    out = []
-    for s, _ in cs:
-        conj, phase = conjugate_string(c, s, memo)
-        flip, _, _ = conj.masks()
-        if flip:
-            out.append(0j)
-        else:
-            out.append(phase)  # all-Z strings give +1 on |0...0>
-    return out
+    images = (conjugate_string(c, s, memo) for s, _ in cs)
+    # an image with an X or Y has zero mean on |0...0>; an all-Z one, its phase
+    return [0j if conj.masks()[0] else phase for conj, phase in images]
 
 
 # ------------------------------------------------- model circuit constructions
@@ -448,35 +464,22 @@ def w_circuit(n_qubits: int, a: int, b: int) -> Circuit:
     """Hermitian two-qubit W with W (Z_a - Z_b) W = XX + YY."""
     if a == b:
         raise ValueError("distinct qubits required")
-    c = Circuit(n_qubits)
-    c.add(Gate("cnot", (a, b)))
-    c.add(Gate("ch", (b, a)))
-    c.add(Gate("cnot", (a, b)))
-    return c
+    return Circuit(n_qubits, [Gate("cnot", (a, b)), Gate("ch", (b, a)), Gate("cnot", (a, b))])
 
 
 def zz_rotation(n_qubits: int, q1: int, q2: int, theta: float) -> Circuit:
     """exp(+i theta Z_q1 Z_q2) as CNOT - RZ - CNOT."""
-    c = Circuit(n_qubits)
-    c.add(Gate("cnot", (q1, q2)))
-    c.add(Gate("rz", (q2,), params=(-2.0 * theta,)))
-    c.add(Gate("cnot", (q1, q2)))
-    return c
+    return Circuit(n_qubits, [Gate("cnot", (q1, q2)), Gate("rz", (q2,), params=(-2.0 * theta,)),
+                              Gate("cnot", (q1, q2))])
 
 
 def zyx_rotation(n_qubits: int, qz: int, qy: int, qx: int, theta: float) -> Circuit:
     """exp(-i theta Z_qz Y_qy X_qx) via basis-rotated CNOT ladder."""
-    c = Circuit(n_qubits)
-    c.add(Gate("rx", (qy,), params=(-math.pi / 2,)))
-    c.add(Gate("ry", (qx,), params=(math.pi / 2,)))
-    c.add(Gate("cnot", (qx, qy)))
-    c.add(Gate("cnot", (qy, qz)))
-    c.add(Gate("rz", (qz,), params=(2.0 * theta,)))
-    c.add(Gate("cnot", (qy, qz)))
-    c.add(Gate("cnot", (qx, qy)))
-    c.add(Gate("rx", (qy,), params=(math.pi / 2,)))
-    c.add(Gate("ry", (qx,), params=(-math.pi / 2,)))
-    return c
+    return Circuit(n_qubits, [
+        Gate("rx", (qy,), params=(-math.pi / 2,)), Gate("ry", (qx,), params=(math.pi / 2,)),
+        Gate("cnot", (qx, qy)), Gate("cnot", (qy, qz)), Gate("rz", (qz,), params=(2.0 * theta,)),
+        Gate("cnot", (qy, qz)), Gate("cnot", (qx, qy)),
+        Gate("rx", (qy,), params=(math.pi / 2,)), Gate("ry", (qx,), params=(-math.pi / 2,))])
 
 
 def hop_x_evolution(spec: LatticeSpec, e: Edge, theta: float) -> Circuit:
@@ -520,9 +523,8 @@ def hop_y_evolution(spec: LatticeSpec, e: Edge, theta: float) -> Circuit:
 def interaction_evolution(spec: LatticeSpec, e: Edge, lam: float) -> Circuit:
     """exp(-i lam (1-Z)(1-Z)/4) on the edge's physical pair, exactly."""
     r, s = edge_sites(spec, e)
-    c = Circuit(spec.n_qubits)
-    c.add(Gate("cphase", (phys_index(spec, r), phys_index(spec, s)), params=(-lam,)))
-    return c
+    return Circuit(spec.n_qubits, [Gate("cphase", (phys_index(spec, r), phys_index(spec, s)),
+                                        params=(-lam,))])
 
 
 def block_plan(spec: LatticeSpec) -> List[Tuple[str, Edge]]:
@@ -552,11 +554,8 @@ def vx_native(spec: LatticeSpec, e: Edge, theta: float, phi: float) -> Circuit:
     """
     r, s = edge_sites(spec, e)
     pr, ps, a = phys_index(spec, r), phys_index(spec, s), aux_index(spec, s)
-    c = Circuit(spec.n_qubits)
-    c.add(Gate("cz", (pr, a)))
-    c.add(Gate("agate", (pr, ps), params=(theta, phi)))
-    c.add(Gate("cz", (pr, a)))
-    return c
+    return Circuit(spec.n_qubits, [Gate("cz", (pr, a)), Gate("agate", (pr, ps), params=(theta, phi)),
+                                   Gate("cz", (pr, a))])
 
 
 def vy_native(spec: LatticeSpec, e: Edge, theta: float, phi: float) -> Circuit:
@@ -567,13 +566,10 @@ def vy_native(spec: LatticeSpec, e: Edge, theta: float, phi: float) -> Circuit:
     r, s = edge_sites(spec, e)
     pr, ps = phys_index(spec, r), phys_index(spec, s)
     ar, as_ = aux_index(spec, r), aux_index(spec, s)
-    c = Circuit(spec.n_qubits)
-    c.add(Gate("cy", (pr, ar)))
-    c.add(Gate("cnot", (pr, as_)))
-    c.add(Gate("agate", (pr, ps), params=(theta, math.pi / 2 - phi)))
-    c.add(Gate("cnot", (pr, as_)))
-    c.add(Gate("cy", (pr, ar)))
-    return c
+    return Circuit(spec.n_qubits, [
+        Gate("cy", (pr, ar)), Gate("cnot", (pr, as_)),
+        Gate("agate", (pr, ps), params=(theta, math.pi / 2 - phi)),
+        Gate("cnot", (pr, as_)), Gate("cy", (pr, ar))])
 
 
 # The block of each layout kind, taking its slots' angles; hop_x carries the
@@ -665,16 +661,14 @@ class Ansatz:
     name: str
     layers: int
     granularity: str
+    n_params: int = field(init=False, repr=False, compare=False)  # computed once, here
 
     def __post_init__(self):
         if self.name not in ("agate", "hv"):
             raise InputError("ansatz must be agate or hv")
-        hv_param_count(self.spec, self.layers, self.granularity)
-
-    @property
-    def n_params(self) -> int:
-        return (agate_param_count(self.spec, self.layers) if self.name == "agate"
-                else hv_param_count(self.spec, self.layers, self.granularity))
+        hv_count = hv_param_count(self.spec, self.layers, self.granularity)
+        object.__setattr__(self, "n_params", agate_param_count(self.spec, self.layers)
+                           if self.name == "agate" else hv_count)
 
     def layout(self) -> List[Tuple[str, Edge, Tuple[int, ...]]]:
         return (agate_layout(self.spec, self.layers) if self.name == "agate"

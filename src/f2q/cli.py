@@ -27,7 +27,8 @@ import numpy as np
 
 from . import circuits as circ
 from . import oracle, vqe
-from .lattice import Edge, InputError, LatticeSpec, ScientificFailure, Site, require, sites
+from .lattice import (Edge, InputError, LatticeSpec, ScientificFailure, Site, check_particle_number,
+                      require, sites)
 from .pauli import constraint_set, tv_hamiltonian
 from .quench import quench_trajectories
 from .statevec import cached_sector, restrict_sum
@@ -342,8 +343,7 @@ def cmd_spectrum_match(args: argparse.Namespace) -> None:
     t = s.get("t", "model", "t", float, default=1.0)
     V = s.get("v", "model", "v", float, required=True)
     for n_f in args.n_f or ():
-        if not 0 <= n_f <= spec.n_sites:
-            raise InputError(f"n-f {n_f} lies outside [0, {spec.n_sites}]")
+        check_particle_number(spec, n_f)
     cs = constraint_set(spec)
     H = tv_hamiltonian(spec, t, V)
     # every sector is built (and size-checked) before any is diagonalised; an

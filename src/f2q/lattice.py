@@ -134,6 +134,12 @@ def vacuum_plaquette_set(spec: LatticeSpec) -> List[Site]:
     ]
 
 
+def check_particle_number(spec: LatticeSpec, n_f: int) -> None:
+    """Raise InputError unless 0 <= n_f <= spec.n_sites."""
+    if not 0 <= n_f <= spec.n_sites:
+        raise InputError(f"n_f = {n_f} lies outside [0, {spec.n_sites}]")
+
+
 def occupation_bits(masks, n_sites: int) -> np.ndarray:
     """Occupation table: row i holds bit q of masks[i] at column q, as floats."""
     masks = np.asarray(masks, dtype=np.int64)

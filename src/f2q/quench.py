@@ -13,8 +13,8 @@ import numpy as np
 
 from . import circuits as circ
 from . import oracle, pauli, statevec
-from .lattice import (InputError, LatticeSpec, ScientificFailure, Site, occupation_bits,
-                      phys_index, require, sites)
+from .lattice import (InputError, LatticeSpec, ScientificFailure, Site, check_particle_number,
+                      occupation_bits, phys_index, require, sites)
 
 MAX_QUENCH_STEPS = 10 ** 5  # Trotter steps per trajectory
 
@@ -28,6 +28,7 @@ def quench_trajectories(spec: LatticeSpec, t: float, V: float, n_f: int,
     oracle.PERIODIC. Raises ScientificFailure when its post-quench spectrum or
     its occupations differ from the encoded ones by more than 1e-8.
     """
+    check_particle_number(spec, n_f)
     if not (dt > 0 and tmax > 0):  # written so NaN fails too
         raise InputError("dt and tmax must be positive")
     if not tmax / dt <= MAX_QUENCH_STEPS:

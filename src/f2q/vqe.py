@@ -18,8 +18,8 @@ import numpy as np
 
 from . import circuits as circ
 from . import oracle
-from .lattice import (Edge, InputError, LatticeSpec, aux_index, edge_sites, edges, phys_index,
-                      require, site_index)
+from .lattice import (Edge, InputError, LatticeSpec, aux_index, check_particle_number, edge_sites,
+                      edges, phys_index, require, site_index)
 from .pauli import PauliString, PauliSum, X, Y, Z, constraint_set, number_sum, tv_hamiltonian
 from .statevec import (StateVector, cached_sector, expval, expval_string, restrict_between,
                        restrict_sum, sector_ground, zero_state)
@@ -79,8 +79,9 @@ class VqeConfig:
     def __post_init__(self):
         object.__setattr__(self, "family",
                            circ.Ansatz(self.spec, self.ansatz, self.layers, self.granularity))
-        if self.n_f % 2 != 0 or self.n_f < 0:
-            raise InputError("n_f must be even and non-negative")
+        check_particle_number(self.spec, self.n_f)
+        if self.n_f % 2 != 0:
+            raise InputError("n_f must be even")
         if not 0 <= 2 * self.init_scale < math.inf:  # the uniform draw spans 2 * init_scale
             raise InputError("init_scale must be non-negative, with 2 * init_scale finite")
         object.__setattr__(self, "pair_edges", _disjoint_edges(self.spec, self.n_f // 2))

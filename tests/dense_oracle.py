@@ -9,9 +9,11 @@ any state. The variational blocks vx and vy are written out a second time as
 closed-form 8x8 and 16x16 `matrix` gates, the reference for their native
 circuits. circuit_unitary is the dense unitary of a whole small circuit,
 restrict_circuit moves a circuit onto the qubits it touches, and parse_text
-reads export_text's format back. single_particle_matrix is the hopping matrix
-whose filled levels give the free-fermion ground energy, a check of the
-fermionic ED that shares none of its many-body code. column_state, project
+reads export_text's format back. pauli_projection reads a gate-local
+operator as one Pauli by projecting it onto every word, the reference for
+the closed form in circuits._snap_to_pauli. single_particle_matrix is the
+hopping matrix whose filled levels give the free-fermion ground energy, a
+check of the fermionic ED that shares none of its many-body code. column_state, project
 and sector_state read a SubspaceBasis (or a SectorModel's vector) back onto
 the register; from_dense and to_dense convert a StateVector to and from its
 2^n vector. commutes reads commutation off the x|z masks, and
@@ -88,6 +90,35 @@ def pauli_sum_matrix(s):
     for c, term in s:
         out += c * pauli_matrix(term)
     return out
+
+
+def local_pauli(letters):
+    """The 2^k word of letters, letters[0] the MSB (a gate's local order)."""
+    out = np.array([[1.0 + 0j]])
+    for l in letters:
+        out = np.kron(out, LETTER_MATS[l])
+    return out
+
+
+def pauli_projection(M, k):
+    """(letters, phase) with M = phase * local_pauli(letters), by projecting M
+    onto all 4^k words; ValueError unless exactly one projection is nonzero
+    (beyond 1e-12) and its coefficient is ±1 or ±i to 1e-12."""
+    best = None
+    for code in range(4 ** k):
+        letters = [(code >> (2 * (k - 1 - i))) & 3 for i in range(k)]
+        coeff = complex(np.trace(local_pauli(letters).conj().T @ M)) / (1 << k)
+        if abs(coeff) > 0.5:
+            best = (letters, coeff)
+        elif abs(coeff) > 1e-12:
+            raise ValueError("operator is not a single Pauli after conjugation")
+    if best is None:
+        raise ValueError("operator is not a single Pauli after conjugation")
+    letters, coeff = best
+    for phase in (1, -1, 1j, -1j):
+        if abs(coeff - phase) < 1e-12:
+            return letters, phase
+    raise ValueError("non-Clifford conjugation phase")
 
 
 def embed_gate(U, targets, n):

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
-from dense_oracle import (circuit_unitary, embed_gate, from_dense, parse_text, pauli_apply,
-                          pauli_matrix, pauli_sum_matrix, restrict_circuit, to_dense, vx_gate,
-                          vx_unitary, vy_gate, vy_unitary)
+from dense_oracle import (circuit_unitary, embed_gate, from_dense, local_pauli, parse_text,
+                          pauli_apply, pauli_matrix, pauli_projection, pauli_sum_matrix,
+                          restrict_circuit, to_dense, vx_gate, vx_unitary, vy_gate, vy_unitary)
 from f2q import circuits as C
 from f2q import pauli as P
 from f2q.lattice import (
@@ -113,6 +113,16 @@ def test_circuit_add_checks_register():
         c.add(C.Gate("x", (2,)))
     c.add(C.Gate("x", (1,)))
     assert len(c) == 1
+
+
+def test_circuit_constructor_and_extend_check_register():
+    with pytest.raises(ValueError, match="outside register"):
+        C.Circuit(2, [C.Gate("x", (0,)), C.Gate("x", (2,))])
+    with pytest.raises(ValueError, match="outside register"):
+        C.Circuit(2).extend(C.Circuit(3, [C.Gate("x", (2,))]))
+    small = C.Circuit(2, [C.Gate("cnot", (0, 1))])
+    assert C.Circuit(3).extend(small).gates == small.gates
+    assert [g.kind for g in C.Circuit(2, [C.Gate("h", (0,))]).extend(small)] == ["h", "cnot"]
 
 
 def test_fixed_gate_matrices():
@@ -358,6 +368,84 @@ def test_conjugate_string_matches_dense(data):
     U = dense_circuit(c)
     want = U.conj().T @ pauli_matrix(s) @ U
     assert np.max(np.abs(want - phase * pauli_matrix(conj))) < 1e-12
+
+
+def _random_clifford(data, k):
+    """A product of H, S and CNOT on k qubits, as one 2^k matrix."""
+    U = np.eye(1 << k, dtype=np.complex128)
+    for _ in range(data.draw(st.integers(0, 3 * k))):
+        kind = data.draw(st.sampled_from(["h", "s"] + (["cnot"] if k > 1 else [])))
+        targets = data.draw(st.permutations(range(k)))[:C.GATES[kind].arity]
+        U = embed_gate(C.GATES[kind].unitary(), targets, k) @ U
+    return U
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.data())
+def test_pauli_read_off_matches_projection_oracle(data):
+    # the closed form reads the same letters and phase as projecting onto all 4^k words
+    k = data.draw(st.integers(1, 4))
+    U = _random_clifford(data, k)
+    word = data.draw(st.lists(st.integers(0, 3), min_size=k, max_size=k))
+    ph = data.draw(st.sampled_from([1, -1, 1j, -1j]))
+    M = ph * U.conj().T @ local_pauli(word) @ U
+    letters, phase = C._snap_to_pauli(M, k)
+    assert (list(letters), phase) == pauli_projection(M, k)
+    assert np.max(np.abs(M - phase * local_pauli(letters))) < 1e-12
+
+
+def _non_pauli_images():
+    rx = C.gate_unitary(C.Gate("rx", (0,), params=(0.3,)))
+    ch = C.GATES["ch"].unitary()
+    q, _ = np.linalg.qr(np.random.default_rng(7).normal(size=(4, 4))
+                        + 1j * np.random.default_rng(8).normal(size=(4, 4)))
+    yield "rx", rx.conj().T @ local_pauli([3]) @ rx, 1
+    tiny = C.gate_unitary(C.Gate("rx", (0,), params=(1e-9,)))  # off a Pauli by ~1e-9 only
+    yield "rx_tiny", np.kron(np.eye(2), tiny.conj().T @ local_pauli([2]) @ tiny), 2
+    yield "ch", ch.conj().T @ local_pauli([0, 3]) @ ch, 2
+    yield "random", q.conj().T @ local_pauli([3, 1]) @ q, 2
+    yield "phase", np.exp(0.1j) * local_pauli([2, 3]), 2
+
+
+@pytest.mark.parametrize("M, k", [pytest.param(M, k, id=name) for name, M, k in _non_pauli_images()])
+def test_pauli_read_off_rejects_non_pauli_images(M, k):
+    with pytest.raises(ValueError):
+        C._snap_to_pauli(M, k)
+    with pytest.raises(ValueError):
+        pauli_projection(M, k)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_light_cone_skips_pauli_breaking_gates_outside_it(data):
+    # Cliffords on qubits 0-2, rx(0.3) on 3-5: no word on 0-2 ever reaches a
+    # rotation, each of which would raise if visited. A final CNOT from a
+    # rotated qubit onto a Z or Y of the word brings one inside the light cone.
+    n = 6
+    low = st.permutations(range(3))
+    gates = []
+    for _ in range(data.draw(st.integers(0, 10))):
+        kind = data.draw(st.sampled_from(["h", "s", "cnot", "cz", "rx"]))
+        if kind == "rx":
+            gates.append(C.Gate("rx", (data.draw(st.integers(3, 5)),), params=(0.3,)))
+        else:
+            gates.append(C.Gate(kind, data.draw(low)[:C.GATES[kind].arity]))
+    q_in, other = data.draw(low)[:2]
+    word = {q_in: data.draw(st.sampled_from([P.Y, P.Z])), other: data.draw(st.integers(0, 3))}
+    s = P.PauliString(n, word)
+    c = C.Circuit(n, gates)
+    conj, phase = C.conjugate_string(c, s, {})
+    U = dense_circuit(c)
+    want = U.conj().T @ pauli_matrix(s) @ U
+    assert np.max(np.abs(want - phase * pauli_matrix(conj))) < 1e-12
+    assert abs(C.stabilizer_expectations(c, [(s, 1)])[0] - want[0, 0]) < 1e-12
+    q_out = data.draw(st.integers(3, 5))
+    reached = C.Circuit(n, [C.Gate("rx", (q_out,), params=(0.3,))] + gates
+                        + [C.Gate("cnot", (q_out, q_in))])
+    with pytest.raises(ValueError, match="not a single Pauli"):
+        C.conjugate_string(reached, s, {})
+    with pytest.raises(ValueError, match="not a single Pauli"):
+        C.stabilizer_expectations(reached, [(s, 1)])
 
 
 def _clifford_matrices():

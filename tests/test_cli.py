@@ -340,6 +340,13 @@ def test_non_finite_numbers_are_rejected(tmp_path, capsys):
         parse_potentials("0,0=nan")
 
 
+OVER_FULL = [
+    ("quench", "--lx", "2", "--ly", "2", "--v", "2", "--n-f", "6", "--dt", "0.1", "--tmax", "0.1"),
+    ("vqe", "--lx", "2", "--ly", "2", "--v", "2", "--n-f", "6"),
+    ("spectrum-match", "--lx", "2", "--ly", "2", "--v", "2", "--n-f", "6"),
+]
+
+
 @pytest.mark.parametrize("argv", [
     ("vqe", "--lx", "2", "--ly", "2", "--v", "3", "--n-f", "6"),
     ("quench", "--lx", "2", "--ly", "4", "--v", "3", "--dt", "0.1", "--tmax", "0.2",
@@ -368,12 +375,20 @@ def test_non_finite_numbers_are_rejected(tmp_path, capsys):
     # more layers than circuits.MAX_LAYERS, refused before any array is sized
     ("export-circuit", "--lx", "2", "--ly", "2", "--kind", "ansatz", "--layers", "1000000000000"),
     ("vqe", "--lx", "2", "--ly", "2", "--v", "2", "--layers", "1000000000000"),
+    # more particles than sites, refused by one library check
+    *OVER_FULL,
 ])
 def test_out_of_range_input_is_usage_error(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert err.startswith(("input error:", "config error:"))
     assert issubclass(InputError, ValueError)
+
+
+@pytest.mark.parametrize("argv", OVER_FULL)
+def test_particle_number_out_of_range_is_one_message(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", "config error: n_f = 6 lies outside [0, 4]\n")
 
 
 @pytest.mark.parametrize("argv", [
