@@ -144,17 +144,21 @@ class Gate:
     mask: Optional[int] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        self.targets = tuple(int(q) for q in self.targets)
-        self.params = tuple(float(p) for p in self.params)
-        if len(set(self.targets)) != len(self.targets):
+        targets = self.targets = tuple(map(int, self.targets))
+        params = self.params = tuple(map(float, self.params))
+        n = len(targets)
+        if n > 1 and (targets[0] == targets[1] if n == 2 else len(set(targets)) != n):
             raise ValueError("duplicate targets")
-        if self.kind == "matrix":
-            if self.params:
+        table = GATES.get(self.kind)
+        if table is None:
+            if self.kind != "matrix":
+                raise ValueError(f"unknown gate kind {self.kind!r}")
+            if params:
                 raise ValueError("matrix gates take no angles")
             if self.matrix is None:
                 raise ValueError("matrix gate without a matrix")
             U = np.asarray(self.matrix, dtype=np.complex128)
-            d = 1 << len(self.targets)
+            d = 1 << n
             if U.shape != (d, d):
                 raise ValueError("matrix shape does not match target count")
             _check_unitary(U)
@@ -163,14 +167,12 @@ class Gate:
                 U.flags.writeable = False
             self.matrix = U
             return
-        if self.kind not in GATES:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
-        arity, angles, _ = GATES[self.kind]
-        if len(self.targets) != arity:
+        arity, angles, _ = table
+        if n != arity:
             raise ValueError(f"{self.kind} expects {arity} targets")
-        if len(self.params) != angles:
+        if len(params) != angles:
             raise ValueError(f"{self.kind} has wrong parameter count")
-        if angles and not all(map(math.isfinite, self.params)):
+        if angles and not all(map(math.isfinite, params)):
             raise ValueError(f"{self.kind} angles must be finite")
         if self.matrix is not None:
             raise ValueError("only matrix gates carry an explicit matrix")
@@ -206,11 +208,14 @@ class Circuit:
         self._check(self.gates)
 
     def _check(self, gates: Sequence[Gate]) -> None:
-        if any(not 0 <= q < self.n_qubits for g in gates for q in g.targets):
-            raise ValueError("gate target outside register")
+        n = self.n_qubits
+        for g in gates:
+            t = g.targets
+            if t and (min(t) < 0 or max(t) >= n):
+                raise ValueError("gate target outside register")
 
     def add(self, gate: Gate) -> "Circuit":
-        self._check([gate])
+        self._check((gate,))
         self.gates.append(gate)
         return self
 
@@ -297,14 +302,19 @@ def apply_circuit(state: StateVector, c: Circuit) -> StateVector:
 
 # ------------------------------------------------- exact stabilizer tracking
 
-_PAULI_1Q = [np.eye(2, dtype=np.complex128), _X, _Y, _Z]
-
-
 def _local_pauli(letters: Sequence[int]) -> np.ndarray:
-    out = np.array([[1.0 + 0j]])
-    for l in letters:
-        out = np.kron(out, _PAULI_1Q[l])
-    return out
+    """The 2^k word of letters, letters[0] the MSB: i^#Y X^x Z^z, so
+    P[b, b ^ x] = i^#Y (-1)^|(b ^ x) & z|."""
+    x = z = 0
+    for l in letters:  # I, X, Y, Z = 0..3: the z bit is l >> 1, the x bit l ^ z
+        x = x << 1 | (l ^ l >> 1) & 1
+        z = z << 1 | l >> 1
+    rows = np.arange(1 << len(letters))
+    cols = rows ^ x
+    phase = (1, 1j, -1, -1j)[(x & z).bit_count() % 4]
+    P = np.zeros((rows.size, rows.size), dtype=np.complex128)
+    P[rows, cols] = np.where(np.bitwise_count(cols & z) & 1, -phase, phase)
+    return P
 
 
 _XZ_LETTER = (0, 1, 3, 2)  # a qubit's letter from its x and z bits, indexed x + 2 z
@@ -693,12 +703,16 @@ def schedule(c: Circuit) -> DepthReport:
     front = [0] * c.n_qubits
     counts: Dict[int, int] = {}
     for g in c.gates:
-        counts[g.arity] = counts.get(g.arity, 0) + 1
-        if g.arity < 2:
-            continue
-        start = max(front[q] for q in g.targets)
-        for q in g.targets:
-            front[q] = start + 1
+        t = g.targets
+        k = len(t)
+        counts[k] = counts.get(k, 0) + 1
+        if k == 2:
+            a, b = t
+            front[a] = front[b] = max(front[a], front[b]) + 1
+        elif k > 2:
+            start = max(front[q] for q in t) + 1
+            for q in t:
+                front[q] = start
     depth = max(front) if front else 0
     return DepthReport(
         two_qubit_depth=depth,

@@ -81,8 +81,8 @@ def sites(spec: LatticeSpec) -> Iterator[Site]:
 
 
 def site_index(spec: LatticeSpec, s: Site) -> int:
-    s = spec.wrap(s[0], s[1])
-    return s.rx + spec.Lx * s.ry
+    Lx = spec.Lx
+    return s[0] % Lx + Lx * (s[1] % spec.Ly)
 
 
 def phys_index(spec: LatticeSpec, s: Site) -> int:

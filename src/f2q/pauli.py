@@ -41,6 +41,11 @@ _PROD[X][Z] = (Y, 3)
 
 _PHASES = (1, 1j, -1, -1j)
 
+# bytes.translate tables: each letter's flip (X, Y) or sign (Y, Z) bit as an
+# ASCII digit, so masks() parses a mask with int(..., 2); other bytes read as I
+_FLIP_DIGITS = bytes(b"01"[l in (X, Y)] for l in range(256))
+_SIGN_DIGITS = bytes(b"01"[l in (Y, Z)] for l in range(256))
+
 
 class PauliString:
     """phase * tensor product of letters; phase = i**phase_k."""
@@ -70,17 +75,12 @@ class PauliString:
     def masks(self) -> Tuple[int, int, int]:
         """(flip mask, sign mask, y count): S|b> = phase * i^ycount * (-1)^|b & sign| |b ^ flip>."""
         if self._masks is None:
-            flip = sign = ycount = 0
-            for q, l in enumerate(self.letters):
-                if l == X:
-                    flip |= 1 << q
-                elif l == Y:
-                    flip |= 1 << q
-                    sign |= 1 << q
-                    ycount += 1
-                elif l == Z:
-                    sign |= 1 << q
-            self._masks = (flip, sign, ycount)
+            if self.letters:
+                digits = self.letters[::-1]  # qubit 0 the last, least significant digit
+                self._masks = (int(digits.translate(_FLIP_DIGITS), 2),
+                               int(digits.translate(_SIGN_DIGITS), 2), self.letters.count(Y))
+            else:
+                self._masks = (0, 0, 0)
         return self._masks
 
     @property

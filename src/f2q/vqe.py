@@ -136,10 +136,10 @@ def pairing_sum(spec: LatticeSpec, e: Edge) -> PauliSum:
 # with th = scale * params[slot 0] and phi = params[slot 1] (slot 0 again for
 # one-angle gates, where sig = 0). The interaction exp(-i lam) =
 # cos(lam) - i sin(lam) acts on the positions with both sites occupied, each
-# its own partner. Per kind: (scale, eps, u_J, u_K, sig); hop_x's scale
-# carries the rho sign.
+# its own partner, so it needs only (scale, u_J). Per rotation kind:
+# (scale, eps, u_J, u_K, sig); hop_x's scale carries the rho sign.
 _GATE_FORMS = {
-    "interaction": (1.0, 1.0, -1j, 0.0, 0.0),
+    "interaction": (1.0, -1j),
     "hop_x": (2.0, 1.0, 1j, 1j, 0.0),
     "hop_y": (2.0, 1.0, 1.0, -1.0, 0.0),
     "vx": (1.0, -1.0, 1.0, 1.0, 1.0),
@@ -192,12 +192,13 @@ class SectorModel:
         tables = {e: self._edge_table(e) for e in dict.fromkeys(e for _, e, _ in plan)}
         parts, runs, touched, size = [], [], set(), 0
         for kind, e, slots in plan:
-            scale, eps, u_j, u_k, sig = _GATE_FORMS[kind]
             J, K, c, both = tables[e]
             if kind == "interaction":
+                scale, u_j = _GATE_FORMS[kind]
                 rows, partners, mate = both, both, np.arange(both.size)
                 a, b, sg = np.ones(both.size), np.full(both.size, u_j), np.zeros(both.size)
             else:
+                scale, eps, u_j, u_k, sig = _GATE_FORMS[kind]
                 scale *= cfg.spec.rho if kind == "hop_x" else 1
                 rows, partners = np.concatenate([J, K]), np.concatenate([K, J])
                 mate = np.concatenate([np.arange(J.size) + J.size, np.arange(J.size)])

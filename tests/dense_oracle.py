@@ -9,7 +9,9 @@ any state. The variational blocks vx and vy are written out a second time as
 closed-form 8x8 and 16x16 `matrix` gates, the reference for their native
 circuits. circuit_unitary is the dense unitary of a whole small circuit,
 restrict_circuit moves a circuit onto the qubits it touches, and parse_text
-reads export_text's format back. pauli_projection reads a gate-local
+reads export_text's format back, and schedule_reference is the two-qubit
+depth as the longest chain of multi-qubit gates that share a qubit, the
+reference for circuits.schedule. pauli_projection reads a gate-local
 operator as one Pauli by projecting it onto every word, the reference for
 the closed form in circuits._snap_to_pauli. single_particle_matrix is the
 hopping matrix whose filled levels give the free-fermion ground energy, a
@@ -238,6 +240,21 @@ def restrict_circuit(c, support):
             raise ValueError("gate acts outside the given support")
         out.add(Gate(g.kind, tgts, params=g.params, matrix=g.matrix))
     return out
+
+
+def schedule_reference(c):
+    """(two-qubit depth, gate counts by arity) of c: a gate on k >= 2 qubits
+    sits one layer above the highest earlier such gate it shares a qubit
+    with; single-qubit gates take no layer."""
+    layers = []  # (qubits, layer) of each multi-qubit gate so far
+    for g in c.gates:
+        if len(g.targets) >= 2:
+            qubits = set(g.targets)
+            layers.append((qubits, 1 + max((l for s, l in layers if s & qubits), default=0)))
+    counts = {}
+    for g in c.gates:
+        counts[len(g.targets)] = counts.get(len(g.targets), 0) + 1
+    return max((l for _, l in layers), default=0), counts
 
 
 def parse_text(text):

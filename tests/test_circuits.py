@@ -1,5 +1,6 @@
 """Circuit constructions against dense matrix-exponential oracles."""
 
+import itertools
 import math
 
 import numpy as np
@@ -9,7 +10,8 @@ from scipy.linalg import expm
 
 from dense_oracle import (circuit_unitary, embed_gate, from_dense, local_pauli, parse_text,
                           pauli_apply, pauli_matrix, pauli_projection, pauli_sum_matrix,
-                          restrict_circuit, to_dense, vx_gate, vx_unitary, vy_gate, vy_unitary)
+                          restrict_circuit, schedule_reference, to_dense, vx_gate, vx_unitary,
+                          vy_gate, vy_unitary)
 from f2q import circuits as C
 from f2q import pauli as P
 from f2q.lattice import (
@@ -72,6 +74,11 @@ def test_gate_validation():
         C.Gate("matrix", (0,), matrix=np.array([[np.nan, 0], [0, 1]], dtype=complex))
     with pytest.raises(ValueError):
         C.Gate("rz", (0,), params=(np.nan,))
+    for targets in ((0, 2, 0), (0, 1, 1), (2, 2, 2)):
+        with pytest.raises(ValueError, match="duplicate targets"):
+            C.Gate("ccz", targets)
+    with pytest.raises(ValueError, match="duplicate targets"):
+        C.Gate("matrix", (3, 3), matrix=np.eye(4, dtype=complex))
 
 
 @pytest.mark.parametrize("kind", sorted(C.GATES))
@@ -111,6 +118,9 @@ def test_circuit_add_checks_register():
     c = C.Circuit(2)
     with pytest.raises(ValueError):
         c.add(C.Gate("x", (2,)))
+    for gate in (C.Gate("x", (-1,)), C.Gate("cnot", (0, -1)), C.Gate("ccz", (1, -2, 0))):
+        with pytest.raises(ValueError, match="outside register"):
+            c.add(gate)
     c.add(C.Gate("x", (1,)))
     assert len(c) == 1
 
@@ -119,7 +129,15 @@ def test_circuit_constructor_and_extend_check_register():
     with pytest.raises(ValueError, match="outside register"):
         C.Circuit(2, [C.Gate("x", (0,)), C.Gate("x", (2,))])
     with pytest.raises(ValueError, match="outside register"):
+        C.Circuit(2, [C.Gate("cz", (-1, 0))])
+    with pytest.raises(ValueError, match="outside register"):
         C.Circuit(2).extend(C.Circuit(3, [C.Gate("x", (2,))]))
+    negative = C.Circuit(3)
+    negative.gates.append(C.Gate("x", (-1,)))  # past add's check, to reach extend's
+    target = C.Circuit(2, [C.Gate("h", (0,))])
+    with pytest.raises(ValueError, match="outside register"):
+        target.extend(negative)
+    assert len(target) == 1
     small = C.Circuit(2, [C.Gate("cnot", (0, 1))])
     assert C.Circuit(3).extend(small).gates == small.gates
     assert [g.kind for g in C.Circuit(2, [C.Gate("h", (0,))]).extend(small)] == ["h", "cnot"]
@@ -392,6 +410,16 @@ def test_pauli_read_off_matches_projection_oracle(data):
     letters, phase = C._snap_to_pauli(M, k)
     assert (list(letters), phase) == pauli_projection(M, k)
     assert np.max(np.abs(M - phase * local_pauli(letters))) < 1e-12
+
+
+def test_local_pauli_matches_kron_oracle_for_every_word():
+    # all 4 + 16 + 64 + 256 words: pins the sign convention (the parity of the
+    # column index) and the parity count's narrow integer type
+    words = [w for k in range(1, 5) for w in itertools.product(range(4), repeat=k)]
+    assert len(words) == 340
+    for word in words:
+        P = C._local_pauli(word)
+        assert P.dtype == np.complex128 and np.array_equal(P, local_pauli(word)), word
 
 
 def _non_pauli_images():
@@ -959,6 +987,23 @@ def test_schedule_examples():
     rep = C.schedule(c)
     assert rep.counts_by_arity == {2: 3, 1: 1}
     assert rep.total_gates == 4
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_schedule_matches_reference_loop(data):
+    # random circuits with 1-, 2-, 3- and 4-target gates
+    n = data.draw(st.integers(4, 8))
+    kinds = {1: ["h", "x"], 2: ["cnot", "cz"], 3: ["ccz"], 4: ["matrix"]}
+    c = C.Circuit(n)
+    for _ in range(data.draw(st.integers(0, 30))):
+        k = data.draw(st.integers(1, 4))
+        kind = data.draw(st.sampled_from(kinds[k]))
+        targets = tuple(data.draw(st.permutations(range(n)))[:k])
+        c.add(C.Gate(kind, targets, matrix=np.eye(1 << k) if kind == "matrix" else None))
+    rep = C.schedule(c)
+    assert (rep.two_qubit_depth, rep.counts_by_arity) == schedule_reference(c)
+    assert rep.total_gates == len(c)
 
 
 def test_schedule_declared_costs():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from f2q.lattice import (
@@ -327,3 +327,32 @@ def test_multiply_matches_dense(a, b):
 def test_commutes_matches_dense(a, b):
     A, B = pauli_matrix(a), pauli_matrix(b)
     assert commutes(a, b) == (np.max(np.abs(A @ B - B @ A)) < 1e-12)
+
+
+def _masks_by_letter(s):
+    """PauliString.masks() read one letter at a time."""
+    flip = sign = ycount = 0
+    for q, l in enumerate(s.letters):
+        if l in (X, Y):
+            flip |= 1 << q
+        if l in (Y, Z):
+            sign |= 1 << q
+        ycount += l == Y
+    return flip, sign, ycount
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=300))
+@example([I])
+@example([Y] * 8)
+@example([Z, X, Y, I, I, I, I, I, X])  # 9 letters: not a whole number of bytes
+@example([I] * 299 + [Y])
+def test_masks_match_letter_by_letter(letters):
+    s = PauliString(len(letters), bytes(letters), 1)
+    assert s.masks() == _masks_by_letter(s)
+    assert s.masks() is s.masks()  # computed once
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 288])
+def test_masks_of_identity_strings(n):
+    assert identity(n).masks() == _masks_by_letter(identity(n)) == (0, 0, 0)
