@@ -247,13 +247,12 @@ def schedule_reference(c):
     sits one layer above the highest earlier such gate it shares a qubit
     with; single-qubit gates take no layer."""
     layers = []  # (qubits, layer) of each multi-qubit gate so far
-    for g in c.gates:
-        if len(g.targets) >= 2:
-            qubits = set(g.targets)
-            layers.append((qubits, 1 + max((l for s, l in layers if s & qubits), default=0)))
     counts = {}
     for g in c.gates:
         counts[len(g.targets)] = counts.get(len(g.targets), 0) + 1
+        if len(g.targets) >= 2:
+            qubits = set(g.targets)
+            layers.append((qubits, 1 + max((l for s, l in layers if s & qubits), default=0)))
     return max((l for _, l in layers), default=0), counts
 
 

@@ -345,7 +345,7 @@ def _masks_by_letter(s):
 @given(st.lists(st.integers(0, 3), min_size=1, max_size=300))
 @example([I])
 @example([Y] * 8)
-@example([Z, X, Y, I, I, I, I, I, X])  # 9 letters: not a whole number of bytes
+@example([Z, X, Y, I, I, I, I, I, X])  # 9 letters: not a multiple of 8
 @example([I] * 299 + [Y])
 def test_masks_match_letter_by_letter(letters):
     s = PauliString(len(letters), bytes(letters), 1)
