@@ -29,7 +29,7 @@ from .lattice import (
     require,
     vacuum_plaquette_set,
 )
-from .pauli import ConstraintSet, PauliString
+from .pauli import ConstraintSet, PauliString, pairing_string
 from .statevec import MAX_GATE_QUBITS, StateVector, apply_matrix_gate
 
 _H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2)
@@ -450,16 +450,9 @@ def vacuum_circuit(spec: LatticeSpec) -> Circuit:
 
 
 def pair_creation(spec: LatticeSpec, e: Edge) -> Circuit:
-    r, s = edge_sites(spec, e)
-    c = Circuit(spec.n_qubits)
-    c.add(Gate("x", (phys_index(spec, r),)))
-    c.add(Gate("x", (phys_index(spec, s),)))
-    if e.direction == "x":
-        c.add(Gate("z", (aux_index(spec, s),)))
-    else:
-        c.add(Gate("y", (aux_index(spec, r),)))
-        c.add(Gate("x", (aux_index(spec, s),)))
-    return c
+    """One Pauli gate per letter of the edge's pairing string."""
+    T = pairing_string(spec, e)
+    return Circuit(spec.n_qubits, [Gate(" xyz"[T.letters[q]], (q,)) for q in T.support])
 
 
 def preparation_circuit(spec: LatticeSpec, pair_edges: Sequence[Edge]) -> Circuit:
@@ -695,7 +688,6 @@ class Ansatz:
 class DepthReport:
     two_qubit_depth: int
     counts_by_arity: Dict[int, int]
-    total_gates: int
 
 
 def schedule(c: Circuit) -> DepthReport:
@@ -713,12 +705,7 @@ def schedule(c: Circuit) -> DepthReport:
             start = max(front[q] for q in t) + 1
             for q in t:
                 front[q] = start
-    depth = max(front) if front else 0
-    return DepthReport(
-        two_qubit_depth=depth,
-        counts_by_arity=counts,
-        total_gates=len(c.gates),
-    )
+    return DepthReport(two_qubit_depth=max(front, default=0), counts_by_arity=counts)
 
 
 def export_text(c: Circuit) -> str:

@@ -14,8 +14,8 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .lattice import (InputError, LatticeSpec, Site, edge_sites, edge_wraps, edges,
-                      occupation_bits, require, site_index)
+from .lattice import (InputError, LatticeSpec, Site, check_particle_number, edge_sites, edge_wraps,
+                      edges, occupation_bits, require, site_index)
 
 MAX_SITES = 12
 DENSE_GUARD = 4096
@@ -33,8 +33,7 @@ PERIODIC = BCSector(+1, +1)  # hopping sign +1 across both boundaries
 @dataclass
 class EDResult:
     eigenvalues: np.ndarray
-    times: Optional[np.ndarray] = None
-    occupations: Optional[np.ndarray] = None  # shape (len(times), N)
+    occupations: Optional[np.ndarray] = None  # shape (len(times), N) from ed_propagate
 
 
 def sector_basis(n_sites: int, n_f: int) -> np.ndarray:
@@ -62,8 +61,7 @@ def ed_hamiltonian(
     N = spec.n_sites
     if N > MAX_SITES:
         raise InputError(f"fermionic ED limited to {MAX_SITES} sites")
-    if not 0 <= n_f <= N:
-        raise ValueError("particle number outside [0, N]")
+    check_particle_number(spec, n_f)
     basis = sector_basis(N, n_f)
     index = {int(m): k for k, m in enumerate(basis)}
     dim = basis.size
@@ -153,7 +151,7 @@ def ed_propagate(
         psi = evecs @ (np.exp(-1j * evals * tau) * coeff)
         require("propagation norm drift", abs(np.linalg.norm(psi) - 1.0), 1e-10)
         occs[k] = (np.abs(psi) ** 2) @ occ_table
-    return EDResult(eigenvalues=evals, times=times_arr, occupations=occs)
+    return EDResult(eigenvalues=evals, occupations=occs)
 
 
 def bc_sector_search(

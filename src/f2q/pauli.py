@@ -192,6 +192,18 @@ def gauss_string(spec: LatticeSpec, r: Site) -> PauliString:
     )
 
 
+def pairing_string(spec: LatticeSpec, e: Edge) -> PauliString:
+    """Pauli string that creates (or hops) a pair across the edge."""
+    r, s = edge_sites(spec, e)
+    letters = {phys_index(spec, r): X, phys_index(spec, s): X}
+    if e.direction == "x":
+        letters[aux_index(spec, s)] = Z
+    else:
+        letters[aux_index(spec, r)] = Y
+        letters[aux_index(spec, s)] = X
+    return PauliString(spec.n_qubits, letters)
+
+
 def constraint_set(spec: LatticeSpec) -> ConstraintSet:
     """All Gauss stabilizers (target +1) plus the folded Wilson-loop targets.
 

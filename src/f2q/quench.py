@@ -48,7 +48,7 @@ def quench_trajectories(spec: LatticeSpec, t: float, V: float, n_f: int,
     # exact encoded evolution by spectral decomposition in the sector
     evals, evecs = np.linalg.eigh(statevec.restrict_sum(basis, pauli.tv_hamiltonian(spec, t, V)))
     occ_table = occupation_bits(basis.occ_masks, spec.n_sites)
-    coeff = evecs.conj().T @ sec0
+    coeff = evecs.T @ sec0
     occ_encoded = np.empty((times.size, spec.n_sites))
     for k, tau in enumerate(times):
         psi = evecs @ (np.exp(-1j * evals * tau) * coeff)

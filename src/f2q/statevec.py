@@ -342,9 +342,20 @@ def cached_sector(spec: LatticeSpec, cs: ConstraintSet, n_f: int) -> SubspaceBas
 
 
 def restrict_sum(basis: SubspaceBasis, H: PauliSum, cols: Optional[np.ndarray] = None) -> np.ndarray:
-    """Dense matrix of H restricted to the selected basis columns."""
+    """Real dense matrix of the Hamiltonian H restricted to the selected
+    basis columns (all by default); InputError on an empty basis.
+
+    A column's amplitudes share one modulus, so each entry is a real
+    coefficient times an exact unit ratio: the imaginary part must be 0.0,
+    and anything else is a broken phase convention, never dropped. A complex
+    operator restricts through restrict_between.
+    """
+    if basis.dim == 0:
+        raise InputError("no constrained basis vectors with the requested particle number")
     mat = restrict_between(basis, basis, H)
-    return mat if cols is None else mat[np.ix_(cols, cols)]
+    require("imaginary part of a restricted Hamiltonian", float(np.max(np.abs(mat.imag))), 0.0)
+    mat = mat.real if cols is None else mat.real[np.ix_(cols, cols)]
+    return np.ascontiguousarray(mat)
 
 
 def restrict_between(dest: SubspaceBasis, src: SubspaceBasis, H: PauliSum) -> np.ndarray:
@@ -374,9 +385,7 @@ def restrict_between(dest: SubspaceBasis, src: SubspaceBasis, H: PauliSum) -> np
 
 def sector_ground(sector: SubspaceBasis, H: PauliSum) -> Tuple[np.ndarray, np.ndarray]:
     """Every eigenvalue of H restricted to the sector, ascending, and the
-    checked ground vector in the sector's columns."""
-    if sector.dim == 0:
-        raise InputError("no constrained basis vectors with the requested particle number")
+    checked real ground vector in the sector's columns."""
     Hs = restrict_sum(sector, H)
     evals, evecs = np.linalg.eigh(Hs)
     energy, vec = float(evals[0]), evecs[:, 0]

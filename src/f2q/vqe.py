@@ -18,9 +18,9 @@ import numpy as np
 
 from . import circuits as circ
 from . import oracle
-from .lattice import (Edge, InputError, LatticeSpec, aux_index, check_particle_number, edge_sites,
-                      edges, phys_index, require, site_index)
-from .pauli import PauliString, PauliSum, X, Y, Z, constraint_set, number_sum, tv_hamiltonian
+from .lattice import (Edge, InputError, LatticeSpec, check_particle_number, edge_sites, edges,
+                      require, site_index)
+from .pauli import PauliSum, constraint_set, number_sum, pairing_string, tv_hamiltonian
 from .statevec import (StateVector, cached_sector, expval, expval_string, restrict_between,
                        restrict_sum, sector_ground, zero_state)
 
@@ -110,18 +110,6 @@ class RunTrace:
     dual_route_deviation: float
 
 
-def pairing_string(spec: LatticeSpec, e: Edge) -> PauliString:
-    """Pauli string that creates (or hops) a pair across the edge."""
-    r, s = edge_sites(spec, e)
-    letters = {phys_index(spec, r): X, phys_index(spec, s): X}
-    if e.direction == "x":
-        letters[aux_index(spec, s)] = Z
-    else:
-        letters[aux_index(spec, r)] = Y
-        letters[aux_index(spec, s)] = X
-    return PauliString(spec.n_qubits, letters)
-
-
 def pairing_sum(spec: LatticeSpec, e: Edge) -> PauliSum:
     return PauliSum(spec.n_qubits, [(1, pairing_string(spec, e))])
 
@@ -155,8 +143,6 @@ class SectorModel:
         spec = config.spec
         self.cs = constraint_set(spec)
         self.basis = cached_sector(spec, self.cs, config.n_f)
-        if self.basis.dim == 0:
-            raise InputError("no constrained basis vectors with the requested particle number")
         self.h_sector = restrict_sum(self.basis, tv_hamiltonian(spec, config.t, config.V))
         self._build_gate_table()
         self._init_vec: Optional[np.ndarray] = None
@@ -173,7 +159,7 @@ class SectorModel:
         has_r = (occ >> site_index(spec, r)) & 1 == 1
         has_s = (occ >> site_index(spec, s)) & 1 == 1
         J = np.flatnonzero(has_s & ~has_r)
-        M = restrict_sum(self.basis, pairing_sum(spec, e))[:, J]
+        M = restrict_between(self.basis, self.basis, pairing_sum(spec, e))[:, J]
         K = np.argmax(np.abs(M), axis=0)
         c = M[K, np.arange(J.size)]
         require("pairing coefficient modulus differs from 1 by",
@@ -235,7 +221,8 @@ class SectorModel:
                 dest = cached_sector(cfg.spec, self.cs, 2 * k + 2)
                 vec, src = restrict_between(dest, src, pairing_sum(cfg.spec, e)) @ vec, dest
             return vec
-        return sector_ground(self.basis, tv_hamiltonian(cfg.spec, cfg.t, 0.0))[1]
+        vec = sector_ground(self.basis, tv_hamiltonian(cfg.spec, cfg.t, 0.0))[1]
+        return vec.astype(np.complex128)  # apply_ansatz writes complex amplitudes into its copies
 
     # ---------------------------------------------------------- ansatz action
 

@@ -986,7 +986,6 @@ def test_schedule_examples():
     assert C.schedule(c).two_qubit_depth == 2
     rep = C.schedule(c)
     assert rep.counts_by_arity == {2: 3, 1: 1}
-    assert rep.total_gates == 4
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -1003,7 +1002,6 @@ def test_schedule_matches_reference_loop(data):
         c.add(C.Gate(kind, targets, matrix=np.eye(1 << k) if kind == "matrix" else None))
     rep = C.schedule(c)
     assert (rep.two_qubit_depth, rep.counts_by_arity) == schedule_reference(c)
-    assert rep.total_gates == len(c)
 
 
 def test_schedule_declared_costs():

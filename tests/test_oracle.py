@@ -200,3 +200,47 @@ def test_loop_targets_select_only_the_periodic_sector(shape, rho):
             assert oracle.bc_sector_search(spec, 1.3, V, {n_f: enc})[0] == [oracle.PERIODIC]
         checked += 1
     assert checked == (spec.n_sites - 1) // 2
+
+
+def signed_permutation_deviation(H, ed):
+    """max |H - diag(s) ed diag(s)|, the signs s from a breadth-first walk
+    over H's nonzero off-diagonal entries (s = +1 at each component's root)."""
+    s = np.zeros(H.shape[0])
+    for root in range(s.size):
+        if s[root]:
+            continue
+        s[root], queue = 1.0, [root]
+        for i in queue:
+            for j in np.flatnonzero(H[i]):
+                if not s[j]:
+                    s[j] = s[i] if H[i, j] * ed[i, j] > 0 else -s[i]
+                    queue.append(j)
+    return float(np.max(np.abs(H - s[:, None] * ed * s)))
+
+
+IDENTITY_CASES = ([((Lx, Ly), rho, 2) for Lx, Ly in ((2, 2), (2, 4), (4, 2)) for rho in (1, -1)]
+                  + [((Lx, Ly), 1, 4) for Lx, Ly in ((2, 2), (2, 4), (4, 2))]
+                  + [((3, 3), -1, n_f) for n_f in (2, 4)] + [((3, 3), 1, n_f) for n_f in (3, 5)]
+                  + [((4, 4), rho, 2) for rho in (1, -1)])
+
+
+@pytest.mark.parametrize("shape,rho,n_f", IDENTITY_CASES)
+def test_sector_hamiltonian_is_the_periodic_ed_matrix_up_to_signs(shape, rho, n_f, monkeypatch):
+    # the constrained subspace is the fermionic model: ordered by occ_masks,
+    # the encoded matrix is the PERIODIC ED matrix conjugated by a diagonal
+    # of +-1 signs; the flipped boundary sectors fail the same check
+    monkeypatch.setattr(oracle, "MAX_SITES", 16)
+    spec = LatticeSpec(*shape, rho)
+    sector = cached_sector(spec, constraint_set(spec), n_f)
+    pots = {Site(0, 0): -0.7, Site(1, 1): 0.4}
+    H = restrict_sum(sector, tv_hamiltonian(spec, 1.3, 1.7, pots))
+    perm = np.searchsorted(sector_basis(spec.n_sites, n_f), sector.occ_masks)
+    assert sector.dim and np.array_equal(sector_basis(spec.n_sites, n_f)[perm], sector.occ_masks)
+
+    def deviation(bc):
+        ed = ed_hamiltonian(spec, 1.3, 1.7, pots, bc, n_f)
+        return signed_permutation_deviation(H, ed[np.ix_(perm, perm)])
+
+    assert deviation(oracle.PERIODIC) <= 1e-12
+    if n_f < spec.n_sites:  # a filled lattice has no hopping to tell the sectors apart
+        assert all(deviation(bc) > 1.0 for bc in ALL_SECTORS if bc != oracle.PERIODIC)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from f2q import oracle, statevec
 from f2q.circuits import Gate
-from f2q.lattice import LatticeSpec, Site
+from f2q.lattice import InputError, LatticeSpec, ScientificFailure, Site
 from f2q.pauli import (
     I,
     PauliString,
@@ -424,15 +424,51 @@ MASKS_2X2 = tuple(sorted({p.masks()[0] for _, p in tv_hamiltonian(LatticeSpec(2,
 
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(colliding_sums(8, MASKS_2X2))
-def test_restrict_sum_sharing_flip_masks_matches_dense_2x2(terms):
+def test_restrict_between_sharing_flip_masks_matches_dense_2x2(terms):
+    # random complex sums: restrict_sum takes Hamiltonians only, so this
+    # goes through the one complex map
     spec = LatticeSpec(2, 2)
     basis = cached_basis(spec, constraint_set(spec))
     H = PauliSum(8, terms)
     B = np.column_stack([to_dense(column_state(basis, j)) for j in range(basis.dim)])
     dense = B.conj().T @ pauli_sum_matrix(H) @ B
-    assert np.max(np.abs(restrict_sum(basis, H) - dense)) < 1e-11
+    mat = restrict_between(basis, basis, H)
+    assert np.max(np.abs(mat - dense)) < 1e-11
     cols = np.array([0, 2, 5, 6])
-    assert np.max(np.abs(restrict_sum(basis, H, cols) - dense[np.ix_(cols, cols)])) < 1e-11
+    assert np.max(np.abs(mat[np.ix_(cols, cols)] - dense[np.ix_(cols, cols)])) < 1e-11
+
+
+@pytest.mark.parametrize("shape,rho,n_f", [((2, 2), 1, 2), ((2, 4), -1, 2), ((3, 3), 1, 3)])
+def test_restrict_sum_is_real(shape, rho, n_f):
+    spec = LatticeSpec(*shape, rho)
+    sector = cached_sector(spec, constraint_set(spec), n_f)
+    H = tv_hamiltonian(spec, 1.3, 0.7, {Site(0, 0): -0.4, Site(1, 1): 0.9})
+    mat = restrict_sum(sector, H)
+    assert mat.dtype == np.float64 and mat.flags.c_contiguous
+    assert mat.shape == (sector.dim, sector.dim)
+    assert np.array_equal(mat, restrict_between(sector, sector, H).real)
+    cols = np.arange(0, sector.dim, 2)
+    sub = restrict_sum(sector, H, cols)
+    assert sub.dtype == np.float64 and np.array_equal(sub, mat[np.ix_(cols, cols)])
+
+
+def test_restrict_sum_rejects_an_imaginary_restriction():
+    spec = LatticeSpec(2, 2)
+    sector = cached_sector(spec, constraint_set(spec), 2)
+    z_phys = PauliString(8, {0: Z})  # commutes with every constraint: diagonal +-0.3j
+    with pytest.raises(ScientificFailure, match="imaginary part"):
+        restrict_sum(sector, PauliSum(8, [(0.3j, z_phys)]))
+    with pytest.raises(ScientificFailure, match="imaginary part"):
+        restrict_sum(sector, PauliSum(8, list(tv_hamiltonian(spec, 1.0, 1.0)) + [(0.3j, z_phys)]))
+
+
+def test_restrict_sum_rejects_an_empty_sector():
+    spec = LatticeSpec(3, 3, 1)  # rho = +1 fixes an odd occupation
+    sector = cached_sector(spec, constraint_set(spec), 2)
+    assert sector.dim == 0
+    with pytest.raises(InputError) as info:
+        restrict_sum(sector, tv_hamiltonian(spec, 1.0, 1.0))
+    assert str(info.value) == "no constrained basis vectors with the requested particle number"
 
 # ------------------------------------------------------------- sector solve
 

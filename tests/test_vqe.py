@@ -9,7 +9,7 @@ from f2q import circuits as C
 from f2q import oracle, vqe
 from f2q.circuits import apply_circuit, pair_creation
 from f2q.lattice import InputError, LatticeSpec, edge_sites, edges, site_index
-from f2q.pauli import constraint_set, tv_hamiltonian
+from f2q.pauli import constraint_set, pairing_string, tv_hamiltonian
 from f2q.statevec import StateVector, expval, ground_in_sector
 
 from dense_oracle import circuit_unitary, pauli_apply, pauli_matrix, sector_state, to_dense
@@ -38,7 +38,7 @@ def test_circuit_blocks_and_sector_forms_share_their_kinds():
 def test_pairing_string_equals_pair_creation_unitary():
     spec = lat(2, 2)
     for e in edges(spec):
-        want = pauli_matrix(vqe.pairing_string(spec, e))
+        want = pauli_matrix(pairing_string(spec, e))
         got = circuit_unitary(pair_creation(spec, e))
         assert np.allclose(got, want, atol=1e-12)
 
@@ -49,7 +49,7 @@ def test_pairing_string_action_on_basis_states(Lx, Ly):
     spec = lat(Lx, Ly)
     rng = np.random.default_rng(2)
     for e in edges(spec):
-        T = vqe.pairing_string(spec, e)
+        T = pairing_string(spec, e)
         circuit = pair_creation(spec, e)
         for y in rng.integers(0, 1 << spec.n_qubits, size=4):
             image = pauli_apply(T, to_dense(StateVector([int(y)], [1.0], spec.n_qubits)))
@@ -99,6 +99,14 @@ def test_hv_zero_params_reproduces_free_fermion_ground():
     _, state = ground_in_sector(tv_hamiltonian(spec, 1.0, 0.0), spec, constraint_set(spec), 2)
     want = expval(state, tv_hamiltonian(spec, 1.0, 2.0))
     assert abs(vqe.SectorModel(cfg_v).energy(np.zeros(cfg_v.n_params)) - want) < 1e-11
+
+
+def test_hv_initial_vector_is_complex():
+    # sector_ground's vector is real, and apply_ansatz writes complex
+    # amplitudes into copies of the start vector
+    model = vqe.SectorModel(config(lat(2, 4), "hv", layers=1, granularity="per_group"))
+    vec = model.initial_vector()
+    assert vec.dtype == np.complex128 and not np.any(vec.imag)
 
 
 def test_agate_sector_state_matches_full_state():
