@@ -649,10 +649,15 @@ def ansatz_hv(spec: LatticeSpec, layers: int, params: Sequence[float], granulari
     return layout_circuit(spec, hv_layout(spec, layers, granularity), params)
 
 
+def trotter_angles(t: float, V: float, dt: float) -> Tuple[float, float, float]:
+    """The one-layer per_group HV angles of a first-order Trotter step."""
+    return V * dt, t * dt / 2, t * dt / 2
+
+
 def trotter_step(spec: LatticeSpec, t: float, V: float, dt: float) -> Circuit:
-    """First-order Trotter step: the one-layer per_group HV circuit at the
-    angles (V dt, t dt / 2, t dt / 2)."""
-    return layout_circuit(spec, hv_layout(spec, 1, "per_group"), (V * dt, t * dt / 2, t * dt / 2))
+    """First-order Trotter step: the one-layer per_group HV circuit at
+    trotter_angles(t, V, dt)."""
+    return layout_circuit(spec, hv_layout(spec, 1, "per_group"), trotter_angles(t, V, dt))
 
 
 @dataclass(frozen=True)

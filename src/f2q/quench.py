@@ -1,5 +1,13 @@
 """Quench dynamics: a Trotterized circuit against two exact references.
 
+The Trotter and exact encoded trajectories both run in the n_f sector of
+the constrained subspace and read occupations through its columns' site
+masks; the fermionic one runs in ED's n_f sector. A Trotter step is the
+one-layer per_group HV circuit (circuits.trotter_step), so it runs as that
+layout's vqe.GateTable, swept once per step at circuits.trotter_angles. The
+fused full-register step stays in the library as the reference the tests
+compare it with.
+
 Library functions are called through their modules (`statevec.restrict_sum`,
 not a name imported from `statevec`), so a wrapper installed on a module
 attribute, as `perfbench/tracer.py` does, sees every call made here.
@@ -12,9 +20,9 @@ from typing import Dict
 import numpy as np
 
 from . import circuits as circ
-from . import oracle, pauli, statevec
+from . import oracle, pauli, statevec, vqe
 from .lattice import (InputError, LatticeSpec, ScientificFailure, Site, check_particle_number,
-                      occupation_bits, phys_index, require, sites)
+                      occupation_bits, require)
 
 MAX_QUENCH_STEPS = 10 ** 5  # Trotter steps per trajectory
 
@@ -26,7 +34,9 @@ def quench_trajectories(spec: LatticeSpec, t: float, V: float, n_f: int,
     Returns (times, occ_trotter, occ_encoded, occ_fermionic), each occupation
     array shaped (n_times, n_sites). The fermionic reference runs in
     oracle.PERIODIC. Raises ScientificFailure when its post-quench spectrum or
-    its occupations differ from the encoded ones by more than 1e-8.
+    its occupations differ from the encoded ones by more than 1e-8, or its
+    post-quench matrix differs from the encoded one, up to a signed
+    permutation, by more than 1e-12 (oracle.operator_deviation).
     """
     check_particle_number(spec, n_f)
     if not (dt > 0 and tmax > 0):  # written so NaN fails too
@@ -46,7 +56,8 @@ def quench_trajectories(spec: LatticeSpec, t: float, V: float, n_f: int,
                                 "references are ill-defined")
 
     # exact encoded evolution by spectral decomposition in the sector
-    evals, evecs = np.linalg.eigh(statevec.restrict_sum(basis, pauli.tv_hamiltonian(spec, t, V)))
+    h_post = statevec.restrict_sum(basis, pauli.tv_hamiltonian(spec, t, V))
+    evals, evecs = np.linalg.eigh(h_post)
     occ_table = occupation_bits(basis.occ_masks, spec.n_sites)
     coeff = evecs.T @ sec0
     occ_encoded = np.empty((times.size, spec.n_sites))
@@ -60,16 +71,19 @@ def quench_trajectories(spec: LatticeSpec, t: float, V: float, n_f: int,
     ferm = oracle.ed_propagate(spec, t, V, ferm0, sector, n_f, times)
     require("encoded and fermionic post-quench spectra differ by",
             float(np.max(np.abs(ferm.eigenvalues - evals))), 1e-8)
+    require("encoded and fermionic post-quench Hamiltonians differ (relative, up to signed "
+            "permutation) by", oracle.operator_deviation(h_post, basis.occ_masks, ferm.hamiltonian),
+            1e-12)
     occ_fermionic = ferm.occupations
     require("exact references disagree by", np.max(np.abs(occ_encoded - occ_fermionic)), 1e-8)
 
-    # Trotterized circuit evolution on the full register
-    step = circ.fuse(circ.trotter_step(spec, t, V, dt))
-    phys = [phys_index(spec, r) for r in sites(spec)]
-    state = basis.expand(sec0)
+    # Trotterized evolution: the step's gate table, swept on the sector's columns
+    step = vqe.GateTable(spec, basis, circ.hv_layout(spec, 1, "per_group"))
+    diag, off = (c[:, 0] for c in step.coefficients(np.array([circ.trotter_angles(t, V, dt)]))[:2])
+    psi = sec0.astype(np.complex128)
     occ_trotter = np.empty((times.size, spec.n_sites))
-    occ_trotter[0] = statevec.qubit_marginals(state, phys)
+    occ_trotter[0] = (np.abs(psi) ** 2) @ occ_table
     for k in range(1, times.size):
-        circ.apply_circuit(state, step)
-        occ_trotter[k] = statevec.qubit_marginals(state, phys)
+        step.sweep(psi, diag, off, range(len(step.runs)))
+        occ_trotter[k] = (np.abs(psi) ** 2) @ occ_table
     return times, occ_trotter, occ_encoded, occ_fermionic

@@ -195,15 +195,6 @@ def expval_string(state: StateVector, p: PauliString) -> complex:
     return _expectation(state, [(1, p)])
 
 
-def qubit_marginals(state: StateVector, qubits: Sequence[int]) -> np.ndarray:
-    """P(qubit = 1) for each listed qubit, all from one |psi|^2 pass."""
-    n = state.register_size
-    if any(not 0 <= q < n for q in qubits):
-        raise ValueError("qubit out of range")
-    bits = (state.labels[:, None] >> np.asarray(qubits, dtype=np.int64)) & 1
-    return (np.abs(state.amps) ** 2) @ bits
-
-
 # ---------------------------------------------------------------- subspace
 
 @dataclass

@@ -5,7 +5,8 @@ every number-conserving gate as an exact 2x2 update on the occupation-number
 basis of the constrained subspace; the "full" route (full_state) simulates
 the actual circuits on the complete register. run() cross-checks the routes
 at the first and best parameter points and fails if their energies differ by
-more than 1e-10, so they can never drift apart silently.
+more than 1e-10, so they can never drift apart silently. The sector route's
+GateTable also runs the quench's Trotter steps (f2q.quench).
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from . import oracle
 from .lattice import (Edge, InputError, LatticeSpec, check_particle_number, edge_sites, edges,
                       require, site_index)
 from .pauli import PauliSum, constraint_set, number_sum, pairing_string, tv_hamiltonian
-from .statevec import (StateVector, cached_sector, expval, expval_string, restrict_between,
-                       restrict_sum, sector_ground, zero_state)
+from .statevec import (StateVector, SubspaceBasis, cached_sector, expval, expval_string,
+                       restrict_between, restrict_sum, sector_ground, zero_state)
 
 
 # Adam moment decay rates and denominator guard
@@ -135,49 +136,43 @@ _GATE_FORMS = {
 }
 
 
-class SectorModel:
-    """Constrained-subspace state machine for number-conserving ansaetze."""
+def _edge_table(spec: LatticeSpec, basis: SubspaceBasis, e: Edge):
+    """Sector positions J (site s occupied, r empty), K and c with T|J> = c|K>
+    for the edge's pairing string T, and the positions with both sites
+    occupied."""
+    r, s = edge_sites(spec, e)
+    occ = basis.occ_masks
+    has_r = (occ >> site_index(spec, r)) & 1 == 1
+    has_s = (occ >> site_index(spec, s)) & 1 == 1
+    J = np.flatnonzero(has_s & ~has_r)
+    M = restrict_between(basis, basis, pairing_sum(spec, e))[:, J]
+    K = np.argmax(np.abs(M), axis=0)
+    c = M[K, np.arange(J.size)]
+    require("pairing coefficient modulus differs from 1 by",
+            float(np.max(np.abs(np.abs(c) - 1.0), initial=0.0)), 1e-12)
+    return J, K, c, np.flatnonzero(has_r & has_s)
 
-    def __init__(self, config: VqeConfig):
-        self.config = config
-        spec = config.spec
-        self.cs = constraint_set(spec)
-        self.basis = cached_sector(spec, self.cs, config.n_f)
-        self.h_sector = restrict_sum(self.basis, tv_hamiltonian(spec, config.t, config.V))
-        self._build_gate_table()
-        self._init_vec: Optional[np.ndarray] = None
 
-    # ---------------------------------------------------------- construction
+class GateTable:
+    """A layout's number-conserving gates as exact 2x2 updates on the columns
+    of one particle-number sector: one row per (plan entry, moved position),
+    in applied order, and the plan cut into runs of consecutive entries on
+    disjoint positions.
 
-    def _edge_table(self, e: Edge):
-        """Sector positions J (site s occupied, r empty), K and c with T|J> = c|K>
-        for the edge's pairing string T, and the positions with both sites
-        occupied."""
-        spec = self.config.spec
-        r, s = edge_sites(spec, e)
-        occ = self.basis.occ_masks
-        has_r = (occ >> site_index(spec, r)) & 1 == 1
-        has_s = (occ >> site_index(spec, s)) & 1 == 1
-        J = np.flatnonzero(has_s & ~has_r)
-        M = restrict_between(self.basis, self.basis, pairing_sum(spec, e))[:, J]
-        K = np.argmax(np.abs(M), axis=0)
-        c = M[K, np.arange(J.size)]
-        require("pairing coefficient modulus differs from 1 by",
-                float(np.max(np.abs(np.abs(c) - 1.0), initial=0.0)), 1e-12)
-        return J, K, c, np.flatnonzero(has_r & has_s)
+    A run's entries touch no position another of them touches, so a run
+    applies as one update, and the state before a run is, on each of its
+    entries' positions, the state before that entry. The VQE ansatz
+    (SectorModel) and the quench's Trotter step (the one-layer per_group HV
+    layout) both run on this table.
+    """
 
-    def _build_gate_table(self) -> None:
-        """One row per (plan entry, moved position), in applied order, and the
-        plan cut into runs of consecutive entries on disjoint positions.
-
-        A run's entries touch no position another of them touches, so a run
-        applies as one update, and the state before a run is, on each of its
-        entries' positions, the state before that entry."""
-        cfg = self.config
-        plan = cfg.family.layout()
-        tables = {e: self._edge_table(e) for e in dict.fromkeys(e for _, e, _ in plan)}
+    def __init__(self, spec: LatticeSpec, basis: SubspaceBasis,
+                 layout: Sequence[Tuple[str, Edge, Tuple[int, ...]]]):
+        self.basis = basis
+        self.n_params = 1 + max(max(slots) for _, _, slots in layout)
+        tables = {e: _edge_table(spec, basis, e) for e in dict.fromkeys(e for _, e, _ in layout)}
         parts, runs, touched, size = [], [], set(), 0
-        for kind, e, slots in plan:
+        for kind, e, slots in layout:
             J, K, c, both = tables[e]
             if kind == "interaction":
                 scale, u_j = _GATE_FORMS[kind]
@@ -185,7 +180,7 @@ class SectorModel:
                 a, b, sg = np.ones(both.size), np.full(both.size, u_j), np.zeros(both.size)
             else:
                 scale, eps, u_j, u_k, sig = _GATE_FORMS[kind]
-                scale *= cfg.spec.rho if kind == "hop_x" else 1
+                scale *= spec.rho if kind == "hop_x" else 1
                 rows, partners = np.concatenate([J, K]), np.concatenate([K, J])
                 mate = np.concatenate([np.arange(J.size) + J.size, np.arange(J.size)])
                 a = np.repeat([1.0, eps], J.size)
@@ -203,7 +198,45 @@ class SectorModel:
          self._a, self._b, self._sig) = (np.concatenate(col) for col in zip(*parts))
         ends = runs[1:] + [size]
         self._run_of = np.repeat(np.arange(len(runs)), np.subtract(ends, runs))
-        self._runs = [(self._rows[i:j], self._partners[i:j], slice(i, j)) for i, j in zip(runs, ends)]
+        self.runs = [(self._rows[i:j], self._partners[i:j], slice(i, j)) for i, j in zip(runs, ends)]
+
+    def coefficients(self, params: np.ndarray):
+        """diag and off of every gate-table row for params (B, n_params), each
+        (rows, B), and their derivatives in the slot-0 angle."""
+        if params.shape[1] != self.n_params:
+            raise ValueError(f"expected {self.n_params} parameters, got {params.shape[1]}")
+        p = params.T
+        th = self._scale[:, None] * p[self._slot0]
+        phase = np.exp(1j * self._sig[:, None] * p[self._slot1])
+        cos, sin = np.cos(th), np.sin(th)
+        a, b = self._a[:, None], self._b[:, None] * phase
+        return a * cos, b * sin, -self._scale[:, None] * a * sin, self._scale[:, None] * b * cos
+
+    def sweep(self, vec: np.ndarray, diag: np.ndarray, off: np.ndarray, order,
+              states: Optional[np.ndarray] = None) -> np.ndarray:
+        """vec (dim,) in place through the runs in `order`, each as
+        vec[R] <- diag vec[R] + off vec[P]; states[k], if given, receives vec
+        before run k."""
+        for k in order:
+            rows, partners, cut = self.runs[k]
+            if states is not None:
+                states[k] = vec
+            vec[rows] = diag[cut] * vec[rows] + off[cut] * vec[partners]
+        return vec
+
+
+class SectorModel(GateTable):
+    """Constrained-subspace state machine for number-conserving ansaetze: the
+    ansatz's GateTable, the sector Hamiltonian and the start vector."""
+
+    def __init__(self, config: VqeConfig):
+        self.config = config
+        spec = config.spec
+        self.cs = constraint_set(spec)
+        basis = cached_sector(spec, self.cs, config.n_f)
+        self.h_sector = restrict_sum(basis, tv_hamiltonian(spec, config.t, config.V))
+        super().__init__(spec, basis, config.family.layout())
+        self._init_vec: Optional[np.ndarray] = None
 
     # ---------------------------------------------------------- state prep
 
@@ -226,41 +259,17 @@ class SectorModel:
 
     # ---------------------------------------------------------- ansatz action
 
-    def _coefficients(self, params: np.ndarray):
-        """diag and off of every gate-table row for params (B, n_params), each
-        (rows, B), and their derivatives in the slot-0 angle."""
-        if params.shape[1] != self.config.n_params:
-            raise ValueError(f"expected {self.config.n_params} parameters, got {params.shape[1]}")
-        p = params.T
-        th = self._scale[:, None] * p[self._slot0]
-        phase = np.exp(1j * self._sig[:, None] * p[self._slot1])
-        cos, sin = np.cos(th), np.sin(th)
-        a, b = self._a[:, None], self._b[:, None] * phase
-        return a * cos, b * sin, -self._scale[:, None] * a * sin, self._scale[:, None] * b * cos
-
-    def _sweep(self, vec: np.ndarray, diag: np.ndarray, off: np.ndarray, order,
-               states: Optional[np.ndarray] = None) -> np.ndarray:
-        """vec (dim,) in place through the runs in `order`, each as
-        vec[R] <- diag vec[R] + off vec[P]; states[k], if given, receives vec
-        before run k."""
-        for k in order:
-            rows, partners, cut = self._runs[k]
-            if states is not None:
-                states[k] = vec
-            vec[rows] = diag[cut] * vec[rows] + off[cut] * vec[partners]
-        return vec
-
     def apply_ansatz(self, vecs: np.ndarray, params: np.ndarray,
                      states: Optional[np.ndarray] = None,
                      coeffs: Optional[Tuple[np.ndarray, np.ndarray]] = None) -> np.ndarray:
         """In-place application, one column at a time; vecs (dim, B), params
         (B, n_params). states (runs, dim, B), if given, receives the state
         before each run. coeffs, if given, is the (diag, off) pair of
-        _coefficients(params), computed by the caller."""
-        diag, off = self._coefficients(params)[:2] if coeffs is None else coeffs
+        coefficients(params), computed by the caller."""
+        diag, off = self.coefficients(params)[:2] if coeffs is None else coeffs
         for i in range(vecs.shape[1]):
-            self._sweep(vecs[:, i], diag[:, i], off[:, i], range(len(self._runs)),
-                        None if states is None else states[:, :, i])
+            self.sweep(vecs[:, i], diag[:, i], off[:, i], range(len(self.runs)),
+                       None if states is None else states[:, :, i])
         return vecs
 
     def energies(self, params_matrix: np.ndarray) -> np.ndarray:
@@ -279,15 +288,15 @@ class SectorModel:
         dE/dp = 2 Re <lam|dG/dp|psi> summed over every gate-table row that
         reads p."""
         p = np.asarray(params, dtype=float)[None, :]
-        coeffs = self._coefficients(p)
-        states = np.empty((len(self._runs), self.basis.dim, 1), dtype=np.complex128)
+        coeffs = self.coefficients(p)
+        states = np.empty((len(self.runs), self.basis.dim, 1), dtype=np.complex128)
         psi = self.apply_ansatz(self.initial_vector()[:, None], p, states, coeffs[:2])[:, 0]
         states = states[:, :, 0]
         lam = self.h_sector @ psi
         energy = float(np.vdot(psi, lam).real)
         diag, off, d_diag, d_off = (c[:, 0] for c in coeffs)
         lams = np.empty_like(states)
-        self._sweep(lam, diag.conj(), off[self._mate].conj(), reversed(range(len(self._runs))), lams)
+        self.sweep(lam, diag.conj(), off[self._mate].conj(), reversed(range(len(self.runs))), lams)
         bra = lams[self._run_of, self._rows].conj()
         x, y = states[self._run_of, self._rows], states[self._run_of, self._partners]
         by_angle = (bra * (d_diag * x + d_off * y)).real
@@ -301,12 +310,16 @@ class SectorModel:
 def _exact_reference(config: VqeConfig, model: SectorModel) -> Tuple[float, oracle.BCSector]:
     """(Ground energy, sector) from fermionic ED in oracle.PERIODIC, the
     boundary sector that the loop targets fix. Fails unless the whole ED
-    spectrum matches the encoded sector's to 1e-8."""
+    spectrum matches the encoded sector's to 1e-8 and the ED matrix matches
+    the encoded one up to a signed permutation to 1e-12 (relative)."""
     sector = oracle.PERIODIC
-    ref = oracle.ed_spectrum(config.spec, config.t, config.V, None, sector, config.n_f).eigenvalues
+    ref = oracle.ed_spectrum(config.spec, config.t, config.V, None, sector, config.n_f)
     require("encoded and fermionic spectra differ by",
-            float(np.max(np.abs(ref - np.linalg.eigvalsh(model.h_sector)))), 1e-8)
-    return float(ref[0]), sector
+            float(np.max(np.abs(ref.eigenvalues - np.linalg.eigvalsh(model.h_sector)))), 1e-8)
+    require("encoded and fermionic Hamiltonians differ (relative, up to signed permutation) by",
+            oracle.operator_deviation(model.h_sector, model.basis.occ_masks, ref.hamiltonian),
+            1e-12)
+    return float(ref.eigenvalues[0]), sector
 
 
 def initial_state_full(model: SectorModel) -> StateVector:

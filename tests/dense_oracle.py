@@ -18,8 +18,12 @@ hopping matrix whose filled levels give the free-fermion ground energy, a
 check of the fermionic ED that shares none of its many-body code. column_state, project
 and sector_state read a SubspaceBasis (or a SectorModel's vector) back onto
 the register; from_dense and to_dense convert a StateVector to and from its
-2^n vector. commutes reads commutation off the x|z masks, and
-plaquette_string is the aux-only plaquette word of a Gauss string.
+2^n vector. qubit_marginals reads P(qubit = 1) off a register state, and
+full_trotter_run is the quench's Trotter evolution on the full register:
+the fused circuits.trotter_step applied to the expanded pre-quench state,
+the reference for the quench's sector gate table. commutes reads
+commutation off the x|z masks, and plaquette_string is the aux-only
+plaquette word of a Gauss string.
 """
 
 import cmath
@@ -27,11 +31,11 @@ import math
 
 import numpy as np
 
-from f2q.circuits import Circuit, Gate, gate_unitary
+from f2q.circuits import Circuit, Gate, apply_circuit, fuse, gate_unitary, trotter_step
 from f2q.lattice import (aux_index, edge_sites, edge_wraps, edges, phys_index, plaquette_sites,
-                         site_index)
-from f2q.pauli import X, Y, PauliString
-from f2q.statevec import StateVector
+                         site_index, sites)
+from f2q.pauli import X, Y, PauliString, constraint_set, tv_hamiltonian
+from f2q.statevec import StateVector, cached_sector, sector_ground
 
 I2 = np.eye(2, dtype=np.complex128)
 SX = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -314,3 +318,27 @@ def sector_state(model, params):
     vec = model.initial_vector()[:, None]
     model.apply_ansatz(vec, np.asarray(params, dtype=float)[None, :])
     return model.basis.expand(vec[:, 0])
+
+
+def qubit_marginals(state, qubits):
+    """P(qubit = 1) for each listed qubit, all from one |psi|^2 pass."""
+    n = state.register_size
+    if any(not 0 <= q < n for q in qubits):
+        raise ValueError("qubit out of range")
+    bits = (state.labels[:, None] >> np.asarray(qubits, dtype=np.int64)) & 1
+    return (np.abs(state.amps) ** 2) @ bits
+
+
+def full_trotter_run(spec, t, V, n_f, pre_potentials, dt, n_steps):
+    """(basis, states, occupations): the n_f sector, the register states
+    after 0, 1, ..., n_steps fused Trotter steps from the expanded pre-quench
+    ground vector (the one quench_trajectories starts from), and each
+    state's site occupations."""
+    basis = cached_sector(spec, constraint_set(spec), n_f)
+    sec0 = sector_ground(basis, tv_hamiltonian(spec, t, 0.0, pre_potentials))[1]
+    step = fuse(trotter_step(spec, t, V, dt))
+    phys = [phys_index(spec, r) for r in sites(spec)]
+    states = [basis.expand(sec0)]
+    for _ in range(n_steps):
+        states.append(apply_circuit(states[-1].copy(), step))
+    return basis, states, np.array([qubit_marginals(s, phys) for s in states])

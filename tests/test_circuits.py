@@ -10,8 +10,8 @@ from scipy.linalg import expm
 
 from dense_oracle import (circuit_unitary, embed_gate, from_dense, local_pauli, parse_text,
                           pauli_apply, pauli_matrix, pauli_projection, pauli_sum_matrix,
-                          restrict_circuit, schedule_reference, to_dense, vx_gate, vx_unitary,
-                          vy_gate, vy_unitary)
+                          qubit_marginals, restrict_circuit, schedule_reference, to_dense, vx_gate,
+                          vx_unitary, vy_gate, vy_unitary)
 from f2q import circuits as C
 from f2q import pauli as P
 from f2q.lattice import (
@@ -26,7 +26,7 @@ from f2q.lattice import (
     sites,
 )
 from f2q.statevec import (MAX_GATE_QUBITS, StateVector, constrained_basis, expval, expval_string,
-                          qubit_marginals, zero_state)
+                          zero_state)
 
 RNG = np.random.default_rng(20260813)
 

@@ -244,3 +244,26 @@ def test_sector_hamiltonian_is_the_periodic_ed_matrix_up_to_signs(shape, rho, n_
     assert deviation(oracle.PERIODIC) <= 1e-12
     if n_f < spec.n_sites:  # a filled lattice has no hopping to tell the sectors apart
         assert all(deviation(bc) > 1.0 for bc in ALL_SECTORS if bc != oracle.PERIODIC)
+
+
+@pytest.mark.parametrize("shape,rho,n_f", IDENTITY_CASES)
+def test_operator_deviation_allows_signs_and_rejects_a_reordered_basis(shape, rho, n_f,
+                                                                        monkeypatch):
+    # the run-time check: the identity above, with pi read off occ_masks and
+    # the signs found by the library's own walk; a reordering keeps the
+    # spectrum but not the operator
+    monkeypatch.setattr(oracle, "MAX_SITES", 16)
+    spec = LatticeSpec(*shape, rho)
+    sector = cached_sector(spec, constraint_set(spec), n_f)
+    pots = {Site(0, 0): -0.7, Site(1, 1): 0.4}
+    H = restrict_sum(sector, tv_hamiltonian(spec, 1.3, 1.7, pots))
+    ed = ed_hamiltonian(spec, 1.3, 1.7, pots, oracle.PERIODIC, n_f)
+    rng = np.random.default_rng(11)
+    s = rng.choice([-1.0, 1.0], size=sector.dim)
+    assert oracle.operator_deviation(H, sector.occ_masks, ed) <= 1e-12
+    assert oracle.operator_deviation(s[:, None] * H * s, sector.occ_masks, ed) <= 1e-12
+    if sector.dim > 1:
+        q = rng.permutation(sector.dim)
+        reordered = H[np.ix_(q, q)]
+        assert np.max(np.abs(np.linalg.eigvalsh(reordered) - np.linalg.eigvalsh(H))) <= 1e-12
+        assert oracle.operator_deviation(reordered, sector.occ_masks, ed) > 0.1

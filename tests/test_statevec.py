@@ -26,7 +26,6 @@ from f2q.statevec import (
     expval,
     expval_string,
     ground_in_sector,
-    qubit_marginals,
     restrict_between,
     restrict_sum,
     zero_state,
@@ -41,6 +40,7 @@ from dense_oracle import (
     pauli_matrix,
     pauli_sum_matrix,
     project,
+    qubit_marginals,
     symplectic_dimension,
     to_dense,
 )

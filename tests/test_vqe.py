@@ -183,13 +183,13 @@ def test_gradient_builds_one_coefficient_table(monkeypatch):
     p = np.random.default_rng(4).uniform(-0.5, 0.5, model.config.n_params)
     want = model.gradient(p)
     calls = []
-    table = vqe.SectorModel._coefficients
+    table = vqe.SectorModel.coefficients
 
     def counted(self, params):
         calls.append(params.shape)
         return table(self, params)
 
-    monkeypatch.setattr(vqe.SectorModel, "_coefficients", counted)
+    monkeypatch.setattr(vqe.SectorModel, "coefficients", counted)
     energy, grad = model.gradient(p)
     assert calls == [(1, model.config.n_params)]
     assert energy == want[0] and np.array_equal(grad, want[1])
@@ -204,7 +204,7 @@ def test_energy_rejects_wrong_param_count():
 @pytest.mark.parametrize("ansatz,granularity", [("agate", "per_edge"), ("hv", "per_group")])
 @pytest.mark.parametrize("extra", [-1, 1])
 def test_sector_model_rejects_wrong_param_count(ansatz, granularity, extra):
-    # energies and gradient share _coefficients, which checks the count
+    # energies and gradient share coefficients, which checks the count
     cfg = config(lat(2, 2), ansatz, layers=1, granularity=granularity)
     model = vqe.SectorModel(cfg)
     p = np.zeros(cfg.n_params + extra)
