@@ -33,8 +33,6 @@ PERIODIC = BCSector(+1, +1)  # hopping sign +1 across both boundaries
 @dataclass
 class EDResult:
     eigenvalues: np.ndarray
-    hamiltonian: np.ndarray  # the sector matrix the eigenvalues come from
-    occupations: Optional[np.ndarray] = None  # shape (len(times), N) from ed_propagate
 
 
 def sector_basis(n_sites: int, n_f: int) -> np.ndarray:
@@ -124,35 +122,43 @@ def ed_spectrum(
     n_f: int,
 ) -> EDResult:
     H = ed_hamiltonian(spec, t, V, potentials, sector, n_f)
-    return EDResult(eigenvalues=np.linalg.eigvalsh(H), hamiltonian=H)  # ascending
+    return EDResult(eigenvalues=np.linalg.eigvalsh(H))  # ascending
 
 
-def ed_propagate(
-    spec: LatticeSpec,
-    t: float,
-    V: float,
-    initial: np.ndarray,
-    sector: BCSector,
-    n_f: int,
-    times: Sequence[float],
-) -> EDResult:
-    N = spec.n_sites
-    basis = sector_basis(N, n_f)
-    if initial.shape != (basis.size,):
+def exact_reference(spec: LatticeSpec, t: float, V: float, n_f: int, h_enc: np.ndarray,
+                    enc_evals: np.ndarray, occ_masks: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenpairs of the ED matrix in PERIODIC, the boundary sector
+    the loop targets fix, read when this runs: one build, one solve. Fails
+    unless its spectrum matches the encoded sector's, enc_evals, to 1e-8 and
+    it matches h_enc, whose columns have the site masks occ_masks, up to a
+    signed permutation to 1e-12 (relative, operator_deviation)."""
+    H = ed_hamiltonian(spec, t, V, None, PERIODIC, n_f)
+    evals, evecs = np.linalg.eigh(H)
+    require("encoded and fermionic spectra differ by",
+            float(np.max(np.abs(evals - enc_evals))), 1e-8)
+    require("encoded and fermionic Hamiltonians differ (relative, up to signed permutation) by",
+            operator_deviation(h_enc, occ_masks, H), 1e-12)
+    return evals, evecs
+
+
+def ed_propagate(evals: np.ndarray, evecs: np.ndarray, initial: np.ndarray, occ_masks: np.ndarray,
+                 n_sites: int, times: Sequence[float]) -> np.ndarray:
+    """Site occupations, shape (len(times), n_sites), of exp(-iH tau) initial
+    for the real H = evecs diag(evals) evecs^T on states with site masks
+    occ_masks. Builds and solves nothing."""
+    if initial.shape != (evals.size,):
         raise ValueError("initial vector does not match the sector dimension")
     if abs(np.linalg.norm(initial) - 1.0) > 1e-10:
         raise ValueError("initial vector is not normalized")
-    H = ed_hamiltonian(spec, t, V, None, sector, n_f)
-    evals, evecs = np.linalg.eigh(H)
-    coeff = evecs.conj().T @ initial.astype(np.complex128)
-    occ_table = occupation_bits(basis, N)
+    coeff = evecs.T @ initial
+    occ_table = occupation_bits(occ_masks, n_sites)
     times_arr = np.asarray(list(times), dtype=float)
-    occs = np.zeros((times_arr.size, N))
+    occs = np.zeros((times_arr.size, n_sites))
     for k, tau in enumerate(times_arr):
         psi = evecs @ (np.exp(-1j * evals * tau) * coeff)
         require("propagation norm drift", abs(np.linalg.norm(psi) - 1.0), 1e-10)
         occs[k] = (np.abs(psi) ** 2) @ occ_table
-    return EDResult(eigenvalues=evals, hamiltonian=H, occupations=occs)
+    return occs
 
 
 def operator_deviation(H: np.ndarray, occ_masks: np.ndarray, ed: np.ndarray) -> float:

@@ -32,11 +32,10 @@ def quench_trajectories(spec: LatticeSpec, t: float, V: float, n_f: int,
     """Trotter circuit vs exact encoded vs exact fermionic occupations.
 
     Returns (times, occ_trotter, occ_encoded, occ_fermionic), each occupation
-    array shaped (n_times, n_sites). The fermionic reference runs in
-    oracle.PERIODIC. Raises ScientificFailure when its post-quench spectrum or
-    its occupations differ from the encoded ones by more than 1e-8, or its
-    post-quench matrix differs from the encoded one, up to a signed
-    permutation, by more than 1e-12 (oracle.operator_deviation).
+    array shaped (n_times, n_sites). The fermionic reference is
+    oracle.exact_reference's, which checks it against the encoded post-quench
+    sector; raises ScientificFailure also when the two exact trajectories
+    differ by more than 1e-8.
     """
     check_particle_number(spec, n_f)
     if not (dt > 0 and tmax > 0):  # written so NaN fails too
@@ -55,29 +54,22 @@ def quench_trajectories(spec: LatticeSpec, t: float, V: float, n_f: int,
         raise ScientificFailure("pre-quench ground state is degenerate; "
                                 "references are ill-defined")
 
-    # exact encoded evolution by spectral decomposition in the sector
+    # exact encoded and fermionic evolution, each by its own spectral decomposition
     h_post = statevec.restrict_sum(basis, pauli.tv_hamiltonian(spec, t, V))
     evals, evecs = np.linalg.eigh(h_post)
-    occ_table = occupation_bits(basis.occ_masks, spec.n_sites)
-    coeff = evecs.T @ sec0
-    occ_encoded = np.empty((times.size, spec.n_sites))
-    for k, tau in enumerate(times):
-        psi = evecs @ (np.exp(-1j * evals * tau) * coeff)
-        occ_encoded[k] = (np.abs(psi) ** 2) @ occ_table
-
-    # independent fermionic reference in the boundary sector the loop targets fix
-    sector = oracle.PERIODIC
-    _, ferm0 = oracle.ed_ground(spec, t, 0.0, pre_potentials, sector, n_f)
-    ferm = oracle.ed_propagate(spec, t, V, ferm0, sector, n_f, times)
-    require("encoded and fermionic post-quench spectra differ by",
-            float(np.max(np.abs(ferm.eigenvalues - evals))), 1e-8)
-    require("encoded and fermionic post-quench Hamiltonians differ (relative, up to signed "
-            "permutation) by", oracle.operator_deviation(h_post, basis.occ_masks, ferm.hamiltonian),
-            1e-12)
-    occ_fermionic = ferm.occupations
+    ferm_evals, ferm_evecs = oracle.exact_reference(spec, t, V, n_f, h_post, evals,
+                                                    basis.occ_masks)
+    occ_encoded = oracle.ed_propagate(evals, evecs, sec0, basis.occ_masks, spec.n_sites, times)
+    _, ferm0 = oracle.ed_ground(spec, t, 0.0, pre_potentials, oracle.PERIODIC, n_f)
+    # ed_propagate multiplies initial as given; the fermionic column starts
+    # from a complex128 vector, which fixes its last digits
+    occ_fermionic = oracle.ed_propagate(ferm_evals, ferm_evecs, ferm0.astype(np.complex128),
+                                        oracle.sector_basis(spec.n_sites, n_f), spec.n_sites,
+                                        times)
     require("exact references disagree by", np.max(np.abs(occ_encoded - occ_fermionic)), 1e-8)
 
     # Trotterized evolution: the step's gate table, swept on the sector's columns
+    occ_table = occupation_bits(basis.occ_masks, spec.n_sites)
     step = vqe.GateTable(spec, basis, circ.hv_layout(spec, 1, "per_group"))
     diag, off = (c[:, 0] for c in step.coefficients(np.array([circ.trotter_angles(t, V, dt)]))[:2])
     psi = sec0.astype(np.complex128)

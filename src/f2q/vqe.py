@@ -307,21 +307,6 @@ class SectorModel(GateTable):
 
 # ------------------------------------------------------------- public routes
 
-def _exact_reference(config: VqeConfig, model: SectorModel) -> Tuple[float, oracle.BCSector]:
-    """(Ground energy, sector) from fermionic ED in oracle.PERIODIC, the
-    boundary sector that the loop targets fix. Fails unless the whole ED
-    spectrum matches the encoded sector's to 1e-8 and the ED matrix matches
-    the encoded one up to a signed permutation to 1e-12 (relative)."""
-    sector = oracle.PERIODIC
-    ref = oracle.ed_spectrum(config.spec, config.t, config.V, None, sector, config.n_f)
-    require("encoded and fermionic spectra differ by",
-            float(np.max(np.abs(ref.eigenvalues - np.linalg.eigvalsh(model.h_sector)))), 1e-8)
-    require("encoded and fermionic Hamiltonians differ (relative, up to signed permutation) by",
-            oracle.operator_deviation(model.h_sector, model.basis.occ_masks, ref.hamiltonian),
-            1e-12)
-    return float(ref.eigenvalues[0]), sector
-
-
 def initial_state_full(model: SectorModel) -> StateVector:
     """The ansatz's start on the full register: the A-gate preparation circuit,
     or the HV start vector of the sector route, expanded."""
@@ -392,7 +377,9 @@ def _adam_descent(model: SectorModel, opt: OptimizerConfig, seed: int):
 def run(config: VqeConfig, opt: Optional[OptimizerConfig] = None) -> RunTrace:
     opt = opt or OptimizerConfig()
     model = SectorModel(config)
-    exact_energy, sector = _exact_reference(config, model)
+    evals, _ = oracle.exact_reference(config.spec, config.t, config.V, config.n_f, model.h_sector,
+                                      np.linalg.eigvalsh(model.h_sector), model.basis.occ_masks)
+    exact_energy, sector = float(evals[0]), oracle.PERIODIC
 
     best = None
     for k in range(opt.restarts):

@@ -525,12 +525,12 @@ def test_check_constraints_off_target_exits_one(capsys, monkeypatch):
 
 
 def test_quench_reference_disagreement_exits_one_writing_nothing(tmp_path, capsys, monkeypatch):
-    real = oracle.ed_propagate
+    real, calls = oracle.ed_propagate, []
 
     def perturbed(*args, **kwargs):
-        result = real(*args, **kwargs)
-        result.occupations = result.occupations + 1e-6
-        return result
+        # the second call is the fermionic trajectory
+        calls.append(None)
+        return real(*args, **kwargs) + 1e-6 * (len(calls) == 2)
 
     monkeypatch.setattr(oracle, "ed_propagate", perturbed)
     target = tmp_path / "q.csv"

@@ -66,6 +66,14 @@ def test_unitarity_is_checked_only_when_a_gate_is_built():
     assert sites(checks_unitary) == [("circuits.py", "__post_init__")]
 
 
+def test_operator_identity_is_checked_only_by_the_exact_reference():
+    # quench and vqe share one checked fermionic reference
+    def checks_operator(node):
+        return isinstance(node, ast.Call) and _name(node.func) == "operator_deviation"
+
+    assert sites(checks_operator) == [("oracle.py", "exact_reference")]
+
+
 def test_cli_leaves_ansatz_dispatch_and_ed_to_the_library():
     # the ansatz check and dispatch live in circuits.Ansatz, the preparation
     # circuit in circuits.preparation_circuit and the BC-sector deviation in

@@ -3,7 +3,7 @@ import pytest
 
 from dense_oracle import single_particle_matrix
 from f2q import oracle
-from f2q.lattice import LatticeSpec, Site, edge_sites, edges, site_index
+from f2q.lattice import LatticeSpec, ScientificFailure, Site, edge_sites, edges, site_index
 from f2q.oracle import (
     ALL_SECTORS,
     BCSector,
@@ -11,6 +11,7 @@ from f2q.oracle import (
     ed_hamiltonian,
     ed_propagate,
     ed_spectrum,
+    exact_reference,
     match_bc_sector,
     sector_basis,
 )
@@ -104,7 +105,7 @@ def test_size_guards(monkeypatch):
     with pytest.raises(ValueError):
         ed_ground(spec, 1.0, 0.0, None, PP, 2)
     with pytest.raises(ValueError):
-        ed_propagate(spec, 1.0, 0.0, np.ones(6) / np.sqrt(6), PP, 2, [0.0])
+        exact_reference(spec, 1.0, 0.0, 2, np.zeros((6, 6)), np.zeros(6), sector_basis(4, 2))
     with pytest.raises(ValueError):
         ed_spectrum(spec, 1.0, 0.0, None, PP, 2)
     assert ed_ground(spec, 1.0, 0.0, None, PP, 1)[1].shape == (4,)
@@ -113,15 +114,16 @@ def test_size_guards(monkeypatch):
 def test_propagate_time_zero_returns_initial_occupations():
     spec = LatticeSpec(2, 4)
     _, v = ed_ground(spec, 1.0, 0.0, {Site(0, 0): -1.0, Site(0, 1): -1.0}, PP, 2)
-    res = ed_propagate(spec, 1.0, 3.0, v, PP, 2, times=[0.0, 0.5, 1.0])
     basis = sector_basis(spec.n_sites, 2)
+    evals, evecs = np.linalg.eigh(ed_hamiltonian(spec, 1.0, 3.0, None, PP, 2))
+    occupations = ed_propagate(evals, evecs, v, basis, spec.n_sites, times=[0.0, 0.5, 1.0])
     occ0 = np.array(
         [sum(abs(v[k]) ** 2 for k, m in enumerate(basis) if (int(m) >> i) & 1)
          for i in range(spec.n_sites)]
     )
-    assert np.max(np.abs(res.occupations[0] - occ0)) < 1e-12
+    assert np.max(np.abs(occupations[0] - occ0)) < 1e-12
     # particle number conserved along the trajectory
-    assert np.max(np.abs(res.occupations.sum(axis=1) - 2.0)) < 1e-10
+    assert np.max(np.abs(occupations.sum(axis=1) - 2.0)) < 1e-10
 
 
 def test_propagate_conserves_energy():
@@ -138,10 +140,12 @@ def test_propagate_conserves_energy():
 
 def test_propagate_input_validation():
     spec = LatticeSpec(2, 2)
+    basis = sector_basis(spec.n_sites, 2)
+    evals, evecs = np.linalg.eigh(ed_hamiltonian(spec, 1.0, 0.0, None, PP, 2))
     with pytest.raises(ValueError):
-        ed_propagate(spec, 1.0, 0.0, np.ones(6), PP, 2, [0.0])
+        ed_propagate(evals, evecs, np.ones(6), basis, spec.n_sites, [0.0])
     with pytest.raises(ValueError):
-        ed_propagate(spec, 1.0, 0.0, np.ones(5) / np.sqrt(5), PP, 2, [0.0])
+        ed_propagate(evals, evecs, np.ones(5) / np.sqrt(5), basis, spec.n_sites, [0.0])
 
 
 def encoded_sector_spectra(spec, t, V, n_fs):
@@ -267,3 +271,23 @@ def test_operator_deviation_allows_signs_and_rejects_a_reordered_basis(shape, rh
         reordered = H[np.ix_(q, q)]
         assert np.max(np.abs(np.linalg.eigvalsh(reordered) - np.linalg.eigvalsh(H))) <= 1e-12
         assert oracle.operator_deviation(reordered, sector.occ_masks, ed) > 0.1
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 4), (3, 3)])
+def test_exact_reference_rejects_a_hop_sign_mutant(shape, monkeypatch):
+    # the reference passes on the encoded sector; with every fermionic hop
+    # sign fixed at +1 it fails, and both of its checks miss by far
+    spec = LatticeSpec(*shape)
+    sector = cached_sector(spec, constraint_set(spec), 2)
+    H = restrict_sum(sector, tv_hamiltonian(spec, 1.0, 2.0))
+    evals = np.linalg.eigvalsh(H)
+    ref_evals, ref_evecs = exact_reference(spec, 1.0, 2.0, 2, H, evals, sector.occ_masks)
+    assert ref_evecs.shape == (sector.dim, sector.dim)
+    assert np.max(np.abs(ref_evals - evals)) <= 1e-8
+
+    monkeypatch.setattr(oracle, "_hop_sign", lambda mask, i, j: +1)
+    with pytest.raises(ScientificFailure, match="spectra differ"):
+        exact_reference(spec, 1.0, 2.0, 2, H, evals, sector.occ_masks)
+    ed = ed_hamiltonian(spec, 1.0, 2.0, None, oracle.PERIODIC, 2)
+    assert np.max(np.abs(np.linalg.eigvalsh(ed) - evals)) > 1.0  # bound 1e-8
+    assert oracle.operator_deviation(H, sector.occ_masks, ed) > 0.5  # bound 1e-12
