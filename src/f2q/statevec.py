@@ -338,28 +338,32 @@ def restrict_sum(basis: SubspaceBasis, H: PauliSum, cols: Optional[np.ndarray] =
 
     A column's amplitudes share one modulus, so each entry is a real
     coefficient times an exact unit ratio: the imaginary part must be 0.0,
-    and anything else is a broken phase convention, never dropped. A complex
-    operator restricts through restrict_between.
+    and anything else is a broken phase convention, never dropped. The one
+    dense restriction; a complex operator keeps restrict_between's entries.
     """
     if basis.dim == 0:
         raise InputError("no constrained basis vectors with the requested particle number")
-    mat = restrict_between(basis, basis, H)
+    i, j, c = restrict_between(basis, basis, H)
+    mat = np.zeros((basis.dim, basis.dim), dtype=np.complex128)
+    np.add.at(mat, (i, j), c)
     require("imaginary part of a restricted Hamiltonian", float(np.max(np.abs(mat.imag))), 0.0)
     mat = mat.real if cols is None else mat.real[np.ix_(cols, cols)]
     return np.ascontiguousarray(mat)
 
 
-def restrict_between(dest: SubspaceBasis, src: SubspaceBasis, H: PauliSum) -> np.ndarray:
-    """<dest_i|H|src_j> for every column i of dest and j of src, two bases of
-    one constraint set (two particle-number sectors, say).
+def restrict_between(dest: SubspaceBasis, src: SubspaceBasis,
+                     terms: Iterable[Tuple[complex, PauliString]]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Entries (i, j, c) of <dest_i|terms|src_j>, one per term and source
+    column j that lands in dest, j ascending per term; dest and src are two
+    bases of one constraint set (two particle-number sectors, say).
 
     A term P that commutes with every constraint maps column j to a multiple
     c of the one column i that holds b ^ flip, b being j's smallest label, so
     one label per column gives c = sign * coeff * amp_j(b) / amp_i(b ^ flip).
     A term that anticommutes with a constraint maps the constrained space
-    onto its complement and restricts to zero.
+    onto its complement and gives no entry.
     """
-    flip, sign, coeff = pauli_table(H)
+    flip, sign, coeff = pauli_table(terms)
     anti = (np.bitwise_count(flip[:, None] & dest.stab_sign)
             + np.bitwise_count(sign[:, None] & dest.stab_flip)) & 1
     keep = ~anti.any(axis=1)
@@ -368,10 +372,8 @@ def restrict_between(dest: SubspaceBasis, src: SubspaceBasis, H: PauliSum) -> np
     pos, hit = _find(dest.labels, (reps ^ flip[:, None]).view(np.int64))
     k, j = np.nonzero(hit)  # (term, source column) pairs that land in dest
     rep_amps = src.amps[_find(src.labels, src.reps)[0]]
-    mat = np.zeros((dest.dim, src.dim), dtype=np.complex128)
-    np.add.at(mat, (dest.cols[pos[k, j]], j),
-              _signed(reps[j], sign[k], coeff[k]) * rep_amps[j] / dest.amps[pos[k, j]])
-    return mat
+    return (dest.cols[pos[k, j]], j,
+            _signed(reps[j], sign[k], coeff[k]) * rep_amps[j] / dest.amps[pos[k, j]])
 
 
 def sector_ground(sector: SubspaceBasis, H: PauliSum) -> Tuple[np.ndarray, np.ndarray]:

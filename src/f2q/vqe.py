@@ -21,7 +21,7 @@ from . import circuits as circ
 from . import oracle
 from .lattice import (Edge, InputError, LatticeSpec, check_particle_number, edge_sites, edges,
                       require, site_index)
-from .pauli import PauliSum, constraint_set, number_sum, pairing_string, tv_hamiltonian
+from .pauli import constraint_set, number_sum, pairing_string, tv_hamiltonian
 from .statevec import (StateVector, SubspaceBasis, cached_sector, expval, expval_string,
                        restrict_between, restrict_sum, sector_ground, zero_state)
 
@@ -111,10 +111,6 @@ class RunTrace:
     dual_route_deviation: float
 
 
-def pairing_sum(spec: LatticeSpec, e: Edge) -> PauliSum:
-    return PauliSum(spec.n_qubits, [(1, pairing_string(spec, e))])
-
-
 # Every plan entry acts on its sector positions R as
 #     psi[R] <- diag * psi[R] + off * psi[P],
 # P holding each position's partner. A rotation on edge (r, s) pairs the
@@ -144,10 +140,10 @@ def _edge_table(spec: LatticeSpec, basis: SubspaceBasis, e: Edge):
     occ = basis.occ_masks
     has_r = (occ >> site_index(spec, r)) & 1 == 1
     has_s = (occ >> site_index(spec, s)) & 1 == 1
-    J = np.flatnonzero(has_s & ~has_r)
-    M = restrict_between(basis, basis, pairing_sum(spec, e))[:, J]
-    K = np.argmax(np.abs(M), axis=0)
-    c = M[K, np.arange(J.size)]
+    K, J, c = restrict_between(basis, basis, [(1, pairing_string(spec, e))])
+    moved = has_s[J] & ~has_r[J]
+    J, K, c = J[moved], K[moved], c[moved] + 0  # + 0: signed zeros to +0, as the dense sum gave
+    require("sector columns with no pairing partner", np.count_nonzero(has_s & ~has_r) - J.size, 0)
     require("pairing coefficient modulus differs from 1 by",
             float(np.max(np.abs(np.abs(c) - 1.0), initial=0.0)), 1e-12)
     return J, K, c, np.flatnonzero(has_r & has_s)
@@ -171,7 +167,8 @@ class GateTable:
         self.basis = basis
         self.n_params = 1 + max(max(slots) for _, _, slots in layout)
         tables = {e: _edge_table(spec, basis, e) for e in dict.fromkeys(e for _, e, _ in layout)}
-        parts, runs, touched, size = [], [], set(), 0
+        parts, runs, size = [], [], 0
+        last = np.full(basis.dim, -1)  # the run that last moved each position
         for kind, e, slots in layout:
             J, K, c, both = tables[e]
             if kind == "interaction":
@@ -186,11 +183,9 @@ class GateTable:
                 a = np.repeat([1.0, eps], J.size)
                 b = np.concatenate([u_j * np.conj(c), u_k * c])
                 sg = np.repeat([sig, -sig], J.size)
-            moved = set(rows.tolist())
-            if not runs or touched & moved:
+            if not runs or np.any(last[rows] == len(runs) - 1):
                 runs.append(size)
-                touched = set()
-            touched |= moved
+            last[rows] = len(runs) - 1
             parts.append((rows, partners, mate + size, np.full(rows.size, slots[0]),
                           np.full(rows.size, slots[-1]), np.full(rows.size, scale), a, b, sg))
             size += rows.size
@@ -252,7 +247,10 @@ class SectorModel(GateTable):
             vec, src = np.ones(1, dtype=np.complex128), cached_sector(cfg.spec, self.cs, 0)
             for k, e in enumerate(cfg.pair_edges):
                 dest = cached_sector(cfg.spec, self.cs, 2 * k + 2)
-                vec, src = restrict_between(dest, src, pairing_sum(cfg.spec, e)) @ vec, dest
+                i, j, c = restrict_between(dest, src, [(1, pairing_string(cfg.spec, e))])
+                new = np.zeros(dest.dim, dtype=np.complex128)
+                np.add.at(new, i, c * vec[j])
+                vec, src = new, dest
             return vec
         vec = sector_ground(self.basis, tv_hamiltonian(cfg.spec, cfg.t, 0.0))[1]
         return vec.astype(np.complex128)  # apply_ansatz writes complex amplitudes into its copies

@@ -21,9 +21,12 @@ the register; from_dense and to_dense convert a StateVector to and from its
 2^n vector. qubit_marginals reads P(qubit = 1) off a register state, and
 full_trotter_run is the quench's Trotter evolution on the full register:
 the fused circuits.trotter_step applied to the expanded pre-quench state,
-the reference for the quench's sector gate table. commutes reads
-commutation off the x|z masks, and plaquette_string is the aux-only
-plaquette word of a Gauss string.
+the reference for the quench's sector gate table. dense_restriction
+scatters restrict_between's entries into the dense matrix, and
+dense_edge_table reads an edge's sector table off that matrix, one argmax
+per column, the reference for vqe._edge_table. commutes reads commutation
+off the x|z masks, and plaquette_string is the aux-only plaquette word of a
+Gauss string.
 """
 
 import cmath
@@ -34,8 +37,8 @@ import numpy as np
 from f2q.circuits import Circuit, Gate, apply_circuit, fuse, gate_unitary, trotter_step
 from f2q.lattice import (aux_index, edge_sites, edge_wraps, edges, phys_index, plaquette_sites,
                          site_index, sites)
-from f2q.pauli import X, Y, PauliString, constraint_set, tv_hamiltonian
-from f2q.statevec import StateVector, cached_sector, sector_ground
+from f2q.pauli import X, Y, PauliString, constraint_set, pairing_string, tv_hamiltonian
+from f2q.statevec import StateVector, cached_sector, restrict_between, sector_ground
 
 I2 = np.eye(2, dtype=np.complex128)
 SX = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -311,6 +314,29 @@ def project(basis, state):
     hit = basis.labels[pos] == state.labels
     np.add.at(coeffs, basis.cols[pos[hit]], np.conj(basis.amps[pos[hit]]) * state.amps[hit])
     return coeffs
+
+
+def dense_restriction(dest, src, terms):
+    """<dest_i|terms|src_j> as a dense (dest.dim, src.dim) matrix: the
+    entries of restrict_between, summed where they share a cell."""
+    i, j, c = restrict_between(dest, src, terms)
+    mat = np.zeros((dest.dim, src.dim), dtype=np.complex128)
+    np.add.at(mat, (i, j), c)
+    return mat
+
+
+def dense_edge_table(spec, basis, e):
+    """(J, K, c, both) of vqe._edge_table from the dense restriction of the
+    edge's pairing string T: the columns J with site s occupied and r empty,
+    each one's partner K at its column's largest entry, c = <K|T|J>, and the
+    columns with both sites occupied."""
+    r, s = edge_sites(spec, e)
+    has_r = (basis.occ_masks >> site_index(spec, r)) & 1 == 1
+    has_s = (basis.occ_masks >> site_index(spec, s)) & 1 == 1
+    J = np.flatnonzero(has_s & ~has_r)
+    M = dense_restriction(basis, basis, [(1, pairing_string(spec, e))])[:, J]
+    K = np.argmax(np.abs(M), axis=0)
+    return J, K, M[K, np.arange(J.size)], np.flatnonzero(has_r & has_s)
 
 
 def sector_state(model, params):

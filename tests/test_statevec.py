@@ -26,7 +26,6 @@ from f2q.statevec import (
     expval,
     expval_string,
     ground_in_sector,
-    restrict_between,
     restrict_sum,
     zero_state,
 )
@@ -34,6 +33,7 @@ from f2q.statevec import (
 from dense_oracle import (
     column_state,
     commutes,
+    dense_restriction,
     embed_gate,
     from_dense,
     pauli_apply,
@@ -369,7 +369,7 @@ def test_restrict_between_sectors_matches_dense_2x2():
         Bs = np.column_stack([to_dense(column_state(src, j)) for j in range(src.dim)])
         Bd = np.column_stack([to_dense(column_state(dest, j)) for j in range(dest.dim)])
         want = Bd.conj().T @ pauli_sum_matrix(T) @ Bs
-        assert np.max(np.abs(restrict_between(dest, src, T) - want)) < 1e-12
+        assert np.max(np.abs(dense_restriction(dest, src, T) - want)) < 1e-12
 
 
 def test_restrict_sum_matches_dense_2x2():
@@ -426,13 +426,13 @@ MASKS_2X2 = tuple(sorted({p.masks()[0] for _, p in tv_hamiltonian(LatticeSpec(2,
 @given(colliding_sums(8, MASKS_2X2))
 def test_restrict_between_sharing_flip_masks_matches_dense_2x2(terms):
     # random complex sums: restrict_sum takes Hamiltonians only, so this
-    # goes through the one complex map
+    # scatters restrict_between's entries
     spec = LatticeSpec(2, 2)
     basis = cached_basis(spec, constraint_set(spec))
     H = PauliSum(8, terms)
     B = np.column_stack([to_dense(column_state(basis, j)) for j in range(basis.dim)])
     dense = B.conj().T @ pauli_sum_matrix(H) @ B
-    mat = restrict_between(basis, basis, H)
+    mat = dense_restriction(basis, basis, H)
     assert np.max(np.abs(mat - dense)) < 1e-11
     cols = np.array([0, 2, 5, 6])
     assert np.max(np.abs(mat[np.ix_(cols, cols)] - dense[np.ix_(cols, cols)])) < 1e-11
@@ -446,7 +446,7 @@ def test_restrict_sum_is_real(shape, rho, n_f):
     mat = restrict_sum(sector, H)
     assert mat.dtype == np.float64 and mat.flags.c_contiguous
     assert mat.shape == (sector.dim, sector.dim)
-    assert np.array_equal(mat, restrict_between(sector, sector, H).real)
+    assert np.array_equal(mat, dense_restriction(sector, sector, H).real)
     cols = np.arange(0, sector.dim, 2)
     sub = restrict_sum(sector, H, cols)
     assert sub.dtype == np.float64 and np.array_equal(sub, mat[np.ix_(cols, cols)])

@@ -1,6 +1,7 @@
 """Variational solver: route agreement, gradients, optimizer behavior."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,11 +9,12 @@ import pytest
 from f2q import circuits as C
 from f2q import oracle, vqe
 from f2q.circuits import apply_circuit, pair_creation
-from f2q.lattice import InputError, LatticeSpec, edge_sites, edges, site_index
+from f2q.lattice import InputError, LatticeSpec, ScientificFailure, edge_sites, edges, site_index
 from f2q.pauli import constraint_set, pairing_string, tv_hamiltonian
-from f2q.statevec import StateVector, expval, ground_in_sector
+from f2q.statevec import StateVector, cached_sector, expval, ground_in_sector
 
-from dense_oracle import circuit_unitary, pauli_apply, pauli_matrix, sector_state, to_dense
+from dense_oracle import (circuit_unitary, dense_edge_table, pauli_apply, pauli_matrix,
+                          sector_state, to_dense)
 
 
 def lat(Lx, Ly):
@@ -59,6 +61,83 @@ def test_pairing_string_action_on_basis_states(Lx, Ly):
             apply_circuit(state, circuit)
             assert abs(to_dense(state)[z] - coeff) < 1e-12
             assert abs(np.linalg.norm(to_dense(state)) - 1.0) < 1e-12
+
+
+TABLE_LAYOUTS = {
+    "hv-1L-per_group": lambda spec: C.hv_layout(spec, 1, "per_group"),
+    "hv-2L-per_edge": lambda spec: C.hv_layout(spec, 2, "per_edge"),
+    "agate-2L": lambda spec: C.agate_layout(spec, 2),
+}
+TABLE_COLUMNS = ("_rows", "_partners", "_mate", "_slot0", "_slot1", "_scale", "_a", "_b", "_sig",
+                 "_run_of")
+
+
+@pytest.mark.parametrize("Lx,Ly,rho,n_f", [
+    (2, 2, 1, 2), (2, 4, 1, 2), (2, 4, -1, 2), (3, 3, -1, 2), (3, 3, 1, 3), (4, 2, 1, 4),
+    (4, 4, 1, 2),
+])
+@pytest.mark.parametrize("layout", TABLE_LAYOUTS)
+def test_gate_table_matches_dense_edge_tables(monkeypatch, Lx, Ly, rho, n_f, layout):
+    spec = LatticeSpec(Lx, Ly, rho)
+    basis = cached_sector(spec, constraint_set(spec), n_f)
+    plan = TABLE_LAYOUTS[layout](spec)
+    table = vqe.GateTable(spec, basis, plan)
+    monkeypatch.setattr(vqe, "_edge_table", dense_edge_table)
+    ref = vqe.GateTable(spec, basis, plan)
+    for name in TABLE_COLUMNS:
+        assert np.array_equal(getattr(table, name), getattr(ref, name)), name
+    assert len(table.runs) == len(ref.runs)
+    for (rows, partners, cut), (ref_rows, ref_partners, ref_cut) in zip(table.runs, ref.runs):
+        assert np.array_equal(rows, ref_rows) and np.array_equal(partners, ref_partners)
+        assert cut == ref_cut
+
+    # the run cut is greedy and disjoint: each run moves distinct positions,
+    # and each later run starts with an entry that touches the run before it
+    entry_rows, start = {}, 0  # table offset -> the rows of the first entry there that moves any
+    for kind, e, _ in plan:
+        J, _, _, both = dense_edge_table(spec, basis, e)
+        size = both.size if kind == "interaction" else 2 * J.size
+        if size:
+            entry_rows.setdefault(start, table._rows[start:start + size])
+        start += size
+    for k, (rows, _, cut) in enumerate(table.runs):
+        assert np.unique(rows).size == rows.size
+        if k:
+            assert np.intersect1d(entry_rows[cut.start], table.runs[k - 1][0]).size
+
+
+def test_gate_table_build_stays_below_one_dense_matrix():
+    # 4x4 at n_f = 4 (1820 columns): one dense complex restriction would take 16 dim^2 bytes
+    spec = lat(4, 4)
+    basis = cached_sector(spec, constraint_set(spec), 4)
+    layout = C.hv_layout(spec, 1, "per_group")
+    tracemalloc.start()
+    try:
+        vqe.GateTable(spec, basis, layout)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * basis.dim ** 2
+
+
+def test_edge_table_fails_when_an_entry_is_dropped(monkeypatch):
+    # dropping the entry of a column with s occupied and r empty leaves it
+    # with no partner; dropping any other entry leaves the table as it was
+    spec = lat(2, 4)
+    basis = cached_sector(spec, constraint_set(spec), 2)
+    e = edges(spec)[0]
+    want = vqe._edge_table(spec, basis, e)
+    r, s = (site_index(spec, x) for x in edge_sites(spec, e))
+    entries = vqe.restrict_between(basis, basis, [(1, pairing_string(spec, e))])
+    for m, j in enumerate(entries[1]):
+        monkeypatch.setattr(vqe, "restrict_between",
+                            lambda *_, m=m: tuple(np.delete(x, m) for x in entries))
+        if basis.occ_masks[j] >> s & 1 and not basis.occ_masks[j] >> r & 1:
+            with pytest.raises(ScientificFailure, match="no pairing partner"):
+                vqe._edge_table(spec, basis, e)
+        else:
+            got = vqe._edge_table(spec, basis, e)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 @pytest.mark.parametrize("Lx,Ly,n_f", [

@@ -12,11 +12,21 @@ every run (metrics, digest, failed and attempted operations), and per side
 the median and quartiles of each end-to-end metric, the digests per seed and
 the failed count, plus how many pairs the change won on each metric (the
 direction comes from BENCHMARK.json; ties count for neither side).
+
+Per metric, change_over_parent holds the change/parent ratio of every pair
+with both runs and a nonzero parent value (in pair order, "ratios"), their
+median, and a distribution-free interval for the median ratio with its
+coverage: the sign test's order statistics [x_(k), x_(n+1-k)] of the sorted
+ratios, which cover the median with probability 1 - 2 P(Bin(n, 1/2) < k)
+whatever the ratios' distribution. k is the largest whose coverage reaches
+95%; below 6 pairs none does, and the interval is the whole range (k = 1)
+with its lower coverage. An interval that excludes 1 resolves the change.
 """
 
 import argparse
 import io
 import json
+import math
 import os
 import platform
 import re
@@ -31,6 +41,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RUN_TIMEOUT_S = 600
+INTERVAL_LEVEL = 0.95
 
 
 def git(*args: str) -> bytes:
@@ -70,6 +81,16 @@ def spread(values: list) -> dict:
     return {"median": med, "q1": q1, "q3": q3, "n": len(values)}
 
 
+def median_interval(values: list) -> dict:
+    """The median of values and the sign-test interval for it (module docstring)."""
+    x, n = sorted(values), len(values)
+    coverage = [1 - 2 * sum(math.comb(n, i) for i in range(k)) / 2 ** n
+                for k in range(1, (n + 1) // 2 + 1)]
+    k = max([k for k, c in enumerate(coverage, 1) if c >= INTERVAL_LEVEL], default=1)
+    return {"ratios": values, "median": statistics.median(x), "interval": [x[k - 1], x[n - k]],
+            "coverage": coverage[k - 1]}
+
+
 def summarise(runs: list, better: dict) -> dict:
     sides = {}
     for side in ("parent", "change"):
@@ -93,6 +114,12 @@ def summarise(runs: list, better: dict) -> dict:
         wins[m] = sum(1 for p in by_pair.values() if p["parent"] and p["change"]
                       and sign * (p["change"][m] - p["parent"][m]) < 0)
     sides["change_wins"] = {m: f"{w}/{len(by_pair)}" for m, w in wins.items()}
+    sides["change_over_parent"] = {}
+    for m in better:
+        ratios = [p["change"][m] / p["parent"][m] for _, p in sorted(by_pair.items())
+                  if p["parent"] and p["change"] and p["parent"][m]]
+        if ratios:
+            sides["change_over_parent"][m] = median_interval(ratios)
     return sides
 
 
@@ -146,10 +173,13 @@ def main(argv=None) -> int:
     for workload, w in record["workloads"].items():
         for m in better:
             a, b = w["parent"]["metrics"].get(m), w["change"]["metrics"].get(m)
+            r = w["change_over_parent"].get(m)
             if a and b:
+                ratio = (f"  ratio {r['median']:.4g} [{r['interval'][0]:.4g}, "
+                         f"{r['interval'][1]:.4g}] at {r['coverage']:.1%}" if r else "")
                 print(f"{workload:15s} {m:12s} {a['median']:.6g} [{a['q1']:.6g}, {a['q3']:.6g}] -> "
                       f"{b['median']:.6g} [{b['q1']:.6g}, {b['q3']:.6g}]  "
-                      f"change wins {w['change_wins'][m]}")
+                      f"change wins {w['change_wins'][m]}{ratio}")
     print(f"wrote {out}")
     return 0
 
