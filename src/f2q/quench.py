@@ -71,11 +71,11 @@ def quench_trajectories(spec: LatticeSpec, t: float, V: float, n_f: int,
     # Trotterized evolution: the step's gate table, swept on the sector's columns
     occ_table = occupation_bits(basis.occ_masks, spec.n_sites)
     step = vqe.GateTable(spec, basis, circ.hv_layout(spec, 1, "per_group"))
-    diag, off = (c[:, 0] for c in step.coefficients(np.array([circ.trotter_angles(t, V, dt)]))[:2])
+    forward = step.coefficients(np.array([circ.trotter_angles(t, V, dt)]))[0, 0]
     psi = sec0.astype(np.complex128)
     occ_trotter = np.empty((times.size, spec.n_sites))
     occ_trotter[0] = (np.abs(psi) ** 2) @ occ_table
     for k in range(1, times.size):
-        step.sweep(psi, diag, off, range(len(step.runs)))
+        step.sweep(psi, forward)
         occ_trotter[k] = (np.abs(psi) ** 2) @ occ_table
     return times, occ_trotter, occ_encoded, occ_fermionic

@@ -6,7 +6,10 @@ basis of the constrained subspace; the "full" route (full_state) simulates
 the actual circuits on the complete register. run() cross-checks the routes
 at the first and best parameter points and fails if their energies differ by
 more than 1e-10, so they can never drift apart silently. The sector route's
-GateTable also runs the quench's Trotter steps (f2q.quench).
+GateTable is compiled once into a plan of one gather and one update per run
+of gates on disjoint positions; the adjoint gradient keeps only the
+amplitudes each run gathers, not whole states. The same table runs the
+quench's Trotter steps (f2q.quench).
 """
 
 from __future__ import annotations
@@ -111,7 +114,7 @@ class RunTrace:
     dual_route_deviation: float
 
 
-# Every plan entry acts on its sector positions R as
+# Every layout entry acts on its sector positions R as
 #     psi[R] <- diag * psi[R] + off * psi[P],
 # P holding each position's partner. A rotation on edge (r, s) pairs the
 # positions J (s occupied, r empty) with K, where the edge's pairing string T
@@ -151,15 +154,22 @@ def _edge_table(spec: LatticeSpec, basis: SubspaceBasis, e: Edge):
 
 class GateTable:
     """A layout's number-conserving gates as exact 2x2 updates on the columns
-    of one particle-number sector: one row per (plan entry, moved position),
-    in applied order, and the plan cut into runs of consecutive entries on
-    disjoint positions.
+    of one particle-number sector, compiled into one plan entry per run.
 
-    A run's entries touch no position another of them touches, so a run
+    The table has one row per (layout entry, moved position), in applied
+    order, and consecutive entries on disjoint positions form one run. A
+    run's entries touch no position another of them touches, so a run
     applies as one update, and the state before a run is, on each of its
-    entries' positions, the state before that entry. The VQE ansatz
-    (SectorModel) and the quench's Trotter step (the one-layer per_group HV
-    layout) both run on this table.
+    entries' positions, the state before that entry. Plan entry (idx, rows,
+    cut) holds the run's gather index idx = [rows; partners] and the slice of
+    a coefficient row laid out the same way, [diag; off] per run. A sweep
+    applies it as
+        xy = vec[idx];  t = c[cut] * xy;  vec[rows] = t[:n] + t[n:]
+    and xy is all of the state before the run that the adjoint gradient
+    reads. Rows that share every coefficient field (scale, slots, sig, a, b)
+    form one class, whose coefficients are computed once and gathered into
+    that layout. The VQE ansatz (SectorModel) and the quench's Trotter step
+    (the one-layer per_group HV layout) both run on this table.
     """
 
     def __init__(self, spec: LatticeSpec, basis: SubspaceBasis,
@@ -167,7 +177,7 @@ class GateTable:
         self.basis = basis
         self.n_params = 1 + max(max(slots) for _, _, slots in layout)
         tables = {e: _edge_table(spec, basis, e) for e in dict.fromkeys(e for _, e, _ in layout)}
-        parts, runs, size = [], [], 0
+        parts, entries, starts, size = [], [], [], 0
         last = np.full(basis.dim, -1)  # the run that last moved each position
         for kind, e, slots in layout:
             J, K, c, both = tables[e]
@@ -183,40 +193,78 @@ class GateTable:
                 a = np.repeat([1.0, eps], J.size)
                 b = np.concatenate([u_j * np.conj(c), u_k * c])
                 sg = np.repeat([sig, -sig], J.size)
-            if not runs or np.any(last[rows] == len(runs) - 1):
-                runs.append(size)
-            last[rows] = len(runs) - 1
-            parts.append((rows, partners, mate + size, np.full(rows.size, slots[0]),
-                          np.full(rows.size, slots[-1]), np.full(rows.size, scale), a, b, sg))
+            if not starts or np.any(last[rows] == len(starts) - 1):
+                starts.append(size)
+            last[rows] = len(starts) - 1
+            parts.append((rows, partners, mate + size, a, b, sg))
+            entries.append((rows.size, slots[0], slots[-1], scale))
             size += rows.size
-        (self._rows, self._partners, self._mate, self._slot0, self._slot1, self._scale,
-         self._a, self._b, self._sig) = (np.concatenate(col) for col in zip(*parts))
-        ends = runs[1:] + [size]
-        self._run_of = np.repeat(np.arange(len(runs)), np.subtract(ends, runs))
-        self.runs = [(self._rows[i:j], self._partners[i:j], slice(i, j)) for i, j in zip(runs, ends)]
+        (self._rows, self._partners, self._mate, self._a, self._b, self._sig) = (
+            np.concatenate(col) for col in zip(*parts))
+        del parts  # a second copy of the table; freed before the plan and classes are built
+        sizes, *per_entry = zip(*entries)
+        self._slot0, self._slot1, self._scale = (np.repeat(col, sizes) for col in per_entry)
+        ends = starts[1:] + [size]
+        self.plan = [(np.concatenate([self._rows[i:j], self._partners[i:j]]), self._rows[i:j],
+                      slice(2 * i, 2 * j)) for i, j in zip(starts, ends)]
+        # the plan positions of each row's diag (x) and off (y) coefficient
+        lengths = np.subtract(ends, starts)
+        self._x = np.arange(size) + np.repeat(starts, lengths)
+        self._y = self._x + np.repeat(lengths, lengths)
 
-    def coefficients(self, params: np.ndarray):
-        """diag and off of every gate-table row for params (B, n_params), each
-        (rows, B), and their derivatives in the slot-0 angle."""
+        # classes: rows whose fields agree bit for bit, found by one lexsort
+        fields = [self._slot0, self._slot1] + [f.view(np.int64) for f in (
+            self._scale, self._sig, self._a, self._b.real, self._b.imag)]
+        order = np.lexsort(fields)
+        new = np.zeros(size, dtype=bool)
+        new[:1] = True
+        for f in fields:
+            f = f[order]
+            new[1:] |= f[1:] != f[:-1]
+        cls = np.empty(size, dtype=np.intp)
+        cls[order] = np.cumsum(new) - 1
+        first = order[new]
+        self._classes = (self._scale[first], self._slot0[first], self._slot1[first],
+                         self._sig[first], self._a[first], self._b[first])
+        # coefficients() concatenates the class values [diag, off, d_diag, d_off,
+        # conj(off)]; row k of the gather index picks its forward, derivative
+        # and adjoint coefficient row out of them
+        n_cls = first.size
+        self._gather = np.empty((3, 2 * size), dtype=np.intp)
+        self._gather[:, self._x] = cls
+        self._gather[:, self._y] = n_cls + cls
+        self._gather[1] += 2 * n_cls
+        self._gather[2, self._y] = 4 * n_cls + cls[self._mate]
+
+    def coefficients(self, params: np.ndarray) -> np.ndarray:
+        """(forward, derivative, adjoint) coefficient rows for params
+        (B, n_params), shaped (3, B, 2 * table rows) in plan layout: per run,
+        [diag; off], their derivatives in the slot-0 angle, and the
+        adjoint's [conj(diag); conj(off of each row's mate)]."""
         if params.shape[1] != self.n_params:
             raise ValueError(f"expected {self.n_params} parameters, got {params.shape[1]}")
-        p = params.T
-        th = self._scale[:, None] * p[self._slot0]
-        phase = np.exp(1j * self._sig[:, None] * p[self._slot1])
+        scale, slot0, slot1, sig, a, b = self._classes
+        th = scale * params[:, slot0]
+        phase = np.exp(1j * sig * params[:, slot1])
         cos, sin = np.cos(th), np.sin(th)
-        a, b = self._a[:, None], self._b[:, None] * phase
-        return a * cos, b * sin, -self._scale[:, None] * a * sin, self._scale[:, None] * b * cos
+        b = b * phase
+        off = b * sin
+        values = np.concatenate([a * cos, off, -scale * a * sin, scale * b * cos, off.conj()],
+                                axis=1)
+        return values[:, self._gather].swapaxes(0, 1)
 
-    def sweep(self, vec: np.ndarray, diag: np.ndarray, off: np.ndarray, order,
-              states: Optional[np.ndarray] = None) -> np.ndarray:
-        """vec (dim,) in place through the runs in `order`, each as
-        vec[R] <- diag vec[R] + off vec[P]; states[k], if given, receives vec
-        before run k."""
-        for k in order:
-            rows, partners, cut = self.runs[k]
-            if states is not None:
-                states[k] = vec
-            vec[rows] = diag[cut] * vec[rows] + off[cut] * vec[partners]
+    def sweep(self, vec: np.ndarray, coeffs: np.ndarray, saved: Optional[list] = None,
+              reverse: bool = False) -> np.ndarray:
+        """vec (dim,) in place through the plan, backwards if reverse, with
+        coeffs one plan-layout coefficient row; saved, if given, receives each
+        run's gathered [vec[rows]; vec[partners]] from before the run."""
+        for idx, rows, cut in reversed(self.plan) if reverse else self.plan:
+            xy = vec[idx]
+            t = coeffs[cut] * xy
+            n = rows.size
+            vec[rows] = t[:n] + t[n:]
+            if saved is not None:
+                saved.append(xy)
         return vec
 
 
@@ -257,17 +305,16 @@ class SectorModel(GateTable):
 
     # ---------------------------------------------------------- ansatz action
 
-    def apply_ansatz(self, vecs: np.ndarray, params: np.ndarray,
-                     states: Optional[np.ndarray] = None,
-                     coeffs: Optional[Tuple[np.ndarray, np.ndarray]] = None) -> np.ndarray:
+    def apply_ansatz(self, vecs: np.ndarray, params: np.ndarray, saved: Optional[list] = None,
+                     coeffs: Optional[np.ndarray] = None) -> np.ndarray:
         """In-place application, one column at a time; vecs (dim, B), params
-        (B, n_params). states (runs, dim, B), if given, receives the state
-        before each run. coeffs, if given, is the (diag, off) pair of
-        coefficients(params), computed by the caller."""
-        diag, off = self.coefficients(params)[:2] if coeffs is None else coeffs
+        (B, n_params). saved, if given, receives each run's gathered
+        amplitudes (see sweep), column after column. coeffs, if given, is the
+        forward rows (B, 2 * table rows) of coefficients(params), computed
+        by the caller."""
+        forward = self.coefficients(params)[0] if coeffs is None else coeffs
         for i in range(vecs.shape[1]):
-            self.sweep(vecs[:, i], diag[:, i], off[:, i], range(len(self.runs)),
-                       None if states is None else states[:, :, i])
+            self.sweep(vecs[:, i], forward[i], saved)
         return vecs
 
     def energies(self, params_matrix: np.ndarray) -> np.ndarray:
@@ -281,24 +328,23 @@ class SectorModel(GateTable):
 
     def gradient(self, params: np.ndarray) -> Tuple[float, np.ndarray]:
         """(energy, exact gradient) at params by reverse mode (Jones & Gacon,
-        arXiv:2009.02823). The forward sweep stores the state psi before each
-        run; lam = H psi is then carried back through each run's adjoint, and
-        dE/dp = 2 Re <lam|dG/dp|psi> summed over every gate-table row that
-        reads p."""
+        arXiv:2009.02823). The forward sweep saves each run's gathered
+        [psi[rows]; psi[partners]]; lam = H psi is then carried back through
+        each run's adjoint, which saves lam[rows] the same way, and
+        dE/dp = 2 Re <lam|dG/dp|psi> is summed over every gate-table row
+        that reads p. No whole state is stored."""
         p = np.asarray(params, dtype=float)[None, :]
-        coeffs = self.coefficients(p)
-        states = np.empty((len(self.runs), self.basis.dim, 1), dtype=np.complex128)
-        psi = self.apply_ansatz(self.initial_vector()[:, None], p, states, coeffs[:2])[:, 0]
-        states = states[:, :, 0]
+        forward, derivative, adjoint = (c[0] for c in self.coefficients(p))
+        saved, back = [], []
+        psi = self.apply_ansatz(self.initial_vector()[:, None], p, saved, forward[None])[:, 0]
         lam = self.h_sector @ psi
         energy = float(np.vdot(psi, lam).real)
-        diag, off, d_diag, d_off = (c[:, 0] for c in coeffs)
-        lams = np.empty_like(states)
-        self.sweep(lam, diag.conj(), off[self._mate].conj(), reversed(range(len(self.runs))), lams)
-        bra = lams[self._run_of, self._rows].conj()
-        x, y = states[self._run_of, self._rows], states[self._run_of, self._partners]
-        by_angle = (bra * (d_diag * x + d_off * y)).real
-        by_phase = (bra * 1j * self._sig * off * y).real
+        self.sweep(lam, adjoint, back, reverse=True)
+        xy = np.concatenate(saved)
+        bra = np.concatenate(back[::-1])[self._x].conj()
+        d, y = derivative * xy, xy[self._y]
+        by_angle = (bra * (d[self._x] + d[self._y])).real
+        by_phase = (bra * 1j * self._sig * forward[self._y] * y).real
         n = p.shape[1]
         return energy, 2.0 * (np.bincount(self._slot0, by_angle, n) + np.bincount(self._slot1, by_phase, n))
 

@@ -26,7 +26,11 @@ scatters restrict_between's entries into the dense matrix, and
 dense_edge_table reads an edge's sector table off that matrix, one argmax
 per column, the reference for vqe._edge_table. commutes reads commutation
 off the x|z masks, and plaquette_string is the aux-only plaquette word of a
-Gauss string.
+Gauss string. reference_coefficients, reference_sweep, reference_energies,
+reference_gradient and reference_trotter_occupations apply a vqe.GateTable
+row by row, as vec[R] <- diag vec[R] + off vec[P] with a whole-state copy
+per run: the bitwise reference for the table's compiled plan, the sector
+energies and adjoint gradient, and the quench's Trotter occupations.
 """
 
 import cmath
@@ -34,11 +38,13 @@ import math
 
 import numpy as np
 
-from f2q.circuits import Circuit, Gate, apply_circuit, fuse, gate_unitary, trotter_step
-from f2q.lattice import (aux_index, edge_sites, edge_wraps, edges, phys_index, plaquette_sites,
-                         site_index, sites)
+from f2q.circuits import (Circuit, Gate, apply_circuit, fuse, gate_unitary, hv_layout,
+                          trotter_angles, trotter_step)
+from f2q.lattice import (aux_index, edge_sites, edge_wraps, edges, occupation_bits, phys_index,
+                         plaquette_sites, site_index, sites)
 from f2q.pauli import X, Y, PauliString, constraint_set, pairing_string, tv_hamiltonian
 from f2q.statevec import StateVector, cached_sector, restrict_between, sector_ground
+from f2q.vqe import GateTable
 
 I2 = np.eye(2, dtype=np.complex128)
 SX = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -368,3 +374,83 @@ def full_trotter_run(spec, t, V, n_f, pre_potentials, dt, n_steps):
     for _ in range(n_steps):
         states.append(apply_circuit(states[-1].copy(), step))
     return basis, states, np.array([qubit_marginals(s, phys) for s in states])
+
+
+def reference_coefficients(table, params):
+    """diag, off and their derivatives in the slot-0 angle for every row of
+    a vqe.GateTable at params (B, n_params), each (rows, B), computed row by
+    row from the table's columns: the reference for the class values that
+    GateTable.coefficients gathers into its plan layout."""
+    p = params.T
+    th = table._scale[:, None] * p[table._slot0]
+    phase = np.exp(1j * table._sig[:, None] * p[table._slot1])
+    cos, sin = np.cos(th), np.sin(th)
+    a, b = table._a[:, None], table._b[:, None] * phase
+    return a * cos, b * sin, -table._scale[:, None] * a * sin, table._scale[:, None] * b * cos
+
+
+def reference_runs(table):
+    """Each run's slice of the table rows, read off the plan's row counts."""
+    ends = np.cumsum([rows.size for _, rows, _ in table.plan])
+    return [slice(i, j) for i, j in zip(np.r_[0, ends[:-1]], ends)]
+
+
+def reference_sweep(table, vec, diag, off, order, states=None):
+    """vec in place through the runs in order, each as
+    vec[R] <- diag vec[R] + off vec[P] on the table's rows R and partners P;
+    states[k], if given, receives a copy of the whole vec before run k."""
+    runs = reference_runs(table)
+    for k in order:
+        cut = runs[k]
+        if states is not None:
+            states[k] = vec
+        vec[table._rows[cut]] = (diag[cut] * vec[table._rows[cut]]
+                                 + off[cut] * vec[table._partners[cut]])
+    return vec
+
+
+def reference_energies(model, params):
+    """SectorModel.energies with every column swept by reference_sweep."""
+    diag, off = reference_coefficients(model, params)[:2]
+    vecs = np.tile(model.initial_vector()[:, None], (1, params.shape[0]))
+    for i in range(params.shape[0]):
+        reference_sweep(model, vecs[:, i], diag[:, i], off[:, i], range(len(model.plan)))
+    return np.einsum("ib,ib->b", vecs.conj(), model.h_sector @ vecs).real
+
+
+def reference_gradient(model, params):
+    """SectorModel.gradient from whole stored states: the state before each
+    forward run and lam before each adjoint run, read at every table row."""
+    p = np.asarray(params, dtype=float)[None, :]
+    diag, off, d_diag, d_off = (c[:, 0] for c in reference_coefficients(model, p))
+    runs = reference_runs(model)
+    run_of = np.repeat(np.arange(len(runs)), [r.stop - r.start for r in runs])
+    states = np.empty((len(runs), model.basis.dim), dtype=np.complex128)
+    psi = reference_sweep(model, model.initial_vector(), diag, off, range(len(runs)), states)
+    lam = model.h_sector @ psi
+    energy = float(np.vdot(psi, lam).real)
+    lams = np.empty_like(states)
+    reference_sweep(model, lam, diag.conj(), off[model._mate].conj(), reversed(range(len(runs))),
+                    lams)
+    bra = lams[run_of, model._rows].conj()
+    x, y = states[run_of, model._rows], states[run_of, model._partners]
+    by_angle = (bra * (d_diag * x + d_off * y)).real
+    by_phase = (bra * 1j * model._sig * off * y).real
+    n = p.shape[1]
+    return energy, 2.0 * (np.bincount(model._slot0, by_angle, n)
+                          + np.bincount(model._slot1, by_phase, n))
+
+
+def reference_trotter_occupations(spec, t, V, n_f, pre_potentials, dt, n_steps):
+    """The quench's Trotter occupations, each step swept by reference_sweep."""
+    basis = cached_sector(spec, constraint_set(spec), n_f)
+    psi = sector_ground(basis, tv_hamiltonian(spec, t, 0.0, pre_potentials))[1]
+    psi = psi.astype(np.complex128)
+    step = GateTable(spec, basis, hv_layout(spec, 1, "per_group"))
+    diag, off = (c[:, 0] for c in reference_coefficients(step, np.array([trotter_angles(t, V, dt)]))[:2])
+    occ_table = occupation_bits(basis.occ_masks, spec.n_sites)
+    occ = [(np.abs(psi) ** 2) @ occ_table]
+    for _ in range(n_steps):
+        reference_sweep(step, psi, diag, off, range(len(step.plan)))
+        occ.append((np.abs(psi) ** 2) @ occ_table)
+    return np.array(occ)

@@ -8,7 +8,7 @@ from f2q import circuits as C
 from f2q import quench, statevec, vqe
 from f2q.lattice import LatticeSpec, ScientificFailure, Site
 
-from dense_oracle import full_trotter_run, project
+from dense_oracle import full_trotter_run, project, reference_trotter_occupations
 
 PRE = {Site(0, 0): -1.0, Site(0, 1): -1.0}
 
@@ -31,11 +31,22 @@ def test_sector_trotter_step_is_the_projected_full_register_step(shape, rho, n_f
     assert np.max(np.abs(occ_trotter.sum(axis=1) - n_f)) <= 1e-12
     # the sector state itself, step by step, against the projected register state
     step = vqe.GateTable(spec, basis, C.hv_layout(spec, 1, "per_group"))
-    diag, off = (c[:, 0] for c in step.coefficients(np.array([C.trotter_angles(t, V, dt)]))[:2])
+    forward = step.coefficients(np.array([C.trotter_angles(t, V, dt)]))[0, 0]
     psi = project(basis, states[0])
     for state in states[1:]:
-        step.sweep(psi, diag, off, range(len(step.runs)))
+        step.sweep(psi, forward)
         assert abs(np.vdot(psi, project(basis, state))) >= 1 - 1e-12
+
+
+@pytest.mark.parametrize("shape,rho,n_f", ROUTE_CASES)
+def test_trotter_occupations_equal_the_reference_sweep_bit_for_bit(shape, rho, n_f):
+    # the gathered plan sweep against the row formula with a whole-state
+    # update per run, at a dt whose interaction angle V dt = 3.9 lies beyond pi
+    spec = LatticeSpec(*shape, rho)
+    t, V, dt, n_steps = 1.0, 3.0, 1.3, 4
+    _, occ_trotter, _, _ = quench.quench_trajectories(spec, t, V, n_f, PRE, dt, n_steps * dt)
+    assert np.array_equal(occ_trotter,
+                          reference_trotter_occupations(spec, t, V, n_f, PRE, dt, n_steps))
 
 
 def _permuted(restrict):

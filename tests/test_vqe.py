@@ -14,6 +14,7 @@ from f2q.pauli import constraint_set, pairing_string, tv_hamiltonian
 from f2q.statevec import StateVector, cached_sector, expval, ground_in_sector
 
 from dense_oracle import (circuit_unitary, dense_edge_table, pauli_apply, pauli_matrix,
+                          reference_coefficients, reference_energies, reference_gradient,
                           sector_state, to_dense)
 
 
@@ -69,13 +70,14 @@ TABLE_LAYOUTS = {
     "agate-2L": lambda spec: C.agate_layout(spec, 2),
 }
 TABLE_COLUMNS = ("_rows", "_partners", "_mate", "_slot0", "_slot1", "_scale", "_a", "_b", "_sig",
-                 "_run_of")
-
-
-@pytest.mark.parametrize("Lx,Ly,rho,n_f", [
+                 "_x", "_y")
+TABLE_CASES = [
     (2, 2, 1, 2), (2, 4, 1, 2), (2, 4, -1, 2), (3, 3, -1, 2), (3, 3, 1, 3), (4, 2, 1, 4),
     (4, 4, 1, 2),
-])
+]
+
+
+@pytest.mark.parametrize("Lx,Ly,rho,n_f", TABLE_CASES)
 @pytest.mark.parametrize("layout", TABLE_LAYOUTS)
 def test_gate_table_matches_dense_edge_tables(monkeypatch, Lx, Ly, rho, n_f, layout):
     spec = LatticeSpec(Lx, Ly, rho)
@@ -86,9 +88,9 @@ def test_gate_table_matches_dense_edge_tables(monkeypatch, Lx, Ly, rho, n_f, lay
     ref = vqe.GateTable(spec, basis, plan)
     for name in TABLE_COLUMNS:
         assert np.array_equal(getattr(table, name), getattr(ref, name)), name
-    assert len(table.runs) == len(ref.runs)
-    for (rows, partners, cut), (ref_rows, ref_partners, ref_cut) in zip(table.runs, ref.runs):
-        assert np.array_equal(rows, ref_rows) and np.array_equal(partners, ref_partners)
+    assert len(table.plan) == len(ref.plan)
+    for (idx, rows, cut), (ref_idx, ref_rows, ref_cut) in zip(table.plan, ref.plan):
+        assert np.array_equal(idx, ref_idx) and np.array_equal(rows, ref_rows)
         assert cut == ref_cut
 
     # the run cut is greedy and disjoint: each run moves distinct positions,
@@ -100,10 +102,81 @@ def test_gate_table_matches_dense_edge_tables(monkeypatch, Lx, Ly, rho, n_f, lay
         if size:
             entry_rows.setdefault(start, table._rows[start:start + size])
         start += size
-    for k, (rows, _, cut) in enumerate(table.runs):
+    for k, (_, rows, cut) in enumerate(table.plan):
         assert np.unique(rows).size == rows.size
         if k:
-            assert np.intersect1d(entry_rows[cut.start], table.runs[k - 1][0]).size
+            assert np.intersect1d(entry_rows[cut.start // 2], table.plan[k - 1][1]).size
+
+
+@pytest.mark.parametrize("Lx,Ly,rho,n_f", TABLE_CASES + [(2, 2, 1, 0), (2, 2, 1, 4)])
+@pytest.mark.parametrize("layout", TABLE_LAYOUTS)
+def test_plan_gathers_each_table_row_once_in_order(Lx, Ly, rho, n_f, layout):
+    # plan entry k covers the next rows of the table: its gather index is
+    # [rows; partners], its rows are distinct, and its coefficient slice is
+    # the same stretch of the [diag; off] layout that _x and _y point into
+    spec = LatticeSpec(Lx, Ly, rho)
+    table = vqe.GateTable(spec, cached_sector(spec, constraint_set(spec), n_f),
+                          TABLE_LAYOUTS[layout](spec))
+    start = 0
+    for idx, rows, cut in table.plan:
+        n = rows.size
+        assert np.array_equal(rows, table._rows[start:start + n])
+        assert np.array_equal(idx, np.concatenate([rows, table._partners[start:start + n]]))
+        assert np.unique(rows).size == n
+        assert cut == slice(2 * start, 2 * (start + n))
+        start += n
+    assert start == table._rows.size
+    gathered = np.concatenate([idx for idx, _, _ in table.plan])
+    assert np.array_equal(gathered[table._x], table._rows)
+    assert np.array_equal(gathered[table._y], table._partners)
+
+
+REFERENCE_CASES = [(2, 2, 1, 2), (2, 4, 1, 2), (2, 4, -1, 2), (3, 3, -1, 2), (4, 2, 1, 4)]
+REFERENCE_ANSATZE = [("agate", 2, "per_edge"), ("agate", 3, "per_edge"), ("hv", 3, "per_edge"),
+                     ("hv", 2, "per_group")]
+
+
+@pytest.mark.parametrize("Lx,Ly,rho,n_f", REFERENCE_CASES)
+@pytest.mark.parametrize("ansatz,layers,granularity", REFERENCE_ANSATZE)
+def test_plan_sweeps_equal_the_reference_bit_for_bit(Lx, Ly, rho, n_f, ansatz, layers,
+                                                    granularity):
+    # the class coefficients, the gathered sweep and the gradient from the
+    # gathered amplitudes against the row-by-row formula and whole stored
+    # states, at angles beyond +-pi
+    spec = LatticeSpec(Lx, Ly, rho)
+    cfg = vqe.VqeConfig(spec=spec, t=1.0, V=2.0, n_f=n_f, ansatz=ansatz, layers=layers,
+                        granularity=granularity)
+    model = vqe.SectorModel(cfg)
+    rng = np.random.default_rng(Lx + 5 * Ly + 11 * n_f + layers)
+    P = rng.uniform(-2 * np.pi, 2 * np.pi, (3, cfg.n_params))
+    forward, derivative, adjoint = model.coefficients(P)
+    diag, off, d_diag, d_off = (c.T for c in reference_coefficients(model, P))
+    x, y = model._x, model._y
+    assert np.array_equal(forward[:, x], diag) and np.array_equal(forward[:, y], off)
+    assert np.array_equal(derivative[:, x], d_diag) and np.array_equal(derivative[:, y], d_off)
+    assert np.array_equal(adjoint[:, x], diag)
+    assert np.array_equal(adjoint[:, y], off[:, model._mate].conj())
+    assert np.array_equal(model.energies(P), reference_energies(model, P))
+    for p in P:
+        energy, grad = model.gradient(p)
+        ref_energy, ref_grad = reference_gradient(model, p)
+        assert energy == ref_energy and np.array_equal(grad, ref_grad)
+
+
+@pytest.mark.parametrize("kind,rho", [(kind, 1) for kind in vqe._GATE_FORMS] + [("hop_x", -1)])
+def test_every_gate_form_field_moves_the_route_deviation(monkeypatch, kind, rho):
+    # shift one field of one kind's sector form by 0.5; the full route, built
+    # from circuits.BLOCKS, must then disagree with the sector route
+    spec = LatticeSpec(2, 4, rho)
+    ansatz = "agate" if kind in ("vx", "vy") else "hv"
+    cfg = config(spec, ansatz, layers=1)
+    params = np.random.default_rng(13).uniform(-1.0, 1.0, cfg.n_params)
+    assert vqe._spot_check(vqe.SectorModel(cfg), params)[1] <= 1e-10
+    form = vqe._GATE_FORMS[kind]
+    for field in range(len(form)):
+        monkeypatch.setitem(vqe._GATE_FORMS, kind,
+                            form[:field] + (form[field] + 0.5,) + form[field + 1:])
+        assert vqe._spot_check(vqe.SectorModel(cfg), params)[1] > 1e-10, (kind, field)
 
 
 def test_gate_table_build_stays_below_one_dense_matrix():
