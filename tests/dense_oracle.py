@@ -447,7 +447,8 @@ def reference_trotter_occupations(spec, t, V, n_f, pre_potentials, dt, n_steps):
     psi = sector_ground(basis, tv_hamiltonian(spec, t, 0.0, pre_potentials))[1]
     psi = psi.astype(np.complex128)
     step = GateTable(spec, basis, hv_layout(spec, 1, "per_group"))
-    diag, off = (c[:, 0] for c in reference_coefficients(step, np.array([trotter_angles(t, V, dt)]))[:2])
+    angles = np.array([trotter_angles(t, V, dt)])
+    diag, off = (c[:, 0] for c in reference_coefficients(step, angles)[:2])
     occ_table = occupation_bits(basis.occ_masks, spec.n_sites)
     occ = [(np.abs(psi) ** 2) @ occ_table]
     for _ in range(n_steps):
