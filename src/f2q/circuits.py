@@ -258,10 +258,10 @@ def fuse(c: Circuit) -> Circuit:
     Gates merge greedily, in order, while the union of their targets fits; a
     gate that would push it past MAX_GATE_QUBITS starts the next block. A
     block's union lists its qubits in order of first appearance (union[0] the
-    MSB), and each gate is multiplied in on that final union. Blocks whose
-    gates match in kind, local axes, parameters and matrix are composed once
-    per call and share one read-only matrix. The result is for simulation
-    only: export, scheduling and stabilizer tracking read the unfused circuit.
+    MSB), and each gate is multiplied in on that final union. Each block is
+    composed once, into its own read-only matrix. The result is for
+    simulation only (apply_circuit): export, scheduling and stabilizer
+    tracking read the unfused circuit.
     """
     blocks: List[Tuple[List[int], List[Gate]]] = []
     for g in c.gates:
@@ -273,29 +273,23 @@ def fuse(c: Circuit) -> Circuit:
         union.extend(new)
         blocks[-1][1].append(g)
     out = Circuit(c.n_qubits)
-    composed: Dict[tuple, np.ndarray] = {}
     for union, gates in blocks:
         m = len(union)
-        local = [(g, tuple(union.index(q) for q in g.targets)) for g in gates]
-        key = (m, tuple((g.kind, axes, g.params, None if g.matrix is None else g.matrix.tobytes())
-                        for g, axes in local))
-        block = composed.get(key)
-        if block is None:
-            block = np.eye(1 << m, dtype=np.complex128)
-            for g, axes in local:
-                r, col, same = _block_index(m, axes)
-                block = np.where(same, gate_unitary(g)[r, col], 0) @ block
-            block.flags.writeable = False
-            composed[key] = block
+        block = np.eye(1 << m, dtype=np.complex128)
+        for g in gates:
+            r, col, same = _block_index(m, tuple(union.index(q) for q in g.targets))
+            block = np.where(same, gate_unitary(g)[r, col], 0) @ block
+        block.flags.writeable = False
         out.add(Gate("matrix", union, matrix=block))
     return out
 
 
 def apply_circuit(state: StateVector, c: Circuit) -> StateVector:
+    """Apply c to state in place, one fused block (fuse) at a time."""
     if c.n_qubits != state.register_size:
         raise ValueError("register size mismatch")
-    for g in c.gates:
-        apply_matrix_gate(state, gate_unitary(g), g.targets)
+    for g in fuse(c).gates:
+        apply_matrix_gate(state, g.matrix, g.targets)
     require("weight truncated from the sparse state", state.dropped, 1e-12)
     return state
 

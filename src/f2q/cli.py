@@ -319,15 +319,16 @@ def cmd_export_circuit(args: argparse.Namespace) -> None:
         dt = s.get("dt", "trotter", "dt", float, required=True)
         circuit = circ.trotter_step(spec, t, V, dt)
     elif kind == "ansatz":
-        name = s.get("ansatz", "vqe", "ansatz", str, default="agate")
-        layers = s.get("layers", "vqe", "layers", int, default=2)
-        granularity = s.get("granularity", "vqe", "granularity", str, default="per_edge")
+        d = vqe.VqeConfig  # the vqe command's defaults; zero angles unless seeded
+        name = s.get("ansatz", "vqe", "ansatz", str, default=d.ansatz)
+        layers = s.get("layers", "vqe", "layers", int, default=d.layers)
+        granularity = s.get("granularity", "vqe", "granularity", str, default=d.granularity)
         seed = s.get("seed", "vqe", "seed", int)
         if seed is not None and seed < 0:
             raise InputError("seed must be non-negative")
         ansatz = circ.Ansatz(spec, name, layers, granularity)
         n = ansatz.n_params
-        params = np.zeros(n) if seed is None else np.random.default_rng(seed).uniform(-0.1, 0.1, n)
+        params = np.zeros(n) if seed is None else vqe.initial_params(n, d.init_scale, seed)
         circuit = ansatz.circuit(params)
     else:
         raise InputError(f"unknown circuit kind {kind!r}")

@@ -87,10 +87,6 @@ class PauliString:
     def support(self) -> Tuple[int, ...]:
         return tuple(q for q, l in enumerate(self.letters) if l != I)
 
-    @property
-    def is_hermitian(self) -> bool:
-        return self.phase_k in (0, 2)
-
     def mul(self, other: "PauliString") -> "PauliString":
         if self.n != other.n:
             raise ValueError("register size mismatch")
@@ -159,9 +155,6 @@ class PauliSum:
     @property
     def is_hermitian(self) -> bool:
         return all(abs(c.imag) <= self.PRUNE_TOL for c, _ in self.terms)
-
-    def render(self) -> str:
-        return "\n".join(f"{c!r} {s.render()}" for c, s in self.terms)
 
 
 @dataclass(frozen=True)

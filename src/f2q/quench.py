@@ -6,7 +6,7 @@ masks; the fermionic one runs in ED's n_f sector. A Trotter step is the
 one-layer per_group HV circuit (circuits.trotter_step), so it runs as that
 layout's vqe.GateTable, swept once per step at circuits.trotter_angles. The
 tests compare it with tests/dense_oracle.full_trotter_run, which applies
-fuse(trotter_step(...)) on the full register.
+trotter_step(...) on the full register.
 
 Library functions are called through their modules (`statevec.restrict_sum`,
 not a name imported from `statevec`), so a wrapper installed on a module

@@ -67,9 +67,6 @@ class StateVector:
     def copy(self) -> "StateVector":
         return StateVector(self.labels.copy(), self.amps.copy(), self.register_size, self.dropped)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
 
 def _check_support(size: int) -> None:
     if size > 1 << MAX_QUBITS:
@@ -83,9 +80,9 @@ def zero_state(n_qubits: int) -> StateVector:
 def apply_matrix_gate(state: StateVector, U: np.ndarray, targets: Sequence[int]) -> StateVector:
     """Apply the k-qubit matrix U on targets (targets[0] the MSB of U).
 
-    U must come from a circuits.Gate (circuits.gate_unitary), which checks
-    unitarity once when the gate is built; this kernel checks only the
-    targets and U's shape, and trusts its entries.
+    U must be a gate matrix checked when its circuits.Gate was built: in the
+    library, a fused block from circuits.apply_circuit. This kernel checks
+    only the targets and U's shape, and trusts its entries.
     """
     k = len(targets)
     if not 1 <= k <= MAX_GATE_QUBITS:

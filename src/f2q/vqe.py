@@ -1,11 +1,12 @@
 """Variational ground-state search inside the constrained subspace.
 
-Two evaluation routes exist on purpose. The default "sector" route applies
-every number-conserving gate as an exact 2x2 update on the occupation-number
-basis of the constrained subspace; the "full" route (full_state) simulates
-the actual circuits on the complete register. run() cross-checks the routes
-at the first and best parameter points and fails if their energies differ by
-more than 1e-10, so they can never drift apart silently. The sector route's
+Two evaluation routes exist on purpose. The sector route, which the
+optimizer runs, applies every number-conserving gate as an exact 2x2 update
+on the occupation-number basis of the constrained subspace; the full route
+(full_state) simulates the actual circuits on the complete register. run()
+cross-checks the routes at the first and best parameter points and fails if
+their energies differ by more than 1e-10, so they can never drift apart
+silently. The sector route's
 GateTable is compiled once into a plan of one gather and one update per run
 of gates on disjoint positions; the adjoint gradient keeps only the
 amplitudes each run gathers, not whole states. The same table runs the
@@ -279,13 +280,11 @@ class SectorModel(GateTable):
         basis = cached_sector(spec, self.cs, config.n_f)
         self.h_sector = restrict_sum(basis, tv_hamiltonian(spec, config.t, config.V))
         super().__init__(spec, basis, config.family.layout())
-        self._init_vec: Optional[np.ndarray] = None
+        self._init_vec = self._build_initial_vector()
 
     # ---------------------------------------------------------- state prep
 
     def initial_vector(self) -> np.ndarray:
-        if self._init_vec is None:
-            self._init_vec = self._build_initial_vector()
         return self._init_vec.copy()
 
     def _build_initial_vector(self) -> np.ndarray:
@@ -357,14 +356,13 @@ def initial_state_full(model: SectorModel) -> StateVector:
     config, spec = model.config, model.config.spec
     if config.ansatz == "agate":
         prep = circ.preparation_circuit(spec, config.pair_edges)
-        return circ.apply_circuit(zero_state(spec.n_qubits), circ.fuse(prep))
+        return circ.apply_circuit(zero_state(spec.n_qubits), prep)
     return model.basis.expand(model.initial_vector())
 
 
 def full_state(model: SectorModel, params: Sequence[float]) -> StateVector:
-    """The full-register route: initial_state_full, then the fused ansatz circuit."""
-    state = initial_state_full(model)
-    return circ.apply_circuit(state, circ.fuse(model.config.family.circuit(params)))
+    """The full-register route: initial_state_full, then the ansatz circuit."""
+    return circ.apply_circuit(initial_state_full(model), model.config.family.circuit(params))
 
 
 def _spot_check(model: SectorModel, params: np.ndarray) -> Tuple[float, float]:
@@ -377,10 +375,14 @@ def _spot_check(model: SectorModel, params: np.ndarray) -> Tuple[float, float]:
     return float(np.max(devs)), abs(e_full - model.energy(params))
 
 
+def initial_params(n_params: int, init_scale: float, seed: int) -> np.ndarray:
+    """The seeded start point: n_params angles drawn uniformly from
+    [-init_scale, init_scale)."""
+    return np.random.default_rng(seed).uniform(-init_scale, init_scale, size=n_params)
+
+
 def _adam_descent(model: SectorModel, opt: OptimizerConfig, seed: int):
-    rng = np.random.default_rng(seed)
-    params = rng.uniform(-model.config.init_scale, model.config.init_scale,
-                         size=model.config.n_params)
+    params = initial_params(model.config.n_params, model.config.init_scale, seed)
     m = np.zeros_like(params)
     v = np.zeros_like(params)
     e, g = model.gradient(params)

@@ -20,9 +20,10 @@ and sector_state read a SubspaceBasis (or a SectorModel's vector) back onto
 the register; from_dense and to_dense convert a StateVector to and from its
 2^n vector. qubit_marginals reads P(qubit = 1) off a register state, and
 full_trotter_run is the quench's Trotter evolution on the full register:
-the fused circuits.trotter_step applied to the expanded pre-quench state,
-the reference for the quench's sector gate table. dense_restriction
-scatters restrict_between's entries into the dense matrix, and
+circuits.trotter_step applied to the expanded pre-quench state, the
+reference for the quench's sector gate table. apply_gates applies a circuit
+gate by gate, unfused, the reference for circuits.apply_circuit.
+dense_restriction scatters restrict_between's entries into the dense matrix, and
 dense_edge_table reads an edge's sector table off that matrix, one argmax
 per column, the reference for vqe._edge_table. commutes reads commutation
 off the x|z masks, and plaquette_string is the aux-only plaquette word of a
@@ -38,12 +39,13 @@ import math
 
 import numpy as np
 
-from f2q.circuits import (Circuit, Gate, apply_circuit, fuse, gate_unitary, hv_layout,
-                          trotter_angles, trotter_step)
+from f2q.circuits import (Circuit, Gate, apply_circuit, gate_unitary, hv_layout, trotter_angles,
+                          trotter_step)
 from f2q.lattice import (aux_index, edge_sites, edge_wraps, edges, occupation_bits, phys_index,
-                         plaquette_sites, site_index, sites)
+                         plaquette_sites, require, site_index, sites)
 from f2q.pauli import X, Y, PauliString, constraint_set, pairing_string, tv_hamiltonian
-from f2q.statevec import StateVector, cached_sector, restrict_between, sector_ground
+from f2q.statevec import (StateVector, apply_matrix_gate, cached_sector, restrict_between,
+                          sector_ground)
 from f2q.vqe import GateTable
 
 I2 = np.eye(2, dtype=np.complex128)
@@ -361,14 +363,23 @@ def qubit_marginals(state, qubits):
     return (np.abs(state.amps) ** 2) @ bits
 
 
+def apply_gates(state, c):
+    """c applied to state in place one gate at a time, without fusion, then
+    circuits.apply_circuit's dropped-weight bound."""
+    for g in c.gates:
+        apply_matrix_gate(state, gate_unitary(g), g.targets)
+    require("weight truncated from the sparse state", state.dropped, 1e-12)
+    return state
+
+
 def full_trotter_run(spec, t, V, n_f, pre_potentials, dt, n_steps):
     """(basis, states, occupations): the n_f sector, the register states
-    after 0, 1, ..., n_steps fused Trotter steps from the expanded pre-quench
+    after 0, 1, ..., n_steps Trotter steps from the expanded pre-quench
     ground vector (the one quench_trajectories starts from), and each
     state's site occupations."""
     basis = cached_sector(spec, constraint_set(spec), n_f)
     sec0 = sector_ground(basis, tv_hamiltonian(spec, t, 0.0, pre_potentials))[1]
-    step = fuse(trotter_step(spec, t, V, dt))
+    step = trotter_step(spec, t, V, dt)
     phys = [phys_index(spec, r) for r in sites(spec)]
     states = [basis.expand(sec0)]
     for _ in range(n_steps):

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
-from dense_oracle import (circuit_unitary, embed_gate, from_dense, local_pauli, parse_text,
-                          pauli_apply, pauli_matrix, pauli_projection, pauli_sum_matrix,
+from dense_oracle import (apply_gates, circuit_unitary, embed_gate, from_dense, local_pauli,
+                          parse_text, pauli_apply, pauli_matrix, pauli_projection, pauli_sum_matrix,
                           qubit_marginals, restrict_circuit, schedule_reference, to_dense, vx_gate,
                           vx_unitary, vy_gate, vy_unitary)
 from f2q import circuits as C
@@ -557,8 +557,8 @@ def test_fuse_preserves_action_property(data):
     assert all(g.kind == "matrix" and g.arity <= 4 for g in fused)
     assert len(fused) <= len(c)
     amps = random_amplitudes(n, data.draw(st.integers(0, 2**31 - 1)))
-    want = to_dense(C.apply_circuit(from_dense(amps.copy(), n), c))
-    got = to_dense(C.apply_circuit(from_dense(amps.copy(), n), fused))
+    want = to_dense(apply_gates(from_dense(amps.copy(), n), c))
+    got = to_dense(C.apply_circuit(from_dense(amps.copy(), n), c))
     assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -605,8 +605,8 @@ def test_sparse_state_matches_dense_oracle_property(data):
                for _ in range(3)]
     H = P.PauliSum(n, [(float(x), s) for x, s in zip(rng.normal(size=3), strings)])
     qubits = list(rng.permutation(n)[:4])
-    for circuit in (c, C.fuse(c)):
-        state = C.apply_circuit(StateVector(labels, amps, n), circuit)
+    for apply in (apply_gates, C.apply_circuit):  # unfused, then fused
+        state = apply(StateVector(labels, amps, n), c)
         assert state.dropped <= 1e-12
         assert np.max(np.abs(to_dense(state) - want)) < 1e-12
         dense_h = sum(x * np.vdot(want, pauli_apply(s, want)) for x, s in H)
@@ -633,9 +633,9 @@ def test_4x4_state_keeps_constraints_and_particle_number():
     C.apply_circuit(state, C.pair_creation(spec, Edge(Site(0, 0), "x")))
     check(state, 2)
     params = np.random.default_rng(11).uniform(-0.5, 0.5, C.agate_param_count(spec, 1))
-    C.apply_circuit(state, C.fuse(C.ansatz_agate(spec, 1, params)))
+    C.apply_circuit(state, C.ansatz_agate(spec, 1, params))
     check(state, 2)
-    step = C.fuse(C.trotter_step(spec, 1.0, 2.0, 0.05))
+    step = C.trotter_step(spec, 1.0, 2.0, 0.05)
     for _ in range(10):
         C.apply_circuit(state, step)
         check(state, 2)
@@ -649,10 +649,9 @@ def test_fuse_trotter_step_blocks_and_action():
     for dims in [(2, 2), (2, 4), (3, 3)]:
         spec = lat(*dims)
         step = C.trotter_step(spec, 1.0, 3.0, 0.1)
-        fused = C.fuse(step)
         amps = random_amplitudes(spec.n_qubits, seed=dims[1])
-        want = to_dense(C.apply_circuit(from_dense(amps.copy(), spec.n_qubits), step))
-        got = to_dense(C.apply_circuit(from_dense(amps.copy(), spec.n_qubits), fused))
+        want = to_dense(apply_gates(from_dense(amps.copy(), spec.n_qubits), step))
+        got = to_dense(C.apply_circuit(from_dense(amps.copy(), spec.n_qubits), step))
         assert np.max(np.abs(got - want)) < 1e-12
 
 

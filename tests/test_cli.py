@@ -241,6 +241,28 @@ def test_export_agate_ansatz_is_native_circuit(capsys):
     assert parse_text(out) == circuits.ansatz_agate(spec, 1, params)
 
 
+def test_export_and_vqe_share_one_start_draw(capsys, monkeypatch):
+    # export-circuit --seed and the optimizer's start read the same draw, so
+    # changing it moves both
+    drawn = []
+
+    def draw(n_params, init_scale, seed):
+        drawn.append((n_params, init_scale, seed))
+        return np.full(n_params, 0.25 + seed)
+
+    monkeypatch.setattr(vqe, "initial_params", draw)
+    code, out, _ = run_cli(capsys, "export-circuit", "--lx", "2", "--ly", "2", "--kind", "ansatz",
+                           "--ansatz", "agate", "--layers", "1", "--seed", "4")
+    assert code == 0
+    spec = LatticeSpec(2, 2)
+    n = circuits.agate_param_count(spec, 1)
+    assert parse_text(out) == circuits.ansatz_agate(spec, 1, np.full(n, 4.25))
+    model = vqe.SectorModel(vqe.VqeConfig(spec, 1.0, 2.0, 2, layers=1))
+    first_p = vqe._adam_descent(model, vqe.OptimizerConfig(max_steps=1), 5)[3]
+    assert np.array_equal(first_p, np.full(n, 5.25))
+    assert drawn == [(n, vqe.VqeConfig.init_scale, 4), (n, vqe.VqeConfig.init_scale, 5)]
+
+
 def test_export_unknown_kind_is_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
         main(["export-circuit", "--lx", "2", "--ly", "2", "--kind", "banana"])

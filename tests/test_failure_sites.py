@@ -1,7 +1,8 @@
 """Failures leave the library one way: every tolerance check goes through
 lattice.require, only cli.main writes to stderr or picks an exit code, and
 gate unitarity is checked in one place, when a Gate is built. cli.py leaves
-the ansatz dispatch and the fermionic ED to the library."""
+the ansatz dispatch and the fermionic ED to the library, and only
+circuits.apply_circuit fuses."""
 
 import ast
 from pathlib import Path
@@ -72,6 +73,18 @@ def test_operator_identity_is_checked_only_by_the_exact_reference():
         return isinstance(node, ast.Call) and _name(node.func) == "operator_deviation"
 
     assert sites(checks_operator) == [("oracle.py", "exact_reference")]
+
+
+def test_fuse_is_called_only_by_apply_circuit():
+    # one full-register application path: apply_circuit fuses every circuit
+    # it applies, so no caller picks gate-by-gate or fused application itself
+    def calls_fuse(node):
+        return isinstance(node, ast.Call) and _name(node.func) == "fuse"
+
+    assert sites(calls_fuse) == [("circuits.py", "apply_circuit")]
+    named = {_name(node) or getattr(node, "name", None)
+             for node in ast.walk(ast.parse((SRC / "vqe.py").read_text()))}
+    assert "fuse" not in named
 
 
 def test_cli_leaves_ansatz_dispatch_and_ed_to_the_library():
