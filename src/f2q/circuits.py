@@ -157,6 +157,8 @@ class Gate:
                 raise ValueError("matrix gates take no angles")
             if self.matrix is None:
                 raise ValueError("matrix gate without a matrix")
+            if not n:  # else fuse would merge it into a block as a bare global phase
+                raise ValueError("matrix gate without targets")
             U = np.asarray(self.matrix, dtype=np.complex128)
             d = 1 << n
             if U.shape != (d, d):

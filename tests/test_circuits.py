@@ -81,6 +81,13 @@ def test_gate_validation():
         C.Gate("matrix", (3, 3), matrix=np.eye(4, dtype=complex))
 
 
+def test_matrix_gate_without_targets_is_refused():
+    # apply_circuit fuses, and a fused block would absorb a zero-target gate
+    # as a global phase, so the gate is refused where it is built
+    with pytest.raises(ValueError, match="without targets"):
+        C.Gate("matrix", (), matrix=np.array([[1j]]))
+
+
 @pytest.mark.parametrize("kind", sorted(C.GATES))
 def test_gate_table_kinds_are_unitary_and_validated(kind):
     # the table is the only source of named-gate matrices, and apply_matrix_gate
