@@ -97,8 +97,7 @@ class GateKind(NamedTuple):
     unitary: Callable[..., np.ndarray]  # the angles -> the 2^arity matrix
 
 
-# Every named gate kind. A `matrix` gate is the one kind outside the table:
-# it carries its own matrix, on any number of targets, and takes no angles.
+# Every gate kind, each on one or two qubits.
 GATES: Dict[str, GateKind] = {
     "x": GateKind(1, 0, _fixed(_X)),
     "y": GateKind(1, 0, _fixed(_Y)),
@@ -114,7 +113,6 @@ GATES: Dict[str, GateKind] = {
     "cz": GateKind(2, 0, _fixed(_controlled(_Z))),
     "ch": GateKind(2, 0, _fixed(_controlled(_H))),
     "cphase": GateKind(2, 1, _cphase),
-    "ccz": GateKind(3, 0, _fixed(np.diag([1, 1, 1, 1, 1, 1, 1, -1]).astype(np.complex128))),
     "agate": GateKind(2, 2, a_gate_unitary),
 }
 
@@ -126,77 +124,43 @@ def _check_unitary(U: np.ndarray) -> None:
         raise ValueError("gate matrix is not unitary")
 
 
-@dataclass(eq=False, slots=True)
+@dataclass(slots=True)
 class Gate:
     """One gate of a circuit, validated once here.
 
-    A named kind must match its GATES entry in arity and angle count, with
-    finite angles. A `matrix` gate is checked for unitarity here, the one
-    place in the library that does, and keeps its matrix read-only (a copy,
-    unless the caller's array is already read-only and owns its data), so
-    the check holds for the gate's whole life. `mask`, the targets as one
-    bitmask, is set by the first stabilizer walk that meets the gate.
+    The kind must be a GATES entry, with its arity, distinct targets and its
+    angle count, the angles finite. Gates are equal when kind, targets and
+    params are. `mask`, the targets as one bitmask, is set by the first
+    stabilizer walk that meets the gate.
     """
     kind: str
     targets: Tuple[int, ...]
     params: Tuple[float, ...] = ()
-    matrix: Optional[np.ndarray] = None
-    mask: Optional[int] = field(default=None, init=False, repr=False)
+    mask: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         targets = self.targets = tuple(map(int, self.targets))
         params = self.params = tuple(map(float, self.params))
-        n = len(targets)
-        if n > 1 and (targets[0] == targets[1] if n == 2 else len(set(targets)) != n):
-            raise ValueError("duplicate targets")
         table = GATES.get(self.kind)
         if table is None:
-            if self.kind != "matrix":
-                raise ValueError(f"unknown gate kind {self.kind!r}")
-            if params:
-                raise ValueError("matrix gates take no angles")
-            if self.matrix is None:
-                raise ValueError("matrix gate without a matrix")
-            if not n:  # else fuse would merge it into a block as a bare global phase
-                raise ValueError("matrix gate without targets")
-            U = np.asarray(self.matrix, dtype=np.complex128)
-            d = 1 << n
-            if U.shape != (d, d):
-                raise ValueError("matrix shape does not match target count")
-            _check_unitary(U)
-            if U.flags.writeable or not U.flags.owndata:  # else the caller could still write to it
-                U = U.copy()
-                U.flags.writeable = False
-            self.matrix = U
-            return
+            raise ValueError(f"unknown gate kind {self.kind!r}")
         arity, angles, _ = table
-        if n != arity:
+        if len(targets) != arity:
             raise ValueError(f"{self.kind} expects {arity} targets")
+        if arity == 2 and targets[0] == targets[1]:
+            raise ValueError("duplicate targets")
         if len(params) != angles:
             raise ValueError(f"{self.kind} has wrong parameter count")
         if angles and not all(map(math.isfinite, params)):
             raise ValueError(f"{self.kind} angles must be finite")
-        if self.matrix is not None:
-            raise ValueError("only matrix gates carry an explicit matrix")
 
     @property
     def arity(self) -> int:
         return len(self.targets)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Gate):
-            return NotImplemented
-        if (self.kind, self.targets, self.params) != (other.kind, other.targets, other.params):
-            return False
-        if (self.matrix is None) != (other.matrix is None):
-            return False
-        return self.matrix is None or np.array_equal(self.matrix, other.matrix)
-
 
 def gate_unitary(g: Gate) -> np.ndarray:
     """The gate's matrix, targets[0] the MSB; read-only unless built from angles."""
-    if g.kind == "matrix":
-        return g.matrix
     return GATES[g.kind].unitary(*g.params)
 
 
@@ -213,7 +177,7 @@ class Circuit:
         n = self.n_qubits
         for g in gates:
             t = g.targets
-            if t and (min(t) < 0 or max(t) >= n):
+            if min(t) < 0 or max(t) >= n:
                 raise ValueError("gate target outside register")
 
     def add(self, gate: Gate) -> "Circuit":
@@ -254,16 +218,17 @@ def _block_index(m: int, axes: Tuple[int, ...]) -> Tuple[np.ndarray, np.ndarray,
     return out
 
 
-def fuse(c: Circuit) -> Circuit:
-    """The same unitary as fewer matrix gates, each on at most MAX_GATE_QUBITS qubits.
+def fuse(c: Circuit) -> List[Tuple[Tuple[int, ...], np.ndarray]]:
+    """The same unitary as (targets, U) blocks, each on at most MAX_GATE_QUBITS qubits.
 
     Gates merge greedily, in order, while the union of their targets fits; a
     gate that would push it past MAX_GATE_QUBITS starts the next block. A
     block's union lists its qubits in order of first appearance (union[0] the
     MSB), and each gate is multiplied in on that final union. Each block is
-    composed once, into its own read-only matrix. The result is for
-    simulation only (apply_circuit): export, scheduling and stabilizer
-    tracking read the unfused circuit.
+    composed once and checked unitary here, the one place in the library
+    that checks a gate matrix. The result is for simulation only
+    (apply_circuit): export, scheduling and stabilizer tracking read the
+    unfused circuit.
     """
     blocks: List[Tuple[List[int], List[Gate]]] = []
     for g in c.gates:
@@ -274,15 +239,15 @@ def fuse(c: Circuit) -> Circuit:
             blocks.append((union, []))
         union.extend(new)
         blocks[-1][1].append(g)
-    out = Circuit(c.n_qubits)
+    out = []
     for union, gates in blocks:
         m = len(union)
         block = np.eye(1 << m, dtype=np.complex128)
         for g in gates:
             r, col, same = _block_index(m, tuple(union.index(q) for q in g.targets))
             block = np.where(same, gate_unitary(g)[r, col], 0) @ block
-        block.flags.writeable = False
-        out.add(Gate("matrix", union, matrix=block))
+        _check_unitary(block)
+        out.append((tuple(union), block))
     return out
 
 
@@ -290,8 +255,8 @@ def apply_circuit(state: StateVector, c: Circuit) -> StateVector:
     """Apply c to state in place, one fused block (fuse) at a time."""
     if c.n_qubits != state.register_size:
         raise ValueError("register size mismatch")
-    for g in fuse(c).gates:
-        apply_matrix_gate(state, g.matrix, g.targets)
+    for targets, U in fuse(c):
+        apply_matrix_gate(state, U, targets)
     require("weight truncated from the sparse state", state.dropped, 1e-12)
     return state
 
@@ -344,8 +309,8 @@ def conjugate_string(c: Circuit, s: PauliString, memo: Dict) -> Tuple[PauliStrin
     as one bitmask, so a gate outside the word's light cone costs one bit
     test. Every gate inside it, Clifford or not, must map the word it meets
     to a single Pauli with a phase in {±1, ±i}; otherwise ValueError. A gate's
-    image of a local Pauli word depends only on the gate's kind, parameters
-    and matrix, so `memo` stores each image keyed on those and the word, for
+    image of a local Pauli word depends only on the gate's kind and
+    parameters, so `memo` stores each image keyed on those and the word, for
     reuse by later calls that pass the same dict. Failures are raised each
     time and never stored.
     """
@@ -361,7 +326,7 @@ def conjugate_string(c: Circuit, s: PauliString, memo: Dict) -> Tuple[PauliStrin
             continue
         sup = g.targets
         local = tuple(letters[q] for q in sup)
-        key = (g.kind, g.params, None if g.matrix is None else g.matrix.tobytes(), local)
+        key = (g.kind, g.params, local)
         image = memo.get(key)
         if image is None:
             U = gate_unitary(g)
@@ -692,7 +657,7 @@ class DepthReport:
 
 
 def schedule(c: Circuit) -> DepthReport:
-    """ASAP depth with single-qubit gates free and k>=2-qubit gates cost 1."""
+    """ASAP depth with single-qubit gates free and two-qubit gates cost 1."""
     front = [0] * c.n_qubits
     counts: Dict[int, int] = {}
     for g in c.gates:
@@ -702,10 +667,6 @@ def schedule(c: Circuit) -> DepthReport:
         if k == 2:
             a, b = t
             front[a] = front[b] = max(front[a], front[b]) + 1
-        elif k > 2:
-            start = max(front[q] for q in t) + 1
-            for q in t:
-                front[q] = start
     return DepthReport(two_qubit_depth=max(front, default=0), counts_by_arity=counts)
 
 
@@ -714,7 +675,5 @@ def export_text(c: Circuit) -> str:
     for g in c.gates:
         toks = [g.kind] + [f"q{q}" for q in g.targets]
         toks += [repr(p) for p in g.params]
-        if g.kind == "matrix":
-            toks += [repr(complex(v)) for v in g.matrix.reshape(-1)]
         lines.append(" ".join(toks))
     return "\n".join(lines) + "\n"

@@ -80,9 +80,9 @@ def zero_state(n_qubits: int) -> StateVector:
 def apply_matrix_gate(state: StateVector, U: np.ndarray, targets: Sequence[int]) -> StateVector:
     """Apply the k-qubit matrix U on targets (targets[0] the MSB of U).
 
-    U must be a gate matrix checked when its circuits.Gate was built: in the
-    library, a fused block from circuits.apply_circuit. This kernel checks
-    only the targets and U's shape, and trusts its entries.
+    U must be a checked gate matrix: in the library, a block that
+    circuits.fuse composed and checked unitary. This kernel checks only the
+    targets and U's shape, and trusts its entries.
     """
     k = len(targets)
     if not 1 <= k <= MAX_GATE_QUBITS:

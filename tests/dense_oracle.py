@@ -6,8 +6,8 @@ Qubit 0 is the least significant bit of the basis index, so it is the LAST
 factor in the Kronecker chain. The subspace dimension is counted a second
 way too: from the GF(2) rank of the stabilizer generators, without building
 any state. The variational blocks vx and vy are written out a second time as
-closed-form 8x8 and 16x16 `matrix` gates, the reference for their native
-circuits. circuit_unitary is the dense unitary of a whole small circuit,
+closed-form 8x8 and 16x16 matrices, each a LocalGate (targets, matrix),
+the reference for their native circuits. circuit_unitary is the dense unitary of a whole small circuit,
 restrict_circuit moves a circuit onto the qubits it touches, and parse_text
 reads export_text's format back, and schedule_reference is the two-qubit
 depth as the longest chain of multi-qubit gates that share a qubit, the
@@ -36,6 +36,7 @@ energies and adjoint gradient, and the quench's Trotter occupations.
 
 import cmath
 import math
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
@@ -210,12 +211,18 @@ def vy_unitary(theta, phi):
     return U
 
 
+class LocalGate(NamedTuple):
+    """A closed-form gate matrix on its targets (targets[0] the MSB)."""
+    targets: Tuple[int, ...]
+    matrix: np.ndarray
+
+
 def vx_gate(spec, e, theta, phi):
     if e.direction != "x":
         raise ValueError("x-edge required")
     r, s = edge_sites(spec, e)
     tgts = (phys_index(spec, r), phys_index(spec, s), aux_index(spec, s))
-    return Gate("matrix", tgts, matrix=vx_unitary(theta, phi))
+    return LocalGate(tgts, vx_unitary(theta, phi))
 
 
 def vy_gate(spec, e, theta, phi):
@@ -223,7 +230,7 @@ def vy_gate(spec, e, theta, phi):
         raise ValueError("y-edge required")
     r, s = edge_sites(spec, e)
     tgts = (phys_index(spec, r), phys_index(spec, s), aux_index(spec, r), aux_index(spec, s))
-    return Gate("matrix", tgts, matrix=vy_unitary(theta, phi))
+    return LocalGate(tgts, vy_unitary(theta, phi))
 
 
 def circuit_unitary(c):
@@ -253,7 +260,7 @@ def restrict_circuit(c, support):
             tgts = tuple(pos[q] for q in g.targets)
         except KeyError:
             raise ValueError("gate acts outside the given support")
-        out.add(Gate(g.kind, tgts, params=g.params, matrix=g.matrix))
+        out.add(Gate(g.kind, tgts, params=g.params))
     return out
 
 
@@ -284,13 +291,7 @@ def parse_text(text):
         targets = []
         while rest and rest[0].startswith("q") and rest[0][1:].isdigit():
             targets.append(int(rest.pop(0)[1:]))
-        if kind == "matrix":
-            d = 1 << len(targets)
-            mat = np.array([complex(tok) for tok in rest], dtype=np.complex128).reshape(d, d)
-            c.add(Gate("matrix", tuple(targets), matrix=mat))
-        else:
-            params = tuple(float(tok) for tok in rest)
-            c.add(Gate(kind, tuple(targets), params=params))
+        c.add(Gate(kind, tuple(targets), params=tuple(float(tok) for tok in rest)))
     return c
 
 

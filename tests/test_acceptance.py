@@ -45,8 +45,9 @@ from f2q.lattice import (
 from f2q.pauli import constraint_set, number_sum, tv_hamiltonian
 from f2q.statevec import cached_basis, expval_string, restrict_sum, zero_state
 
-from dense_oracle import (circuit_unitary, full_trotter_run, pauli_matrix, pauli_sum_matrix,
-                          restrict_circuit, symplectic_dimension, vx_gate, vy_gate)
+from dense_oracle import (circuit_unitary, embed_gate, full_trotter_run, pauli_matrix,
+                          pauli_sum_matrix, restrict_circuit, symplectic_dimension, vx_gate,
+                          vy_gate)
 
 
 RESULTS = []
@@ -373,7 +374,7 @@ def test_criterion_9_circuit_identities():
                 U = g.matrix
                 k = len(g.targets)
                 worst = max(worst, float(np.max(np.abs(U @ U.conj().T - np.eye(2 ** k)))))
-                dense_gate = circuit_unitary(C.Circuit(spec.n_qubits, [g]))
+                dense_gate = embed_gate(U, g.targets, spec.n_qubits)
                 dense_native = circuit_unitary(native(spec, e, th, ph))
                 worst = max(worst, float(np.max(np.abs(dense_gate - dense_native))))
                 for s, _t in cs:

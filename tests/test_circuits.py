@@ -63,29 +63,13 @@ def test_gate_validation():
     with pytest.raises(ValueError):
         C.Gate("rz", (0,))  # missing angle
     with pytest.raises(ValueError):
-        C.Gate("matrix", (0,), matrix=np.array([[1, 1], [0, 1]], dtype=complex))
-    with pytest.raises(ValueError):
-        C.Gate("x", (0,), matrix=np.eye(2, dtype=complex))
-    with pytest.raises(ValueError):
-        C.Gate("matrix", (0,), params=(0.3,), matrix=np.eye(2, dtype=complex))
-    with pytest.raises(ValueError):
         C.Gate("agate", (0, 1), params=(0.3,))
     with pytest.raises(ValueError):
-        C.Gate("matrix", (0,), matrix=np.array([[np.nan, 0], [0, 1]], dtype=complex))
-    with pytest.raises(ValueError):
         C.Gate("rz", (0,), params=(np.nan,))
-    for targets in ((0, 2, 0), (0, 1, 1), (2, 2, 2)):
-        with pytest.raises(ValueError, match="duplicate targets"):
-            C.Gate("ccz", targets)
+    with pytest.raises(ValueError, match="expects 2 targets"):
+        C.Gate("cnot", (0, 2, 0))
     with pytest.raises(ValueError, match="duplicate targets"):
-        C.Gate("matrix", (3, 3), matrix=np.eye(4, dtype=complex))
-
-
-def test_matrix_gate_without_targets_is_refused():
-    # apply_circuit fuses, and a fused block would absorb a zero-target gate
-    # as a global phase, so the gate is refused where it is built
-    with pytest.raises(ValueError, match="without targets"):
-        C.Gate("matrix", (), matrix=np.array([[1j]]))
+        C.Gate("agate", (3, 3), params=(0.1, 0.2))
 
 
 @pytest.mark.parametrize("kind", sorted(C.GATES))
@@ -108,24 +92,11 @@ def test_gate_table_kinds_are_unitary_and_validated(kind):
                 C.Gate(kind, tuple(range(arity)), params=(0.5,) * n)
 
 
-def test_matrix_gate_keeps_a_read_only_copy():
-    U = C.a_gate_unitary(0.4, -0.9)
-    g = C.Gate("matrix", (0, 1), matrix=U)
-    assert g.matrix is not U and not g.matrix.flags.writeable
-    U[0, 0] = 5.0  # the caller's array stays theirs to change
-    assert np.array_equal(g.matrix, C.a_gate_unitary(0.4, -0.9))
-    assert C.Gate("matrix", (0, 1), matrix=g.matrix).matrix is g.matrix
-    base = C.a_gate_unitary(0.4, -0.9)
-    view = base.view()
-    view.flags.writeable = False  # read-only, but base still writes to it
-    assert C.Gate("matrix", (0, 1), matrix=view).matrix is not view
-
-
 def test_circuit_add_checks_register():
     c = C.Circuit(2)
     with pytest.raises(ValueError):
         c.add(C.Gate("x", (2,)))
-    for gate in (C.Gate("x", (-1,)), C.Gate("cnot", (0, -1)), C.Gate("ccz", (1, -2, 0))):
+    for gate in (C.Gate("x", (-1,)), C.Gate("cnot", (0, -1)), C.Gate("cz", (-2, 1))):
         with pytest.raises(ValueError, match="outside register"):
             c.add(gate)
     c.add(C.Gate("x", (1,)))
@@ -160,8 +131,6 @@ def test_fixed_gate_matrices():
     assert abs(rz[0, 0] - np.exp(-0.4j)) < 1e-15 and abs(rz[1, 1] - np.exp(0.4j)) < 1e-15
     ch = C.gate_unitary(C.Gate("ch", (0, 1)))
     assert abs(ch[2, 2] - h) < 1e-15 and abs(ch[3, 3] + h) < 1e-15
-    ccz = C.gate_unitary(C.Gate("ccz", (0, 1, 2)))
-    assert np.array_equal(np.diag(ccz), np.array([1, 1, 1, 1, 1, 1, 1, -1], dtype=complex))
     cp = C.gate_unitary(C.Gate("cphase", (0, 1), params=(0.3,)))
     assert abs(cp[3, 3] - np.exp(0.3j)) < 1e-15
 
@@ -180,8 +149,8 @@ def test_apply_and_unitary_match_embedding_oracle():
         C.Gate("h", (2,)),
         C.Gate("cnot", (3, 1)),
         C.Gate("ry", (0,), params=(0.3,)),
-        C.Gate("matrix", (1, 3), matrix=C.a_gate_unitary(0.4, -0.9)),
-        C.Gate("ccz", (0, 2, 3)),
+        C.Gate("agate", (1, 3), params=(0.4, -0.9)),
+        C.Gate("cz", (2, 3)),
         C.Gate("cphase", (2, 0), params=(-1.1,)),
     ]
     c = C.Circuit(n)
@@ -366,8 +335,7 @@ def test_stabilizer_engine_tracks_commuting_non_clifford_gates():
     # gates that map each tracked Pauli back to a Pauli are fine, Clifford or not
     spec = lat(2, 2)
     e = [ed for ed in edges(spec) if ed.direction == "x"][0]
-    c = C.vacuum_circuit(spec)
-    c.add(vx_gate(spec, e, 0.3, 0.2))
+    c = C.vacuum_circuit(spec).extend(C.vx_native(spec, e, 0.3, 0.2))
     got = C.stabilizer_expectations(c, P.constraint_set(spec))
     for val, (_, target) in zip(got, P.constraint_set(spec)):
         assert val == target
@@ -483,13 +451,6 @@ def test_light_cone_skips_pauli_breaking_gates_outside_it(data):
         C.stabilizer_expectations(reached, [(s, 1)])
 
 
-def _clifford_matrices():
-    h, s = C.GATES["h"].unitary(), C.GATES["s"].unitary()
-    cnot = C.gate_unitary(C.Gate("cnot", (0, 1)))
-    swap = np.eye(4)[[0, 2, 1, 3]]
-    return [h, s, s @ h], [cnot, C.gate_unitary(C.Gate("cz", (0, 1))), swap @ cnot]
-
-
 def _check_shared_memo(c, strings):
     """Track every string through one memo; compare each with dense U^dagger S U."""
     U = dense_circuit(c)
@@ -507,11 +468,10 @@ def _check_shared_memo(c, strings):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_shared_memo_matches_dense_for_every_string(data):
-    # The memo must tell apart gates that differ only in angle or matrix:
-    # rz/rx at distinct multiples of pi/2 on one qubit, and matrix Cliffords
-    # with the same targets but different matrices, all applied twice.
+    # The memo must tell apart gates that differ only in angle or kind:
+    # rz/rx at distinct multiples of pi/2 on one qubit, and named Cliffords
+    # with the same targets but different kinds, all applied twice.
     n = 3
-    one, two = _clifford_matrices()
     qubit = st.integers(0, n - 1)
     pair = st.permutations(range(n)).map(lambda o: tuple(o[:2]))
     quarters = st.lists(st.integers(-3, 4), min_size=2, max_size=2, unique=True)
@@ -519,10 +479,10 @@ def test_shared_memo_matches_dense_for_every_string(data):
     for kind in ("rz", "rx"):
         q = data.draw(qubit)
         gates += [C.Gate(kind, (q,), params=(k * math.pi / 2,)) for k in data.draw(quarters)]
-    for mats, targets in ((one, st.tuples(qubit)), (two, pair)):
+    for kinds, targets in ((["h", "s", "sdg"], st.tuples(qubit)), (["cnot", "cz", "cy"], pair)):
         tg = data.draw(targets)
-        picks = st.lists(st.sampled_from(range(3)), min_size=2, max_size=2, unique=True)
-        gates += [C.Gate("matrix", tg, matrix=mats[i]) for i in data.draw(picks)]
+        picks = st.lists(st.sampled_from(kinds), min_size=2, max_size=2, unique=True)
+        gates += [C.Gate(kind, tg) for kind in data.draw(picks)]
     for _ in range(data.draw(st.integers(0, 4))):
         kind = data.draw(st.sampled_from(["h", "s", "cnot", "cy", "cz"]))
         gates.append(C.Gate(kind, data.draw(pair)[:C.GATES[kind].arity]))
@@ -532,11 +492,10 @@ def test_shared_memo_matches_dense_for_every_string(data):
     _check_shared_memo(c, strings)
 
 
-def test_shared_memo_keys_on_angle_and_matrix():
-    one, _ = _clifford_matrices()
+def test_shared_memo_keys_on_angle_and_kind():
     c = C.Circuit(2)
     c.add(C.Gate("rz", (0,), params=(math.pi / 2,))).add(C.Gate("rz", (0,), params=(math.pi,)))
-    c.add(C.Gate("matrix", (1,), matrix=one[0])).add(C.Gate("matrix", (1,), matrix=one[1]))
+    c.add(C.Gate("h", (1,))).add(C.Gate("s", (1,)))
     strings = [P.PauliString(2, {0: P.X, 1: P.X}), P.PauliString(2, {0: P.Y, 1: P.Z})]
     _check_shared_memo(c, strings)
 
@@ -561,17 +520,12 @@ def test_fuse_preserves_action_property(data):
         params = tuple(data.draw(angle) for _ in range(C.GATES[kind].angles))
         c.add(C.Gate(kind, tuple(order[:C.GATES[kind].arity]), params=params))
     fused = C.fuse(c)
-    assert all(g.kind == "matrix" and g.arity <= 4 for g in fused)
+    assert all(len(targets) <= MAX_GATE_QUBITS for targets, _ in fused)
     assert len(fused) <= len(c)
     amps = random_amplitudes(n, data.draw(st.integers(0, 2**31 - 1)))
     want = to_dense(apply_gates(from_dense(amps.copy(), n), c))
     got = to_dense(C.apply_circuit(from_dense(amps.copy(), n), c))
     assert np.max(np.abs(got - want)) < 1e-12
-
-
-def _random_unitary(k, rng):
-    q, r = np.linalg.qr(rng.normal(size=(1 << k, 1 << k)) + 1j * rng.normal(size=(1 << k, 1 << k)))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -586,14 +540,10 @@ def test_sparse_state_matches_dense_oracle_property(data):
     angle = st.floats(-4, 4, allow_nan=False, allow_infinity=False)
     c = C.Circuit(n)
     for _ in range(data.draw(st.integers(0, 12))):
-        kind = data.draw(st.sampled_from(sorted(C.GATES) + ["matrix"]))
+        kind = data.draw(st.sampled_from(sorted(C.GATES)))
         order = [low + q for q in data.draw(st.permutations(range(m)))]  # unsorted targets
-        if kind == "matrix":
-            k = data.draw(st.integers(1, min(4, m)))
-            c.add(C.Gate(kind, tuple(order[:k]), matrix=_random_unitary(k, rng)))
-        else:
-            params = tuple(data.draw(angle) for _ in range(C.GATES[kind].angles))
-            c.add(C.Gate(kind, tuple(order[:C.GATES[kind].arity]), params=params))
+        params = tuple(data.draw(angle) for _ in range(C.GATES[kind].angles))
+        c.add(C.Gate(kind, tuple(order[:C.GATES[kind].arity]), params=params))
 
     support = data.draw(st.one_of(st.just(None), st.integers(1, 64)))
     if support is None:
@@ -683,9 +633,6 @@ def _fuse_cases():
     agate = C.ansatz_agate(s24, 3, rng.uniform(-3, 3, C.agate_param_count(s24, 3)))
     yield "trotter_3x3", C.trotter_step(lat(3, 3, rho=-1), 1.0, 3.0, 0.1)
     yield "agate_2x4_3L", agate
-    # the same matrices without parameters: only their entries tell the blocks apart
-    yield "agate_2x4_3L_bare", C.Circuit(s24.n_qubits, [
-        C.Gate("matrix", g.targets, matrix=C.gate_unitary(g)) for g in agate])
     for gran in ("per_edge", "per_group"):
         params = rng.uniform(-3, 3, C.hv_param_count(s24, 3, gran))
         yield f"hv_2x4_3L_{gran}", C.ansatz_hv(s24, 3, params, gran)
@@ -695,12 +642,23 @@ def _fuse_cases():
 def test_fuse_blocks_match_dense_oracle(c):
     fused = C.fuse(c)
     blocks = _greedy_blocks(c)
-    assert [g.targets for g in fused] == [tuple(union) for union, _ in blocks]
-    for g, (union, gates) in zip(fused, blocks):
-        assert not g.matrix.flags.writeable
+    assert [targets for targets, _ in fused] == [tuple(union) for union, _ in blocks]
+    for (_, U), (union, gates) in zip(fused, blocks):
         # restrict_circuit puts support[0] at the least significant bit, fuse union[0] at the MSB
         want = circuit_unitary(restrict_circuit(C.Circuit(c.n_qubits, gates), list(reversed(union))))
-        assert np.max(np.abs(g.matrix - want)) < 1e-12, union
+        assert np.max(np.abs(U - want)) < 1e-12, union
+
+
+@pytest.mark.parametrize("bad", [np.array([[1, 1], [0, 1]]), np.array([[np.nan, 0], [0, 1]])])
+def test_fuse_refuses_a_non_unitary_block(monkeypatch, bad):
+    # fuse is the one place a gate matrix is checked, and apply_matrix_gate
+    # trusts what it is given, so a bad table entry must stop here
+    monkeypatch.setitem(C.GATES, "rx", C.GateKind(1, 1, lambda a: bad.astype(complex)))
+    c = C.Circuit(2, [C.Gate("h", (1,)), C.Gate("rx", (0,), params=(0.3,))])
+    with pytest.raises(ValueError, match="gate matrix is not unitary"):
+        C.fuse(c)
+    with pytest.raises(ValueError, match="gate matrix is not unitary"):
+        C.apply_circuit(zero_state(2), c)
 
 
 # ---------------------------------------------------------------- pair creation
@@ -807,18 +765,18 @@ def test_vy_unitary_structure():
 def test_vx_native_decomposition_matches(theta, phi):
     spec = lat(2, 2)
     e = [ed for ed in edges(spec) if ed.direction == "x"][0]
-    cc = C.Circuit(spec.n_qubits)
-    cc.add(vx_gate(spec, e, theta, phi))
-    assert np.max(np.abs(dense_circuit(C.vx_native(spec, e, theta, phi)) - dense_circuit(cc))) < 1e-12
+    g = vx_gate(spec, e, theta, phi)
+    want = embed_gate(g.matrix, g.targets, spec.n_qubits)
+    assert np.max(np.abs(dense_circuit(C.vx_native(spec, e, theta, phi)) - want)) < 1e-12
 
 
 @pytest.mark.parametrize("theta,phi", [(0.41, 1.13), (-0.9, 0.0), (0.2, -2.4)])
 def test_vy_native_decomposition_matches(theta, phi):
     spec = lat(2, 2)
     e = [ed for ed in edges(spec) if ed.direction == "y"][0]
-    cc = C.Circuit(spec.n_qubits)
-    cc.add(vy_gate(spec, e, theta, phi))
-    assert np.max(np.abs(dense_circuit(C.vy_native(spec, e, theta, phi)) - dense_circuit(cc))) < 1e-12
+    g = vy_gate(spec, e, theta, phi)
+    want = embed_gate(g.matrix, g.targets, spec.n_qubits)
+    assert np.max(np.abs(dense_circuit(C.vy_native(spec, e, theta, phi)) - want)) < 1e-12
 
 
 def test_variational_gates_commute_with_constraints():
@@ -997,15 +955,14 @@ def test_schedule_examples():
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.data())
 def test_schedule_matches_reference_loop(data):
-    # random circuits with 1-, 2-, 3- and 4-target gates
+    # random circuits with 1- and 2-target gates
     n = data.draw(st.integers(4, 8))
-    kinds = {1: ["h", "x"], 2: ["cnot", "cz"], 3: ["ccz"], 4: ["matrix"]}
+    kinds = {1: ["h", "x"], 2: ["cnot", "cz"]}
     c = C.Circuit(n)
     for _ in range(data.draw(st.integers(0, 30))):
-        k = data.draw(st.integers(1, 4))
+        k = data.draw(st.integers(1, 2))
         kind = data.draw(st.sampled_from(kinds[k]))
-        targets = tuple(data.draw(st.permutations(range(n)))[:k])
-        c.add(C.Gate(kind, targets, matrix=np.eye(1 << k) if kind == "matrix" else None))
+        c.add(C.Gate(kind, tuple(data.draw(st.permutations(range(n)))[:k])))
     rep = C.schedule(c)
     assert (rep.two_qubit_depth, rep.counts_by_arity) == schedule_reference(c)
 
@@ -1058,9 +1015,8 @@ def test_export_parse_round_trip_all_kinds():
     for kind in ("cnot", "cy", "cz", "ch"):
         c.add(C.Gate(kind, (4, 2)))
     c.add(C.Gate("cphase", (5, 6), params=(-0.25,)))
-    c.add(C.Gate("ccz", (0, 1, 2)))
     c.add(C.Gate("agate", (3, 7), params=(0.31, -0.77)))
-    c.add(vx_gate(spec, ex, 0.31, -0.77))
+    c.extend(C.vx_native(spec, ex, 0.31, -0.77))
     back = parse_text(C.export_text(c))
     assert back == c
 

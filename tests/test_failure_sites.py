@@ -1,6 +1,7 @@
 """Failures leave the library one way: every tolerance check goes through
 lattice.require, only cli.main writes to stderr or picks an exit code, and
-gate unitarity is checked in one place, when a Gate is built. cli.py leaves
+gate unitarity is checked in one place, when circuits.fuse composes a
+block. cli.py leaves
 the ansatz dispatch and the fermionic ED to the library, and only
 circuits.apply_circuit fuses."""
 
@@ -60,11 +61,11 @@ def test_commands_return_no_exit_code():
     assert not [s for s in sites(returns_value) if s[1].startswith("cmd_")]
 
 
-def test_unitarity_is_checked_only_when_a_gate_is_built():
+def test_unitarity_is_checked_only_when_a_block_is_fused():
     def checks_unitary(node):
         return isinstance(node, ast.Call) and _name(node.func) == "_check_unitary"
 
-    assert sites(checks_unitary) == [("circuits.py", "__post_init__")]
+    assert sites(checks_unitary) == [("circuits.py", "fuse")]
 
 
 def test_operator_identity_is_checked_only_by_the_exact_reference():
