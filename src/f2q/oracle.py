@@ -15,7 +15,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .lattice import (InputError, LatticeSpec, Site, check_particle_number, edge_sites, edge_wraps,
-                      edges, occupation_bits, require, site_index)
+                      edges, require, site_index)
 
 MAX_SITES = 12
 DENSE_GUARD = 4096
@@ -126,34 +126,33 @@ def ed_spectrum(
 
 
 def exact_reference(spec: LatticeSpec, t: float, V: float, n_f: int, h_enc: np.ndarray,
-                    enc_evals: np.ndarray, occ_masks: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+                    enc_evals: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Ascending eigenpairs of the ED matrix in PERIODIC, the boundary sector
     the loop targets fix, read when this runs: one build, one solve. Fails
     unless its spectrum matches the encoded sector's, enc_evals, to 1e-8 and
-    it matches h_enc, whose columns have the site masks occ_masks, up to a
-    signed permutation to 1e-12 (relative, operator_deviation)."""
+    it matches h_enc, whose columns are in the same Fock order, to 1e-12 up
+    to signs (relative, operator_deviation)."""
     H = ed_hamiltonian(spec, t, V, None, PERIODIC, n_f)
     evals, evecs = np.linalg.eigh(H)
     require("encoded and fermionic spectra differ by",
             float(np.max(np.abs(evals - enc_evals))), 1e-8)
     require("encoded and fermionic Hamiltonians differ (relative, up to signed permutation) by",
-            operator_deviation(h_enc, occ_masks, H), 1e-12)
+            operator_deviation(h_enc, H), 1e-12)
     return evals, evecs
 
 
-def ed_propagate(evals: np.ndarray, evecs: np.ndarray, initial: np.ndarray, occ_masks: np.ndarray,
-                 n_sites: int, times: Sequence[float]) -> np.ndarray:
+def ed_propagate(evals: np.ndarray, evecs: np.ndarray, initial: np.ndarray, occ_table: np.ndarray,
+                 times: Sequence[float]) -> np.ndarray:
     """Site occupations, shape (len(times), n_sites), of exp(-iH tau) initial
-    for the real H = evecs diag(evals) evecs^T on states with site masks
-    occ_masks. Builds and solves nothing."""
+    for the real H = evecs diag(evals) evecs^T; row k of occ_table, shape
+    (dim, n_sites), holds state k's occupations. Builds and solves nothing."""
     if initial.shape != (evals.size,):
         raise ValueError("initial vector does not match the sector dimension")
     if abs(np.linalg.norm(initial) - 1.0) > 1e-10:
         raise ValueError("initial vector is not normalized")
     coeff = evecs.T @ initial
-    occ_table = occupation_bits(occ_masks, n_sites)
     times_arr = np.asarray(list(times), dtype=float)
-    occs = np.zeros((times_arr.size, n_sites))
+    occs = np.zeros((times_arr.size, occ_table.shape[1]))
     for k, tau in enumerate(times_arr):
         psi = evecs @ (np.exp(-1j * evals * tau) * coeff)
         require("propagation norm drift", abs(np.linalg.norm(psi) - 1.0), 1e-10)
@@ -161,16 +160,13 @@ def ed_propagate(evals: np.ndarray, evecs: np.ndarray, initial: np.ndarray, occ_
     return occs
 
 
-def operator_deviation(H: np.ndarray, occ_masks: np.ndarray, ed: np.ndarray) -> float:
-    """max |H - diag(s) P ed P^T diag(s)| / max(1, max |ed|): how far the
-    encoded sector matrix H misses the ED matrix ed up to a signed
-    permutation. P orders ed's rows (ascending masks) as occ_masks, the site
-    masks of H's columns, which must be the same set. The signs s follow a
-    breadth-first spanning forest of H's nonzero off-diagonal entries, s = +1
-    at each root. Relative, because restriction rounds each entry to a few
-    ulps of the couplings (2.5e-10 absolute at V = 123456.789 on 3x3)."""
-    rank = np.argsort(np.argsort(occ_masks))
-    ed = ed[np.ix_(rank, rank)]
+def operator_deviation(H: np.ndarray, ed: np.ndarray) -> float:
+    """max |H - diag(s) ed diag(s)| / max(1, max |ed|): how far the encoded
+    sector matrix H misses the ED matrix ed, both in the one Fock order
+    (ascending site masks), up to signs. The signs s follow a breadth-first
+    spanning forest of H's nonzero off-diagonal entries, s = +1 at each
+    root. Relative, because restriction rounds each entry to a few ulps of
+    the couplings (2.5e-10 absolute at V = 123456.789 on 3x3)."""
     # the walk runs on Python lists: H's nonzeros row by row, each with
     # whether ed agrees in sign there
     rows, cols = np.nonzero(H)

@@ -1,8 +1,9 @@
 """Quench dynamics: a Trotterized circuit against two exact references.
 
 The Trotter and exact encoded trajectories both run in the n_f sector of
-the constrained subspace and read occupations through its columns' site
-masks; the fermionic one runs in ED's n_f sector. A Trotter step is the
+the constrained subspace, the fermionic one in ED's n_f sector. The two
+sectors list the same Fock states in the same order, so all three read
+their occupations off one table. A Trotter step is the
 one-layer per_group HV circuit (circuits.trotter_step), so it runs as that
 layout's vqe.GateTable, swept once per step at circuits.trotter_angles. The
 tests compare it with tests/dense_oracle.full_trotter_run, which applies
@@ -47,6 +48,7 @@ def quench_trajectories(spec: LatticeSpec, t: float, V: float, n_f: int,
         raise InputError("tmax must be a positive multiple of dt")
     times = dt * np.arange(n_steps + 1)
     basis = statevec.cached_sector(spec, pauli.constraint_set(spec), n_f)
+    occ_table = occupation_bits(basis.occ_masks, spec.n_sites)
 
     h_pre = pauli.tv_hamiltonian(spec, t, 0.0, pre_potentials)
     pre_evals, sec0 = statevec.sector_ground(basis, h_pre)
@@ -57,19 +59,16 @@ def quench_trajectories(spec: LatticeSpec, t: float, V: float, n_f: int,
     # exact encoded and fermionic evolution, each by its own spectral decomposition
     h_post = statevec.restrict_sum(basis, pauli.tv_hamiltonian(spec, t, V))
     evals, evecs = np.linalg.eigh(h_post)
-    ferm_evals, ferm_evecs = oracle.exact_reference(spec, t, V, n_f, h_post, evals,
-                                                    basis.occ_masks)
-    occ_encoded = oracle.ed_propagate(evals, evecs, sec0, basis.occ_masks, spec.n_sites, times)
+    ferm_evals, ferm_evecs = oracle.exact_reference(spec, t, V, n_f, h_post, evals)
+    occ_encoded = oracle.ed_propagate(evals, evecs, sec0, occ_table, times)
     _, ferm0 = oracle.ed_ground(spec, t, 0.0, pre_potentials, oracle.PERIODIC, n_f)
     # ed_propagate multiplies initial as given; the fermionic column starts
     # from a complex128 vector, which fixes its last digits
     occ_fermionic = oracle.ed_propagate(ferm_evals, ferm_evecs, ferm0.astype(np.complex128),
-                                        oracle.sector_basis(spec.n_sites, n_f), spec.n_sites,
-                                        times)
+                                        occ_table, times)
     require("exact references disagree by", np.max(np.abs(occ_encoded - occ_fermionic)), 1e-8)
 
     # Trotterized evolution: the step's gate table, swept on the sector's columns
-    occ_table = occupation_bits(basis.occ_masks, spec.n_sites)
     step = vqe.GateTable(spec, basis, circ.hv_layout(spec, 1, "per_group"))
     forward = step.coefficients(np.array([circ.trotter_angles(t, V, dt)]))[0, 0]
     psi = sec0.astype(np.complex128)

@@ -201,12 +201,13 @@ class SubspaceBasis:
     Each column is a stabilizer state (Aaronson & Gottesman,
     arXiv:quant-ph/0406196): its smallest label reps[j] XOR the 2^rank flips
     of the constraint products, with amplitudes of modulus 2^(-rank/2).
-    Columns are ordered by smallest label and have pairwise disjoint label
-    supports, so each label belongs to exactly one column: column cols[i] has
-    amplitude amps[i] on label labels[i]. Every column has a definite
-    physical occupation (the constraint flips touch only auxiliary qubits):
-    its site bitmask is occ_masks, its particle count phys_occ. stab_flip and
-    stab_sign are the constraints' binary x|z masks.
+    Columns have pairwise disjoint label supports, so each label belongs to
+    exactly one column: column cols[i] has amplitude amps[i] on label
+    labels[i]. Every column has a definite physical occupation (the
+    constraint flips touch only auxiliary qubits): its site bitmask is
+    occ_masks, its particle count phys_occ. Columns ascend in occ_masks, the
+    Fock order of oracle.sector_basis. stab_flip and stab_sign are the
+    constraints' binary x|z masks.
     """
 
     register_size: int
@@ -286,16 +287,15 @@ def _check_size(cs: ConstraintSet, columns: int) -> None:
 
 
 def _build(cs: ConstraintSet, occ) -> SubspaceBasis:
-    """The columns of the occupation masks in occ that pass the checks."""
+    """The columns of the occupation masks in occ that pass the checks, in occ's order."""
     (stab_flip, stab_sign), checks, pivots, flips, (flip, sign, coeff) = _solve(cs)
-    labels = np.array(occ, dtype=np.int64)
+    reps, r = np.array(occ, dtype=np.int64), len(flips)
     for z, bit in checks:
-        labels = labels[np.bitwise_count(labels & z) & 1 == bit]
+        reps = reps[np.bitwise_count(reps & z) & 1 == bit]
     for p, z, bit in pivots:  # free bits stay 0
-        labels |= ((np.bitwise_count(labels & z) & 1) ^ bit).astype(np.int64) << p
+        reps |= ((np.bitwise_count(reps & z) & 1) ^ bit).astype(np.int64) << p
     for f in flips:  # clear each leading bit: the smallest label of the orbit
-        labels ^= np.where(labels >> (f.bit_length() - 1) & 1, f, 0)
-    reps, r = np.sort(labels), len(flips)
+        reps ^= np.where(reps >> (f.bit_length() - 1) & 1, f, 0)
     table = (reps[:, None] ^ flip).reshape(-1)
     # + 0 turns signed zeros into +0, as the sum over all constraint products gave
     amps = (_signed(reps[:, None], sign, coeff).reshape(-1) + 0) / (2.0 ** r * np.sqrt(2.0 ** -r))
@@ -310,7 +310,7 @@ def _build(cs: ConstraintSet, occ) -> SubspaceBasis:
 
 
 def constrained_basis(spec: LatticeSpec, cs: ConstraintSet) -> SubspaceBasis:
-    """Every column: all particle-number sectors merged in smallest-label order."""
+    """Every column: all particle-number sectors merged in site-mask order."""
     _check_size(cs, 1 << cs.n // 2)
     return _build(cs, np.arange(1 << cs.n // 2))
 
@@ -322,8 +322,8 @@ def cached_basis(spec: LatticeSpec, cs: ConstraintSet) -> SubspaceBasis:
 
 @lru_cache(maxsize=32)
 def cached_sector(spec: LatticeSpec, cs: ConstraintSet, n_f: int) -> SubspaceBasis:
-    """The columns of constrained_basis(spec, cs) with n_f particles, in the
-    same order, built on their own; empty where no column has n_f particles."""
+    """The columns of constrained_basis(spec, cs) with n_f particles, built on
+    their own: none, or Fock state oracle.sector_basis(N, n_f)[j] in column j."""
     count = math.comb(cs.n // 2, n_f) if 0 <= n_f <= cs.n // 2 else 0
     _check_size(cs, count)
     return _build(cs, oracle.sector_basis(cs.n // 2, n_f) if count else [])

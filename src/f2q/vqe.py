@@ -424,7 +424,7 @@ def run(config: VqeConfig, opt: Optional[OptimizerConfig] = None) -> RunTrace:
     opt = opt or OptimizerConfig()
     model = SectorModel(config)
     evals, _ = oracle.exact_reference(config.spec, config.t, config.V, config.n_f, model.h_sector,
-                                      np.linalg.eigvalsh(model.h_sector), model.basis.occ_masks)
+                                      np.linalg.eigvalsh(model.h_sector))
     exact_energy, sector = float(evals[0]), oracle.PERIODIC
 
     best = None

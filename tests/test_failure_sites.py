@@ -1,9 +1,10 @@
 """Failures leave the library one way: every tolerance check goes through
 lattice.require, only cli.main writes to stderr or picks an exit code, and
 gate unitarity is checked in one place, when circuits.fuse composes a
-block. cli.py leaves
-the ansatz dispatch and the fermionic ED to the library, and only
-circuits.apply_circuit fuses."""
+block. cli.py leaves the ansatz dispatch and the fermionic ED to the
+library, and only circuits.apply_circuit fuses. The Fock masks of a
+particle-number sector are listed only where the ED matrix and the encoded
+sector are built."""
 
 import ast
 from pathlib import Path
@@ -74,6 +75,16 @@ def test_operator_identity_is_checked_only_by_the_exact_reference():
         return isinstance(node, ast.Call) and _name(node.func) == "operator_deviation"
 
     assert sites(checks_operator) == [("oracle.py", "exact_reference")]
+
+
+def test_fock_masks_are_listed_only_by_ed_and_the_sector_basis():
+    # the encoded sectors take ED's Fock order once, when they are built, so
+    # no other code lists or reorders the occupation masks
+    def lists_masks(node):
+        return isinstance(node, ast.Call) and _name(node.func) == "sector_basis"
+
+    assert sites(lists_masks) == [("oracle.py", "ed_hamiltonian"),
+                                  ("statevec.py", "cached_sector")]
 
 
 def test_fuse_is_called_only_by_apply_circuit():

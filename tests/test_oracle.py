@@ -3,7 +3,8 @@ import pytest
 
 from dense_oracle import single_particle_matrix
 from f2q import oracle
-from f2q.lattice import LatticeSpec, ScientificFailure, Site, edge_sites, edges, site_index
+from f2q.lattice import (LatticeSpec, ScientificFailure, Site, edge_sites, edges, occupation_bits,
+                        site_index)
 from f2q.oracle import (
     ALL_SECTORS,
     BCSector,
@@ -105,7 +106,7 @@ def test_size_guards(monkeypatch):
     with pytest.raises(ValueError):
         ed_ground(spec, 1.0, 0.0, None, PP, 2)
     with pytest.raises(ValueError):
-        exact_reference(spec, 1.0, 0.0, 2, np.zeros((6, 6)), np.zeros(6), sector_basis(4, 2))
+        exact_reference(spec, 1.0, 0.0, 2, np.zeros((6, 6)), np.zeros(6))
     with pytest.raises(ValueError):
         ed_spectrum(spec, 1.0, 0.0, None, PP, 2)
     assert ed_ground(spec, 1.0, 0.0, None, PP, 1)[1].shape == (4,)
@@ -116,7 +117,8 @@ def test_propagate_time_zero_returns_initial_occupations():
     _, v = ed_ground(spec, 1.0, 0.0, {Site(0, 0): -1.0, Site(0, 1): -1.0}, PP, 2)
     basis = sector_basis(spec.n_sites, 2)
     evals, evecs = np.linalg.eigh(ed_hamiltonian(spec, 1.0, 3.0, None, PP, 2))
-    occupations = ed_propagate(evals, evecs, v, basis, spec.n_sites, times=[0.0, 0.5, 1.0])
+    occupations = ed_propagate(evals, evecs, v, occupation_bits(basis, spec.n_sites),
+                               times=[0.0, 0.5, 1.0])
     occ0 = np.array(
         [sum(abs(v[k]) ** 2 for k, m in enumerate(basis) if (int(m) >> i) & 1)
          for i in range(spec.n_sites)]
@@ -140,12 +142,12 @@ def test_propagate_conserves_energy():
 
 def test_propagate_input_validation():
     spec = LatticeSpec(2, 2)
-    basis = sector_basis(spec.n_sites, 2)
+    table = occupation_bits(sector_basis(spec.n_sites, 2), spec.n_sites)
     evals, evecs = np.linalg.eigh(ed_hamiltonian(spec, 1.0, 0.0, None, PP, 2))
     with pytest.raises(ValueError):
-        ed_propagate(evals, evecs, np.ones(6), basis, spec.n_sites, [0.0])
+        ed_propagate(evals, evecs, np.ones(6), table, [0.0])
     with pytest.raises(ValueError):
-        ed_propagate(evals, evecs, np.ones(5) / np.sqrt(5), basis, spec.n_sites, [0.0])
+        ed_propagate(evals, evecs, np.ones(5) / np.sqrt(5), table, [0.0])
 
 
 def encoded_sector_spectra(spec, t, V, n_fs):
@@ -230,20 +232,19 @@ IDENTITY_CASES = ([((Lx, Ly), rho, 2) for Lx, Ly in ((2, 2), (2, 4), (4, 2)) for
 
 @pytest.mark.parametrize("shape,rho,n_f", IDENTITY_CASES)
 def test_sector_hamiltonian_is_the_periodic_ed_matrix_up_to_signs(shape, rho, n_f, monkeypatch):
-    # the constrained subspace is the fermionic model: ordered by occ_masks,
-    # the encoded matrix is the PERIODIC ED matrix conjugated by a diagonal
-    # of +-1 signs; the flipped boundary sectors fail the same check
+    # the constrained subspace is the fermionic model: its columns are ED's
+    # Fock states in ED's order, and the encoded matrix is the PERIODIC ED
+    # matrix conjugated by a diagonal of +-1 signs; the flipped boundary
+    # sectors fail the same check
     monkeypatch.setattr(oracle, "MAX_SITES", 16)
     spec = LatticeSpec(*shape, rho)
     sector = cached_sector(spec, constraint_set(spec), n_f)
     pots = {Site(0, 0): -0.7, Site(1, 1): 0.4}
     H = restrict_sum(sector, tv_hamiltonian(spec, 1.3, 1.7, pots))
-    perm = np.searchsorted(sector_basis(spec.n_sites, n_f), sector.occ_masks)
-    assert sector.dim and np.array_equal(sector_basis(spec.n_sites, n_f)[perm], sector.occ_masks)
+    assert sector.dim and np.array_equal(sector.occ_masks, sector_basis(spec.n_sites, n_f))
 
     def deviation(bc):
-        ed = ed_hamiltonian(spec, 1.3, 1.7, pots, bc, n_f)
-        return signed_permutation_deviation(H, ed[np.ix_(perm, perm)])
+        return signed_permutation_deviation(H, ed_hamiltonian(spec, 1.3, 1.7, pots, bc, n_f))
 
     assert deviation(oracle.PERIODIC) <= 1e-12
     if n_f < spec.n_sites:  # a filled lattice has no hopping to tell the sectors apart
@@ -253,9 +254,10 @@ def test_sector_hamiltonian_is_the_periodic_ed_matrix_up_to_signs(shape, rho, n_
 @pytest.mark.parametrize("shape,rho,n_f", IDENTITY_CASES)
 def test_operator_deviation_allows_signs_and_rejects_a_reordered_basis(shape, rho, n_f,
                                                                         monkeypatch):
-    # the run-time check: the identity above, with pi read off occ_masks and
-    # the signs found by the library's own walk; a reordering keeps the
-    # spectrum but not the operator
+    # the run-time check: the identity above, with the signs found by the
+    # library's own walk; a reordering keeps the spectrum but not the
+    # operator, be it random or the order of smallest labels (np.argsort of
+    # reps) the basis once had
     monkeypatch.setattr(oracle, "MAX_SITES", 16)
     spec = LatticeSpec(*shape, rho)
     sector = cached_sector(spec, constraint_set(spec), n_f)
@@ -264,13 +266,15 @@ def test_operator_deviation_allows_signs_and_rejects_a_reordered_basis(shape, rh
     ed = ed_hamiltonian(spec, 1.3, 1.7, pots, oracle.PERIODIC, n_f)
     rng = np.random.default_rng(11)
     s = rng.choice([-1.0, 1.0], size=sector.dim)
-    assert oracle.operator_deviation(H, sector.occ_masks, ed) <= 1e-12
-    assert oracle.operator_deviation(s[:, None] * H * s, sector.occ_masks, ed) <= 1e-12
+    assert oracle.operator_deviation(H, ed) <= 1e-12
+    assert oracle.operator_deviation(s[:, None] * H * s, ed) <= 1e-12
     if sector.dim > 1:
-        q = rng.permutation(sector.dim)
-        reordered = H[np.ix_(q, q)]
-        assert np.max(np.abs(np.linalg.eigvalsh(reordered) - np.linalg.eigvalsh(H))) <= 1e-12
-        assert oracle.operator_deviation(reordered, sector.occ_masks, ed) > 0.1
+        for q in (rng.permutation(sector.dim), np.argsort(sector.reps)):
+            if np.array_equal(q, np.arange(sector.dim)):
+                continue
+            reordered = H[np.ix_(q, q)]
+            assert np.max(np.abs(np.linalg.eigvalsh(reordered) - np.linalg.eigvalsh(H))) <= 1e-12
+            assert oracle.operator_deviation(reordered, ed) > 0.1
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (2, 4), (3, 3)])
@@ -281,13 +285,13 @@ def test_exact_reference_rejects_a_hop_sign_mutant(shape, monkeypatch):
     sector = cached_sector(spec, constraint_set(spec), 2)
     H = restrict_sum(sector, tv_hamiltonian(spec, 1.0, 2.0))
     evals = np.linalg.eigvalsh(H)
-    ref_evals, ref_evecs = exact_reference(spec, 1.0, 2.0, 2, H, evals, sector.occ_masks)
+    ref_evals, ref_evecs = exact_reference(spec, 1.0, 2.0, 2, H, evals)
     assert ref_evecs.shape == (sector.dim, sector.dim)
     assert np.max(np.abs(ref_evals - evals)) <= 1e-8
 
     monkeypatch.setattr(oracle, "_hop_sign", lambda mask, i, j: +1)
     with pytest.raises(ScientificFailure, match="spectra differ"):
-        exact_reference(spec, 1.0, 2.0, 2, H, evals, sector.occ_masks)
+        exact_reference(spec, 1.0, 2.0, 2, H, evals)
     ed = ed_hamiltonian(spec, 1.0, 2.0, None, oracle.PERIODIC, 2)
     assert np.max(np.abs(np.linalg.eigvalsh(ed) - evals)) > 1.0  # bound 1e-8
-    assert oracle.operator_deviation(H, sector.occ_masks, ed) > 0.5  # bound 1e-12
+    assert oracle.operator_deviation(H, ed) > 0.5  # bound 1e-12

@@ -1,11 +1,12 @@
 """The quench's sector Trotter route against the fused full-register step,
-and the run-time operator check of its exact references."""
+the run-time operator check of its exact references and the one occupation
+table its three trajectories read."""
 
 import numpy as np
 import pytest
 
 from f2q import circuits as C
-from f2q import quench, statevec, vqe
+from f2q import oracle, quench, statevec, vqe
 from f2q.lattice import LatticeSpec, ScientificFailure, Site
 
 from dense_oracle import full_trotter_run, project, reference_trotter_occupations
@@ -68,3 +69,24 @@ def test_vqe_reference_rejects_a_permuted_hamiltonian_with_the_right_spectrum(mo
     cfg = vqe.VqeConfig(spec=LatticeSpec(2, 4), t=1.0, V=3.0, n_f=2, ansatz="hv", layers=1)
     with pytest.raises(ScientificFailure, match="Hamiltonians differ"):
         vqe.run(cfg, vqe.OptimizerConfig(max_steps=1))
+
+
+def test_quench_reads_one_occupation_table(monkeypatch):
+    # the encoded and fermionic sectors share one Fock order, so one table
+    # serves both exact trajectories (and the Trotter one)
+    tables, propagated = [], []
+    bits, propagate = quench.occupation_bits, oracle.ed_propagate
+
+    def one_table(*args):
+        tables.append(bits(*args))
+        return tables[-1]
+
+    def recording(evals, evecs, initial, occ_table, times):
+        propagated.append(occ_table)
+        return propagate(evals, evecs, initial, occ_table, times)
+
+    monkeypatch.setattr(quench, "occupation_bits", one_table)
+    monkeypatch.setattr(oracle, "ed_propagate", recording)
+    quench.quench_trajectories(LatticeSpec(2, 4), 1.0, 3.0, 2, PRE, 0.1, 0.2)
+    assert len(tables) == 1 and len(propagated) == 2
+    assert all(table is tables[0] for table in propagated)

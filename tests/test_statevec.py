@@ -311,13 +311,31 @@ def test_sector_bases_are_the_merged_columns(shape):
         assert sector.amps.tobytes() == merged.amps[mine].tobytes()
 
 
-@pytest.mark.parametrize("shape", sorted(FROZEN_DIMS))
-def test_columns_ordered_by_smallest_label(shape):
-    spec = LatticeSpec(*shape)
-    basis = constrained_basis(spec, constraint_set(spec))
+def _smallest_labels(basis):
     smallest = np.full(basis.dim, np.iinfo(np.int64).max)
     np.minimum.at(smallest, basis.cols, basis.labels)
-    assert np.all(np.diff(smallest) > 0)
+    return smallest
+
+
+@pytest.mark.parametrize("rho", [1, -1])
+@pytest.mark.parametrize("shape", sorted(FROZEN_DIMS) + [(4, 4)])
+def test_columns_are_in_fock_order(shape, rho):
+    # column j of a sector is ED's Fock state sector_basis(N, n_f)[j], and
+    # reps[j] stays its smallest label; the merged basis ascends in site mask
+    spec = LatticeSpec(*shape, rho)
+    cs = constraint_set(spec)
+    nonempty = 0
+    for n_f in range(5):
+        sector = cached_sector(spec, cs, n_f)
+        if sector.dim:
+            nonempty += 1
+            assert np.array_equal(sector.occ_masks, oracle.sector_basis(spec.n_sites, n_f))
+            assert np.array_equal(_smallest_labels(sector), sector.reps)
+    assert nonempty
+    if shape in FROZEN_DIMS:
+        merged = constrained_basis(spec, cs)
+        assert np.all(np.diff(merged.occ_masks) > 0)
+        assert np.array_equal(_smallest_labels(merged), merged.reps)
 
 
 def test_columns_have_definite_occupation():
