@@ -256,8 +256,7 @@ def test_operator_deviation_allows_signs_and_rejects_a_reordered_basis(shape, rh
                                                                         monkeypatch):
     # the run-time check: the identity above, with the signs found by the
     # library's own walk; a reordering keeps the spectrum but not the
-    # operator, be it random or the order of smallest labels (np.argsort of
-    # reps) the basis once had
+    # operator, be it random or by smallest label (np.argsort of reps)
     monkeypatch.setattr(oracle, "MAX_SITES", 16)
     spec = LatticeSpec(*shape, rho)
     sector = cached_sector(spec, constraint_set(spec), n_f)
