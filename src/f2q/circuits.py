@@ -375,22 +375,14 @@ def vacuum_anchor_order(spec: LatticeSpec) -> List[Site]:
     Within each row the column order is reversed so that a deferred X on a
     control qubit fires before any block whose plaquette anticommutes with it.
     """
-    anchors = vacuum_plaquette_set(spec)
-    rows: Dict[int, List[Site]] = {}
-    for r in anchors:
-        rows.setdefault(r.ry, []).append(r)
-    out: List[Site] = []
-    for ry in sorted(rows):
-        out.extend(sorted(rows[ry], key=lambda s: -s.rx))
-    return out
+    return sorted(vacuum_plaquette_set(spec), key=lambda r: (r.ry, -r.rx))
 
 
 def vacuum_circuit(spec: LatticeSpec) -> Circuit:
     c = Circuit(spec.n_qubits)
     vp = periodicity_circuit(spec)
-    control_of = {}  # control qubit -> anchor
-    for r in vacuum_anchor_order(spec):
-        control_of[aux_index(spec, spec.shift(r, 0, 1))] = r
+    anchors = vacuum_anchor_order(spec)
+    control_of = {aux_index(spec, spec.shift(r, 0, 1)): r for r in anchors}  # control -> anchor
     deferred: Dict[Site, Gate] = {}
     for g in vp.gates:
         q = g.targets[0]
@@ -398,7 +390,7 @@ def vacuum_circuit(spec: LatticeSpec) -> Circuit:
             deferred[control_of[q]] = g
         else:
             c.add(g)
-    for r in vacuum_anchor_order(spec):
+    for r in anchors:
         _, rx_, rxy, ry_ = plaquette_sites(spec, r)
         ctrl = aux_index(spec, ry_)
         c.add(Gate("h", (ctrl,)))
@@ -547,18 +539,21 @@ BLOCKS: Dict[str, Callable[..., Circuit]] = {
 }
 
 
+def layout_params(layout: Sequence[Tuple[str, Edge, Tuple[int, ...]]]) -> int:
+    """The parameter count of a layout: one past its largest slot (0 if empty)."""
+    return 1 + max((max(slots) for _, _, slots in layout), default=-1)
+
+
 def layout_circuit(spec: LatticeSpec, layout: Sequence[Tuple[str, Edge, Tuple[int, ...]]],
                    params: Sequence[float]) -> Circuit:
     """Each (kind, edge, slots) entry's block in order, at the params of its slots."""
+    expect = layout_params(layout)
+    if len(params) != expect:
+        raise ValueError(f"expected {expect} parameters, got {len(params)}")
     c = Circuit(spec.n_qubits)
     for kind, e, slots in layout:
         c.extend(BLOCKS[kind](spec, e, *(params[k] for k in slots)))
     return c
-
-
-def _check_count(expect: int, params: Sequence[float]) -> None:
-    if len(params) != expect:
-        raise ValueError(f"expected {expect} parameters, got {len(params)}")
 
 
 def agate_layout(spec: LatticeSpec, layers: int) -> List[Tuple[str, Edge, Tuple[int, int]]]:
@@ -568,12 +563,7 @@ def agate_layout(spec: LatticeSpec, layers: int) -> List[Tuple[str, Edge, Tuple[
     return [(kind, e, (2 * k, 2 * k + 1)) for k, (kind, e) in enumerate(layer * layers)]
 
 
-def agate_param_count(spec: LatticeSpec, layers: int) -> int:
-    return layers * 2 * len(edges(spec))
-
-
 def ansatz_agate(spec: LatticeSpec, layers: int, params: Sequence[float]) -> Circuit:
-    _check_count(agate_param_count(spec, layers), params)
     return layout_circuit(spec, agate_layout(spec, layers), params)
 
 
@@ -595,18 +585,7 @@ def hv_layout(spec: LatticeSpec, layers: int, granularity: str) -> List[Tuple[st
 MAX_LAYERS = 10 ** 3  # ansatz layers; the parameter vector and layout grow with it
 
 
-def hv_param_count(spec: LatticeSpec, layers: int, granularity: str) -> int:
-    if not 1 <= layers <= MAX_LAYERS:
-        raise InputError(f"layers must lie in [1, {MAX_LAYERS}], got {layers}")
-    if granularity == "per_group":
-        return 3 * layers
-    if granularity == "per_edge":
-        return 2 * len(edges(spec)) * layers
-    raise InputError("granularity must be per_group or per_edge")
-
-
 def ansatz_hv(spec: LatticeSpec, layers: int, params: Sequence[float], granularity: str) -> Circuit:
-    _check_count(hv_param_count(spec, layers, granularity), params)
     return layout_circuit(spec, hv_layout(spec, layers, granularity), params)
 
 
@@ -624,24 +603,27 @@ def trotter_step(spec: LatticeSpec, t: float, V: float, dt: float) -> Circuit:
 @dataclass(frozen=True)
 class Ansatz:
     """A variational family checked once here (the name, and the layers and
-    granularity for either family); the one dispatch to its size, layout and circuit."""
+    granularity for either family) and laid out once; its size is the
+    layout's, and its circuit the one dispatch to the family's builder."""
 
     spec: LatticeSpec
     name: str
     layers: int
     granularity: str
-    n_params: int = field(init=False, repr=False, compare=False)  # computed once, here
+    layout: List[Tuple[str, Edge, Tuple[int, ...]]] = field(init=False, repr=False, compare=False)
+    n_params: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.name not in ("agate", "hv"):
             raise InputError("ansatz must be agate or hv")
-        hv_count = hv_param_count(self.spec, self.layers, self.granularity)
-        object.__setattr__(self, "n_params", agate_param_count(self.spec, self.layers)
-                           if self.name == "agate" else hv_count)
-
-    def layout(self) -> List[Tuple[str, Edge, Tuple[int, ...]]]:
-        return (agate_layout(self.spec, self.layers) if self.name == "agate"
-                else hv_layout(self.spec, self.layers, self.granularity))
+        if not 1 <= self.layers <= MAX_LAYERS:
+            raise InputError(f"layers must lie in [1, {MAX_LAYERS}], got {self.layers}")
+        if self.granularity not in ("per_group", "per_edge"):
+            raise InputError("granularity must be per_group or per_edge")
+        layout = (agate_layout(self.spec, self.layers) if self.name == "agate"
+                  else hv_layout(self.spec, self.layers, self.granularity))
+        object.__setattr__(self, "layout", layout)
+        object.__setattr__(self, "n_params", layout_params(layout))
 
     def circuit(self, params: Sequence[float]) -> Circuit:
         return (ansatz_agate(self.spec, self.layers, params) if self.name == "agate"

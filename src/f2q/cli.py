@@ -5,20 +5,12 @@ not hold), 2 usage or configuration error. Numeric output in CSV/JSON uses
 17 significant digits so files round-trip through double precision.
 """
 
-import os
-
-# Cap BLAS pools before numpy is pulled in by the library imports below.
-_threads = os.environ.get("F2Q_THREADS")
-if _threads:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(_var, _threads)
-
 import argparse
 import configparser
 import dataclasses
 import json
 import math
+import os
 import sys
 import time
 from typing import Dict, Iterable, List, Optional, Sequence
@@ -49,17 +41,19 @@ CONFIG_SCHEMA = {
 
 def load_config_file(path: str) -> Dict[str, Dict[str, str]]:
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise InputError(f"cannot read config file {path!r}")
-    out: Dict[str, Dict[str, str]] = {}
-    for section in parser.sections():
+    try:
+        if not parser.read(path):
+            raise InputError(f"cannot read config file {path!r}")
+        out = {section: dict(parser[section]) for section in parser.sections()}
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        # configparser's texts span lines; the error is reported on one
+        raise InputError(f"malformed config file {path!r}: {' '.join(str(exc).split())}") from exc
+    for section, values in out.items():
         if section not in CONFIG_SCHEMA:
             raise InputError(f"unknown config section [{section}]")
-        for key in parser[section]:
+        for key in values:
             if key not in CONFIG_SCHEMA[section]:
                 raise InputError(f"unknown key {key!r} in section [{section}]")
-        out[section] = dict(parser[section])
     return out
 
 
@@ -87,9 +81,12 @@ class Settings:
         return value
 
     def output_path(self) -> Optional[str]:
-        """The output file, checked to lie in an existing directory."""
+        """The output file, checked not to be a directory and to lie in an
+        existing one."""
         path = self.get("output", "output", "path", str)
         if path:
+            if os.path.isdir(path):
+                raise InputError(f"output path {path!r} is a directory")
             folder = os.path.dirname(path) or "."
             if not os.path.isdir(folder):
                 raise InputError(f"output directory {folder!r} does not exist")
@@ -150,8 +147,11 @@ def build_lattice(s: Settings) -> LatticeSpec:
 
 def _write_text(path: Optional[str], text: str) -> None:
     if path:
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write output file {path!r}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 

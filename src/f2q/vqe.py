@@ -176,7 +176,7 @@ class GateTable:
     def __init__(self, spec: LatticeSpec, basis: SubspaceBasis,
                  layout: Sequence[Tuple[str, Edge, Tuple[int, ...]]]):
         self.basis = basis
-        self.n_params = 1 + max(max(slots) for _, _, slots in layout)
+        self.n_params = circ.layout_params(layout)
         tables = {e: _edge_table(spec, basis, e) for e in dict.fromkeys(e for _, e, _ in layout)}
         parts, entries, starts, size = [], [], [], 0
         last = np.full(basis.dim, -1)  # the run that last moved each position
@@ -279,7 +279,7 @@ class SectorModel(GateTable):
         self.cs = constraint_set(spec)
         basis = cached_sector(spec, self.cs, config.n_f)
         self.h_sector = restrict_sum(basis, tv_hamiltonian(spec, config.t, config.V))
-        super().__init__(spec, basis, config.family.layout())
+        super().__init__(spec, basis, config.family.layout)
         self._init_vec = self._build_initial_vector()
 
     # ---------------------------------------------------------- state prep

@@ -65,7 +65,7 @@ def constraint_deviation_state(state, cs) -> float:
 
 def _random_agate_params(spec: LatticeSpec, layers: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
-    return rng.uniform(-0.5, 0.5, C.agate_param_count(spec, layers))
+    return rng.uniform(-0.5, 0.5, C.Ansatz(spec, "agate", layers, "per_edge").n_params)
 
 
 # --------------------------------------------------------------- criterion 1

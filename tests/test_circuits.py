@@ -14,6 +14,7 @@ from dense_oracle import (apply_gates, circuit_unitary, embed_gate, from_dense, 
                           vx_unitary, vy_gate, vy_unitary)
 from f2q import circuits as C
 from f2q import pauli as P
+from f2q import vqe
 from f2q.lattice import (
     Edge,
     InputError,
@@ -25,8 +26,8 @@ from f2q.lattice import (
     phys_index,
     sites,
 )
-from f2q.statevec import (MAX_GATE_QUBITS, StateVector, constrained_basis, expval, expval_string,
-                          zero_state)
+from f2q.statevec import (MAX_GATE_QUBITS, StateVector, cached_sector, constrained_basis, expval,
+                          expval_string, zero_state)
 
 RNG = np.random.default_rng(20260813)
 
@@ -589,7 +590,8 @@ def test_4x4_state_keeps_constraints_and_particle_number():
     check(state, 0)
     C.apply_circuit(state, C.pair_creation(spec, Edge(Site(0, 0), "x")))
     check(state, 2)
-    params = np.random.default_rng(11).uniform(-0.5, 0.5, C.agate_param_count(spec, 1))
+    n = C.Ansatz(spec, "agate", 1, "per_edge").n_params
+    params = np.random.default_rng(11).uniform(-0.5, 0.5, n)
     C.apply_circuit(state, C.ansatz_agate(spec, 1, params))
     check(state, 2)
     step = C.trotter_step(spec, 1.0, 2.0, 0.05)
@@ -630,11 +632,11 @@ def _greedy_blocks(c):
 def _fuse_cases():
     s24 = lat(2, 4)
     rng = np.random.default_rng(7)
-    agate = C.ansatz_agate(s24, 3, rng.uniform(-3, 3, C.agate_param_count(s24, 3)))
+    agate = C.ansatz_agate(s24, 3, rng.uniform(-3, 3, C.layout_params(C.agate_layout(s24, 3))))
     yield "trotter_3x3", C.trotter_step(lat(3, 3, rho=-1), 1.0, 3.0, 0.1)
     yield "agate_2x4_3L", agate
     for gran in ("per_edge", "per_group"):
-        params = rng.uniform(-3, 3, C.hv_param_count(s24, 3, gran))
+        params = rng.uniform(-3, 3, C.layout_params(C.hv_layout(s24, 3, gran)))
         yield f"hv_2x4_3L_{gran}", C.ansatz_hv(s24, 3, params, gran)
 
 
@@ -822,8 +824,8 @@ def test_declared_two_qubit_costs():
 
 def test_agate_parameter_count_example():
     spec = lat(2, 4)
-    assert C.agate_param_count(spec, 3) == 96
-    with pytest.raises(ValueError):
+    assert C.Ansatz(spec, "agate", 3, "per_edge").n_params == 96
+    with pytest.raises(ValueError, match="expected 96 parameters, got 95"):
         C.ansatz_agate(spec, 3, [0.0] * 95)
 
 
@@ -835,7 +837,7 @@ def test_agate_layout_order_and_slots():
     slots = [s for _, _, pair in layout for s in pair]
     assert slots == list(range(2 * 2 * per_layer))
     # the layout is the record of which parameters drive which gate
-    params = RNG.uniform(-0.3, 0.3, size=C.agate_param_count(spec, 2))
+    params = RNG.uniform(-0.3, 0.3, size=C.layout_params(layout))
     c = C.ansatz_agate(spec, 2, params)
     want = C.Circuit(spec.n_qubits)
     for kind, e, (i, j) in layout:
@@ -848,7 +850,7 @@ def test_agate_preserves_constraints_and_number():
     spec = lat(2, 2)
     state = random_constrained_state(spec, seed=11)
     n0 = expval(state, P.number_sum(spec))
-    params = RNG.uniform(-0.5, 0.5, size=C.agate_param_count(spec, 2))
+    params = RNG.uniform(-0.5, 0.5, size=C.layout_params(C.agate_layout(spec, 2)))
     C.apply_circuit(state, C.ansatz_agate(spec, 2, params))
     for s, target in P.constraint_set(spec):
         assert abs(expval_string(state, s) - target) < 1e-12
@@ -857,12 +859,14 @@ def test_agate_preserves_constraints_and_number():
 
 def test_hv_parameter_counts():
     spec = lat(2, 4)
-    assert C.hv_param_count(spec, 3, "per_group") == 9
-    assert C.hv_param_count(spec, 3, "per_edge") == 96
-    with pytest.raises(ValueError):
-        C.hv_param_count(spec, 3, "per_site")
-    with pytest.raises(ValueError):
+    assert C.Ansatz(spec, "hv", 3, "per_group").n_params == 9
+    assert C.Ansatz(spec, "hv", 3, "per_edge").n_params == 96
+    with pytest.raises(InputError, match="granularity"):
+        C.hv_layout(spec, 3, "per_site")
+    with pytest.raises(ValueError, match="expected 6 parameters, got 5"):
         C.ansatz_hv(spec, 2, [0.0] * 5, "per_group")
+    # only Ansatz refuses zero layers; an empty layout takes no angles and builds no gates
+    assert len(C.ansatz_hv(spec, 0, [], "per_group")) == 0
 
 
 @pytest.mark.parametrize("name", ["agate", "hv"])
@@ -882,20 +886,21 @@ def test_ansatz_dispatches_to_its_family(name, gran):
     spec = lat(2, 2)
     ansatz = C.Ansatz(spec, name, 2, gran)
     params = RNG.uniform(-0.5, 0.5, ansatz.n_params)
+    # the sector route reads the same layout, so it sizes the family alike
+    assert ansatz.n_params == vqe.GateTable(spec, cached_sector(spec, P.constraint_set(spec), 2),
+                                            ansatz.layout).n_params
     if name == "agate":
-        assert ansatz.n_params == C.agate_param_count(spec, 2)
-        assert ansatz.layout() == C.agate_layout(spec, 2)
+        assert ansatz.layout == C.agate_layout(spec, 2)
         assert ansatz.circuit(params) == C.ansatz_agate(spec, 2, params)
     else:
-        assert ansatz.n_params == C.hv_param_count(spec, 2, gran)
-        assert ansatz.layout() == C.hv_layout(spec, 2, gran)
+        assert ansatz.layout == C.hv_layout(spec, 2, gran)
         assert ansatz.circuit(params) == C.ansatz_hv(spec, 2, params, gran)
 
 
 def test_hv_zero_parameters_is_identity():
     spec = lat(2, 2)
     for gran in ("per_group", "per_edge"):
-        c = C.ansatz_hv(spec, 2, [0.0] * C.hv_param_count(spec, 2, gran), gran)
+        c = C.ansatz_hv(spec, 2, [0.0] * C.Ansatz(spec, "hv", 2, gran).n_params, gran)
         assert np.max(np.abs(dense_circuit(c) - np.eye(1 << spec.n_qubits))) < 1e-12
 
 
@@ -910,7 +915,7 @@ def test_hv_single_layer_per_group_matches_trotter_structure():
 def test_hv_preserves_constraints():
     spec = lat(2, 2)
     state = random_constrained_state(spec, seed=5)
-    params = RNG.uniform(-0.4, 0.4, size=C.hv_param_count(spec, 2, "per_edge"))
+    params = RNG.uniform(-0.4, 0.4, size=C.Ansatz(spec, "hv", 2, "per_edge").n_params)
     C.apply_circuit(state, C.ansatz_hv(spec, 2, params, "per_edge"))
     for s, target in P.constraint_set(spec):
         assert abs(expval_string(state, s) - target) < 1e-12
@@ -933,7 +938,7 @@ def test_hv_slot_table_per_group():
     assert len(slot_of[1]) == n_edges // 2  # one hop_x block per x-edge
     per_edge = C.hv_layout(spec, 2, "per_edge")
     assert [(k, e) for k, e, _ in per_edge] == plan * 2
-    assert [s for _, _, (s,) in per_edge] == list(range(C.hv_param_count(spec, 2, "per_edge")))
+    assert [s for _, _, (s,) in per_edge] == list(range(C.layout_params(per_edge)))
 
 
 # ---------------------------------------------------------------- scheduling
@@ -980,7 +985,8 @@ def test_schedule_declared_costs():
 
 def test_schedule_native_agate_ansatz():
     spec = lat(2, 4)
-    c = C.ansatz_agate(spec, 3, RNG.uniform(-0.5, 0.5, C.agate_param_count(spec, 3)))
+    params = RNG.uniform(-0.5, 0.5, C.Ansatz(spec, "agate", 3, "per_edge").n_params)
+    c = C.ansatz_agate(spec, 3, params)
     rep = C.schedule(c)
     assert rep.counts_by_arity == {2: 192}
     assert rep.two_qubit_depth == 64

@@ -176,10 +176,23 @@ def test_ini_unknown_ansatz_has_one_message(tmp_path, capsys, command):
 
 def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     ini = tmp_path / "bad.ini"
-    ini.write_text("[lattice]\nlx = 2\nly = 2\nwibble = 1\n")
-    code, _, err = run_cli(capsys, "vqe", "--config", str(ini), "--v", "2")
-    assert code == 2
-    assert "wibble" in err
+    cases = [
+        (b"[lattice]\nlx = 2\nly = 2\nwibble = 1\n", "wibble"),
+        # malformed files, named in the one message: no section header, a
+        # repeated section, a repeated key, bytes that are not text, and a
+        # '%' that value interpolation refuses
+        (b"lx = 2\n", str(ini)),
+        (b"[lattice]\nlx = 2\n[lattice]\nly = 2\n", str(ini)),
+        (b"[lattice]\nlx = 2\nlx = 3\n", str(ini)),
+        (b"\xff\xfe[lattice]\n", str(ini)),
+        (b"[lattice]\nlx = 2\nly = 2\n[output]\npath = a%b\n", str(ini)),
+    ]
+    for content, named in cases:
+        ini.write_bytes(content)
+        code, out, err = run_cli(capsys, "vqe", "--config", str(ini), "--v", "2")
+        assert (code, out) == (2, ""), content
+        assert err.startswith("config error:") and err.count("\n") == 1, err
+        assert named in err
 
 
 def test_depth_report_table(capsys):
@@ -237,7 +250,8 @@ def test_export_agate_ansatz_is_native_circuit(capsys):
     assert code == 0
     assert not any(ln.startswith("matrix") for ln in out.splitlines())
     spec = LatticeSpec(2, 2)
-    params = np.random.default_rng(4).uniform(-0.1, 0.1, circuits.agate_param_count(spec, 1))
+    n = circuits.Ansatz(spec, "agate", 1, "per_edge").n_params
+    params = np.random.default_rng(4).uniform(-0.1, 0.1, n)
     assert parse_text(out) == circuits.ansatz_agate(spec, 1, params)
 
 
@@ -255,7 +269,7 @@ def test_export_and_vqe_share_one_start_draw(capsys, monkeypatch):
                            "--ansatz", "agate", "--layers", "1", "--seed", "4")
     assert code == 0
     spec = LatticeSpec(2, 2)
-    n = circuits.agate_param_count(spec, 1)
+    n = circuits.Ansatz(spec, "agate", 1, "per_edge").n_params
     assert parse_text(out) == circuits.ansatz_agate(spec, 1, np.full(n, 4.25))
     model = vqe.SectorModel(vqe.VqeConfig(spec, 1.0, 2.0, 2, layers=1))
     first_p = vqe._adam_descent(model, vqe.OptimizerConfig(max_steps=1), 5)[3]
@@ -430,10 +444,23 @@ def test_missing_output_directory_fails_before_computing(tmp_path, capsys, monke
         raise AssertionError("computed before checking the output path")
 
     monkeypatch.setattr(cli, "quench_trajectories", never)
-    target = tmp_path / "missing" / "q.csv"
-    code, _, err = run_cli(capsys, "quench", "--lx", "2", "--ly", "2", "--v", "3",
-                           "--dt", "0.1", "--tmax", "0.2", "--output", str(target))
-    assert code == 2 and "does not exist" in err
+    # a file in a missing directory, and an existing directory as the file
+    for target, reason in ((tmp_path / "missing" / "q.csv", "does not exist"),
+                           (tmp_path, "is a directory")):
+        code, out, err = run_cli(capsys, "quench", "--lx", "2", "--ly", "2", "--v", "3",
+                                 "--dt", "0.1", "--tmax", "0.2", "--output", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith("config error:") and err.count("\n") == 1 and reason in err
+
+
+def test_unwritable_output_file_is_usage_error(tmp_path, capsys):
+    # the name passes the directory check, and opening it fails
+    target = tmp_path / ("o" * 300)
+    code, out, err = run_cli(capsys, "check-constraints", "--lx", "2", "--ly", "2",
+                             "--output", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: cannot write output file") and err.count("\n") == 1
+    assert os.listdir(tmp_path) == []
 
 
 def test_spectrum_match_names_every_matching_sector(capsys):

@@ -4,7 +4,7 @@ gate unitarity is checked in one place, when circuits.fuse composes a
 block. cli.py leaves the ansatz dispatch and the fermionic ED to the
 library, and only circuits.apply_circuit fuses. The Fock masks of a
 particle-number sector are listed only where the ED matrix and the encoded
-sector are built."""
+sector are built, and an ansatz is sized only from its layout."""
 
 import ast
 from pathlib import Path
@@ -87,6 +87,19 @@ def test_fock_masks_are_listed_only_by_ed_and_the_sector_basis():
                                   ("statevec.py", "cached_sector")]
 
 
+def test_an_ansatz_is_sized_only_from_its_layout():
+    # one count formula: no family keeps a closed-form count beside its layout
+    def defines_count(node):
+        return isinstance(node, ast.FunctionDef) and node.name.endswith("_param_count")
+
+    def counts_layout(node):
+        return isinstance(node, ast.Call) and _name(node.func) == "layout_params"
+
+    assert sites(defines_count) == []
+    assert sites(counts_layout) == [("circuits.py", "__post_init__"),
+                                    ("circuits.py", "layout_circuit"), ("vqe.py", "__init__")]
+
+
 def test_fuse_is_called_only_by_apply_circuit():
     # one full-register application path: apply_circuit fuses every circuit
     # it applies, so no caller picks gate-by-gate or fused application itself
@@ -103,7 +116,7 @@ def test_cli_leaves_ansatz_dispatch_and_ed_to_the_library():
     # the ansatz check and dispatch live in circuits.Ansatz, the preparation
     # circuit in circuits.preparation_circuit and the BC-sector deviation in
     # oracle.bc_sector_search; cli.py names none of their parts
-    banned = {"hv_param_count", "agate_param_count", "agate_layout", "hv_layout",
+    banned = {"layout_params", "agate_layout", "hv_layout",
               "ansatz_agate", "ansatz_hv", "ed_spectrum", "pair_creation"}
     # names, attributes, imports and definitions alike
     named = {_name(node) or getattr(node, "name", None)
